@@ -233,10 +233,24 @@ def _verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_thresholds(text: str) -> tuple[float, ...]:
+    """Comma-separated IoU thresholds, each a finite number in (0, 1]."""
+    thresholds = []
+    for token in text.split(","):
+        try:
+            value = float(token)
+        except ValueError:
+            value = float("nan")
+        if not 0.0 < value <= 1.0:  # false for nan, so this also rejects non-numbers
+            raise ConfigError(f"IoU threshold {token!r} is not a number in (0, 1]")
+        thresholds.append(value)
+    return tuple(thresholds)
+
+
 def _eval(args: argparse.Namespace) -> int:
+    thresholds = None if args.thresholds is None else _parse_thresholds(args.thresholds)
     dets = load_detections(args.detections)
     gts = load_ground_truths(args.ground_truth)
-    thresholds = tuple(float(t) for t in args.thresholds.split(",")) if args.thresholds else None
     result = (
         evaluate_records(dets, gts, thresholds) if thresholds else evaluate_records(dets, gts)
     )

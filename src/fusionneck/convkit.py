@@ -1,10 +1,18 @@
 """Dilated, pointwise, and transposed convolutions plus naive oracles.
 
 Convolution here means cross-correlation (no kernel flip), the deep-learning
-convention.  The fast paths evaluate one kernel tap at a time with shifted
-views, which keeps the code short and the backward rules symmetric; the
-``naive_*`` functions re-derive the same definitions with explicit loops and
-serve as ground truth in equivalence tests.
+convention.  The fast paths are lowered to BLAS matrix products (the GEMM
+lowering of Chellapilla et al., 2006).  ``conv2d`` copies the windows that a
+group of kernel taps reads from the padded input into one (B, taps·C,
+H_out·W_out) column buffer and multiplies it by the matching columns of the
+weight.  A group is as many taps as fit ``_COLUMN_BYTES``, so small maps take
+all taps in one product and large ones one tap per product, and the columns
+never outgrow the input there.  Its tape entry holds no copy but the padded
+input; the backward rules are the same products transposed.  ``deconv2x`` is
+a single (O·4, C) @ (B, C, H·W) product followed by a transpose that
+interleaves the 2x2 blocks.  The ``naive_*`` functions re-derive the same
+definitions with explicit loops and serve as ground truth in equivalence
+tests.
 """
 
 from __future__ import annotations
@@ -15,6 +23,12 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .tensor import Rng, Tape, Tensor4, Value, _accum
+
+# conv2d builds the columns of as many kernel taps at once as fit in this many
+# bytes: all taps of a small map in one product, one tap per product at the
+# default config's finest level (64 channels, 32x32, batch 2), so the buffer
+# stays the size of the input there.
+_COLUMN_BYTES = 1 << 20
 
 
 class ConvKernel:
@@ -159,32 +173,86 @@ def conv2d(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tensor4:
     w_out = w + 2 * p - d * (kw - 1)
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"conv2d: kernel span exceeds padded input ({h}x{w}, d={d}, pad={p})")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    o = k.out_channels
+    hw = h_out * w_out
+    ntaps = kh * kw
+    xp = x.data
+    if p:  # zeros plus a copy: np.pad costs ~20x more at small shapes
+        xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+        xp[:, :, p : p + h, p : p + w] = x.data
+    tap_bytes = b * c * hw * xp.itemsize
+    # taps per product: the most that divide kh·kw and whose columns fit _COLUMN_BYTES
+    fits = [n for n in range(2, ntaps + 1) if ntaps % n == 0 and n * tap_bytes <= _COLUMN_BYTES]
+    group = max(fits, default=1)
     wdat = k.weight.data
-    out_data = np.zeros((b, k.out_channels, h_out, w_out))
-    for u in range(kh):
-        for v in range(kw):
-            sl = xp[:, :, u * d : u * d + h_out, v * d : v * d + w_out]
-            out_data += np.einsum("oc,bchw->bohw", wdat[:, :, u, v], sl)
-    out_data += k.bias.data[None, :, None, None]
-    out = Tensor4(out_data)
+
+    def weight_matrix() -> np.ndarray:
+        """(O, kh·kw·C), columns ordered (tap, channel): tap t owns columns t·C..(t+1)·C.
+
+        Built in the forward and again in the backward, so that the tape
+        holds no copy of the weight.
+        """
+        return np.ascontiguousarray(wdat.transpose(0, 2, 3, 1)).reshape(o, ntaps * c)
+
+    def window(a: np.ndarray, t: int) -> np.ndarray:
+        """The (B, ·, H_out, W_out) view of padded ``a`` that tap t = u·kw + v reads."""
+        u, v = divmod(t, kw)
+        return a[:, :, u * d : u * d + h_out, v * d : v * d + w_out]
+
+    def column_groups():
+        """Yield (a tap group's weight columns, its input columns as (B, taps·C, H_out·W_out)).
+
+        The windows are copied into one buffer reused across groups: a fresh
+        array per group costs page faults that, at the default config,
+        outweigh the products themselves.
+        """
+        if ntaps == 1 and not p:  # a pointwise conv reads its input as it is
+            yield slice(None), xp.reshape(b, c, hw)
+            return
+        cols = np.empty((b, group, c, h_out, w_out))
+        for t0 in range(0, ntaps, group):
+            for t in range(t0, t0 + group):
+                cols[:, t - t0] = window(xp, t)
+            yield slice(t0 * c, (t0 + group) * c), cols.reshape(b, group * c, hw)
+
+    def weight_grad(g: np.ndarray) -> np.ndarray:
+        """Sum over the batch of g @ columnsᵀ, one tap group at a time, as (O, C, kh, kw)."""
+        gwmat = np.empty((o, ntaps * c))
+        for taps, cols in column_groups():
+            gwmat[:, taps] = (g @ cols.transpose(0, 2, 1)).sum(axis=0)
+        return gwmat.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
+
+    def input_grad(g: np.ndarray) -> np.ndarray:
+        """Scatter each tap's W_tapᵀ @ g into the padded input gradient; return its interior."""
+        wmat = weight_matrix()
+        if ntaps == 1 and not p:  # pointwise: the product is the gradient
+            return (wmat.T @ g).reshape(b, c, h, w)
+        gxp = np.zeros_like(xp)
+        gcols = np.empty((b, group * c, hw))
+        gtaps = gcols.reshape(b, group, c, h_out, w_out)
+        for t0 in range(0, ntaps, group):
+            np.matmul(wmat[:, t0 * c : (t0 + group) * c].T, g, out=gcols)
+            for t in range(t0, t0 + group):
+                window(gxp, t)[...] += gtaps[:, t - t0]
+        return gxp[:, :, p : p + h, p : p + w] if p else gxp
+
+    wmat = weight_matrix()
+    out_data = np.zeros((b, o, hw))
+    prod = np.empty_like(out_data)
+    for taps, cols in column_groups():
+        out_data += np.matmul(wmat[:, taps], cols, out=prod)
+    out_data += k.bias.data[None, :, None]
+    out = Tensor4(out_data.reshape(b, o, h_out, w_out))
     if tape is not None:
         def backward() -> None:
             g = out.grad
             if g is None:
                 return
-            gxp = np.zeros_like(xp)
-            gw = np.zeros_like(wdat)
-            for u in range(kh):
-                for v in range(kw):
-                    sl = xp[:, :, u * d : u * d + h_out, v * d : v * d + w_out]
-                    gw[:, :, u, v] = np.einsum("bohw,bchw->oc", g, sl)
-                    gxp[:, :, u * d : u * d + h_out, v * d : v * d + w_out] += np.einsum(
-                        "oc,bohw->bchw", wdat[:, :, u, v], g
-                    )
-            _accum(x, gxp[:, :, p : p + h, p : p + w] if p else gxp)
-            _accum(k.weight, gw)
-            _accum(k.bias, g.sum(axis=(0, 2, 3)))
+            g = g.reshape(b, o, hw)
+            # weight, then input: the column and gradient buffers are never alive together
+            _accum(k.weight, weight_grad(g))
+            _accum(k.bias, g.sum(axis=(0, 2)))
+            _accum(x, input_grad(g))
         tape.record(backward)
     return out
 
@@ -239,18 +307,23 @@ def deconv2x(x: Tensor4, k: DeconvKernel, tape: Tape | None = None) -> Tensor4:
     b, c, h, w = x.dims
     if c != k.in_channels:
         raise ShapeError(f"deconv2x: input has {c} channels, kernel expects {k.in_channels}")
-    wdat = k.weight.data
-    out6 = np.einsum("bchw,couv->bohuwv", x.data, wdat)
-    out_data = out6.reshape(b, k.out_channels, 2 * h, 2 * w) + k.bias.data[None, :, None, None]
+    o = k.out_channels
+    # rows of wmat are (o, u, v): the product yields every 2x2 block position at once
+    wmat = k.weight.data.transpose(1, 2, 3, 0).reshape(o * 4, c)
+    xm = x.data.reshape(b, c, h * w)
+    blocks = (wmat @ xm).reshape(b, o, 2, 2, h, w)
+    out_data = blocks.transpose(0, 1, 4, 2, 5, 3).reshape(b, o, 2 * h, 2 * w)
+    out_data += k.bias.data[None, :, None, None]
     out = Tensor4(out_data)
     if tape is not None:
         def backward() -> None:
             g = out.grad
             if g is None:
                 return
-            g6 = g.reshape(b, k.out_channels, h, 2, w, 2)
-            _accum(x, np.einsum("bohuwv,couv->bchw", g6, wdat))
-            _accum(k.weight, np.einsum("bchw,bohuwv->couv", x.data, g6))
+            gm = g.reshape(b, o, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4).reshape(b, o * 4, h * w)
+            _accum(x, (wmat.T @ gm).reshape(b, c, h, w))
+            gwmat = (gm @ xm.transpose(0, 2, 1)).sum(axis=0)
+            _accum(k.weight, gwmat.reshape(o, 2, 2, c).transpose(3, 0, 1, 2))
             _accum(k.bias, g.sum(axis=(0, 2, 3)))
         tape.record(backward)
     return out

@@ -308,7 +308,7 @@ def evaluate_records(
         cdets = [d for d in dets if d.class_id == cid]
         cgts = [g for g in gts if g.class_id == cid]
         ap_by_thresh = {t: _class_ap(cdets, cgts, t) for t in thresholds}
-        headline = sum(ap_by_thresh.values()) / len(thresholds)
+        headline = sum(ap_by_thresh[t] for t in thresholds) / len(thresholds)
         entry = {
             "ap": headline,
             "ap50": _class_ap(cdets, cgts, 0.50),

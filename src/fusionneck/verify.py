@@ -431,6 +431,8 @@ def run(scope: str = "all", corrupt: str | None = None, seeds: int = GRAD_SEEDS)
     """Run the requested suites; scope is one of grad, oracle, all."""
     if scope not in ("grad", "oracle", "all"):
         raise ContractError(f"verify scope must be grad|oracle|all, got {scope!r}")
+    if seeds < 1:  # zero seeds would run no gradient case and pass vacuously
+        raise ContractError(f"verify needs at least 1 seed per gradient case, got {seeds}")
     results: list[SuiteCase] = []
     if scope in ("grad", "all"):
         results.extend(gradient_suite(corrupt=corrupt, seeds=seeds))

@@ -1,7 +1,12 @@
 """CLI surface: exit codes, report determinism, eval, and params tools."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from fusionneck.cli import EXIT_INPUT, EXIT_OK, EXIT_SHAPE, EXIT_VERIFY_FAILED, main
 from fusionneck.errors import ShapeError
@@ -149,6 +154,24 @@ class TestVerify:
         assert "conv2d_vs_naive" in out and "ap_vs_bruteforce" in out
         assert "neck_forward" not in out
 
+    def test_zero_seeds_exits_2(self, capsys):
+        # zero seeds would run no gradient case and report a vacuous pass
+        assert main(["verify", "--scope", "grad", "--seeds", "0"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "within tolerance" not in captured.out
+        assert "seed" in captured.err
+
+    def test_module_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fusionneck", "verify", "--scope", "oracle"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "conv2d_vs_naive" in proc.stdout
+
     def test_corrupted_backward_rule_exits_1(self, capsys):
         code = main(["verify", "--scope", "grad", "--seeds", "2", "--corrupt", "matmul"])
         assert code == EXIT_VERIFY_FAILED
@@ -210,3 +233,15 @@ class TestEval:
         ])
         assert code == EXIT_OK
         assert abs(json.loads(report.read_text())["result"]["map"] - 0.6966) < 5e-4
+
+    @pytest.mark.parametrize("thresholds", ["0.5,x", "0.5,", "", "nan", "0.5,inf", "0", "1.5", "-0.5"])
+    def test_bad_thresholds_exit_2_naming_the_token(self, thresholds, capsys):
+        code = main([
+            "eval",
+            "--detections", str(DATA / "dets_4class.txt"),
+            "--ground-truth", str(DATA / "gts_4class.txt"),
+            "--thresholds", thresholds,
+        ])
+        assert code == EXIT_INPUT
+        bad = thresholds.split(",")[-1]
+        assert f"IoU threshold {bad!r}" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fusionneck import convkit
 from fusionneck.convkit import (
     ConvKernel,
     DeconvKernel,
@@ -15,7 +16,7 @@ from fusionneck.convkit import (
     receptive_field_step,
 )
 from fusionneck.errors import ContractError, ShapeError
-from fusionneck.tensor import Rng, Tensor4, grad_check, weighted_sum
+from fusionneck.tensor import Rng, Tape, Tensor4, grad_check, weighted_sum
 
 # input [[1..9]] with a plus-shaped same-padding kernel, worked by hand
 HAND_CONV_EXPECTED = [[7.0, 11.0, 11.0], [17.0, 25.0, 23.0], [19.0, 29.0, 23.0]]
@@ -218,6 +219,40 @@ class TestConvGradients:
 
         assert grad_check(loss, [x, k.weight, k.bias], epsilon=1e-6) < 1e-5
 
+    # batch 2, unequal channel counts, H != W and both padding regimes, so a
+    # swapped channel or spatial axis in the lowered products cannot cancel out
+    @pytest.mark.parametrize("c_in, c_out", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("same_padding", [False, True])
+    def test_conv2d_backward_general_shapes(self, c_in, c_out, dilation, same_padding):
+        rng = Rng(90 + 10 * c_in + dilation)
+        x = Tensor4(rng.normal((2, c_in, 5, 7)))
+        pad = dilation if same_padding else 0
+        k = ConvKernel(rng.normal((c_out, c_in, 3, 3), 0.7), rng.normal((c_out,), 0.3),
+                       dilation=dilation, padding=pad)
+        out_h, out_w = 5 + 2 * pad - 2 * dilation, 7 + 2 * pad - 2 * dilation
+        w = rng.normal((2, c_out, out_h, out_w))
+
+        def loss(tape):
+            return weighted_sum(conv2d(x, k, tape), w, tape)
+
+        assert grad_check(loss, [x, k.weight, k.bias], epsilon=1e-6) < 1e-5
+
+    @pytest.mark.parametrize("group", [1, 3, 9])
+    def test_every_tap_grouping(self, group, monkeypatch):
+        # a column budget of `group` taps: small maps otherwise always take all 9
+        rng = Rng(120 + group)
+        x = Tensor4(rng.normal((2, 3, 5, 7)))
+        k = ConvKernel(rng.normal((2, 3, 3, 3), 0.7), rng.normal((2,), 0.3), dilation=2, padding=2)
+        monkeypatch.setattr(convkit, "_COLUMN_BYTES", group * x.data.nbytes)
+        w = rng.normal((2, 2, 5, 7))
+
+        def loss(tape):
+            return weighted_sum(conv2d(x, k, tape), w, tape)
+
+        assert np.max(np.abs(conv2d(x, k).data - naive_conv2d(x, k).data)) < 1e-12
+        assert grad_check(loss, [x, k.weight, k.bias], epsilon=1e-6) < 1e-5
+
     @pytest.mark.parametrize("seed", range(5))
     def test_deconv_backward(self, seed):
         rng = Rng(80 + seed)
@@ -229,3 +264,59 @@ class TestConvGradients:
             return weighted_sum(deconv2x(x, k, tape), w, tape)
 
         assert grad_check(loss, [x, k.weight, k.bias], epsilon=1e-6) < 1e-5
+
+    @pytest.mark.parametrize("c, o", [(3, 2), (2, 3)])
+    def test_deconv_backward_general_shapes(self, c, o):
+        rng = Rng(85 + c)
+        x = Tensor4(rng.normal((2, c, 3, 4)))
+        k = DeconvKernel(rng.normal((c, o, 2, 2), 0.7), rng.normal((o,), 0.3))
+        w = rng.normal((2, o, 6, 8))
+
+        def loss(tape):
+            return weighted_sum(deconv2x(x, k, tape), w, tape)
+
+        assert grad_check(loss, [x, k.weight, k.bias], epsilon=1e-6) < 1e-5
+
+
+def adjoint_gaps(op, x: Tensor4, kernel) -> tuple[float, float]:
+    """Relative gaps in <A x, y> = <x, Aᵀ y> and its twin in the weight.
+
+    With zero bias the op is linear in the input and in the weight
+    separately, so the tape's input and weight gradients of <op(x), y> must
+    reproduce the forward inner product exactly up to rounding.
+    """
+    rng = Rng(7)
+    out = op(x, kernel)
+    y = rng.normal(out.shape)
+    tape = Tape()
+    loss = weighted_sum(op(x, kernel, tape), y, tape)
+    loss.grad = np.ones_like(loss.data)
+    tape.backward()
+    forward = float(np.sum(out.data * y))
+    via_input = float(np.sum(x.data * x.grad))
+    via_weight = float(np.sum(kernel.weight.data * kernel.weight.grad))
+    return abs(forward - via_input) / abs(forward), abs(forward - via_weight) / abs(forward)
+
+
+class TestAdjointAtDefaultSize:
+    """The backward rules at the default config's shapes, where grad_check is too slow."""
+
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    def test_conv2d(self, dilation):
+        rng = Rng(100 + dilation)
+        x = Tensor4(rng.normal((2, 64, 32, 32)))
+        k = ConvKernel(rng.normal((64, 64, 3, 3)), np.zeros(64), dilation=dilation, padding=dilation)
+        assert max(adjoint_gaps(conv2d, x, k)) < 1e-12
+
+    def test_pointwise_conv(self):
+        rng = Rng(104)
+        x = Tensor4(rng.normal((2, 192, 32, 32)))
+        k = ConvKernel(rng.normal((64, 192, 1, 1)), np.zeros(64))
+        assert max(adjoint_gaps(pointwise_conv, x, k)) < 1e-12
+
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_deconv2x(self, size):
+        rng = Rng(105 + size)
+        x = Tensor4(rng.normal((2, 64, size, size)))
+        k = DeconvKernel(rng.normal((64, 64, 2, 2)), np.zeros(64))
+        assert max(adjoint_gaps(deconv2x, x, k)) < 1e-12

@@ -164,6 +164,13 @@ class TestEvaluateRecords:
             assert abs(result.per_class[cid]["ap"] - target) < 2e-4
         assert abs(result.mean - 0.6966) < 5e-4
 
+    def test_repeated_threshold_weighs_like_any_other(self):
+        dets = load_detections(str(DATA / "dets_4class.txt"))
+        gts = load_ground_truths(str(DATA / "gts_4class.txt"))
+        once = evaluate_records(dets, gts, (0.5,))
+        twice = evaluate_records(dets, gts, (0.5, 0.5))
+        assert twice.mean == once.mean > 0.0
+
     def test_size_buckets(self):
         # one small (10x10), one medium (50x50), one large (200x200) object
         gts = [
