@@ -57,6 +57,7 @@ from .neck import (
     attention_upsample,
     init_params,
     load_params,
+    read_manifest,
     neck_forward,
     parallel_atrous_block,
     parameter_spec,

@@ -40,6 +40,7 @@ from .neck import (
     init_params,
     load_params,
     neck_forward,
+    read_manifest,
     save_params,
     synthetic_pyramid,
 )
@@ -84,36 +85,43 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_config_file(path: str) -> dict:
+RUN_EXTRAS = ("seed", "batch")  # RunConfig keys a config file holds beside NeckConfig's
+
+
+def _load_config_file(args: argparse.Namespace) -> dict:
+    """The ``--config`` file's JSON object, or {} without one."""
+    if not args.config:
+        return {}
     try:
-        return json.loads(Path(path).read_text())
+        loaded = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config file {args.config} must hold a JSON object, got {type(loaded).__name__}")
+    return loaded
 
 
-def _run_extra(args: argparse.Namespace, key: str, fallback):
+def _run_extra(args: argparse.Namespace, file_config: dict, key: str, fallback: int) -> int:
     """seed/batch resolve as: explicit flag > config file > hard default."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if getattr(args, "config", None):
-        value = _load_config_file(args.config).get(key)
-        if value is not None:
-            return value
-    return fallback
+    value = file_config.get(key)
+    if value is None:
+        return fallback
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
 
 
-def _neck_config_from_args(args: argparse.Namespace) -> NeckConfig:
+def _neck_config_from_args(args: argparse.Namespace, file_config: dict) -> NeckConfig:
     values = NeckConfig().to_dict()
     values["register_count"] = None  # track head_count unless set explicitly
-    if args.config:
-        loaded = _load_config_file(args.config)
-        for key in ("seed", "batch"):  # RunConfig extras live beside NeckConfig keys
-            loaded.pop(key, None)
-        unknown = set(loaded) - set(values)
-        if unknown:
-            raise ConfigError(f"unknown config keys in {args.config}: {sorted(unknown)}")
-        values.update(loaded)
+    loaded = {k: v for k, v in file_config.items() if k not in RUN_EXTRAS}
+    unknown = set(loaded) - set(values)
+    if unknown:
+        raise ConfigError(f"unknown config keys in {args.config}: {sorted(unknown)}")
+    values.update(loaded)
     for dest in CONFIG_FLAGS:
         arg = getattr(args, dest)
         if arg is not None:
@@ -122,12 +130,10 @@ def _neck_config_from_args(args: argparse.Namespace) -> NeckConfig:
         arg = getattr(args, flag)
         if arg is not None:
             values[dest] = arg
-    channels = list(values["in_channels"])
-    for i, name in enumerate(("c3", "c4", "c5")):
-        arg = getattr(args, name)
-        if arg is not None:
-            channels[i] = arg
-    values["in_channels"] = tuple(channels)
+    flags = [getattr(args, name) for name in ("c3", "c4", "c5")]
+    channels = values["in_channels"]
+    if isinstance(channels, (list, tuple)) and len(channels) == 3:  # else from_dict rejects it
+        values["in_channels"] = [c if flag is None else flag for c, flag in zip(channels, flags)]
     if isinstance(values["dilations"], str):
         try:
             values["dilations"] = tuple(int(v) for v in values["dilations"].split(","))
@@ -200,10 +206,11 @@ def _write_report(doc: dict, path: str | None) -> None:
 
 
 def _forward(args: argparse.Namespace) -> int:
+    file_config = _load_config_file(args)
     cfg = RunConfig(
-        neck=_neck_config_from_args(args),
-        seed=int(_run_extra(args, "seed", 0)),
-        batch=int(_run_extra(args, "batch", 2)),
+        neck=_neck_config_from_args(args, file_config),
+        seed=_run_extra(args, file_config, "seed", 0),
+        batch=_run_extra(args, file_config, "batch", 2),
         report_path=args.report,
         params_in=args.params_in,
         params_out=args.params_out,
@@ -262,17 +269,15 @@ def _eval(args: argparse.Namespace) -> int:
 
 def _params(args: argparse.Namespace) -> int:
     if args.action == "init":
-        cfg = _neck_config_from_args(args)
-        params = init_params(cfg, Rng(int(_run_extra(args, "seed", 0))).split(2))
+        file_config = _load_config_file(args)
+        cfg = _neck_config_from_args(args, file_config)
+        params = init_params(cfg, Rng(_run_extra(args, file_config, "seed", 0)).split(2))
         Path(args.out).write_bytes(save_params(params))
         print(f"wrote {args.out}")
         return EXIT_OK
     # inspect
     raw = Path(args.file).read_bytes()
-    header = raw.split(b"\n", 1)[0].decode("ascii", errors="replace").split()
-    if len(header) != 3:
-        raise ParamsIOError("not a parameter stream (bad magic header)")
-    manifest = json.loads(raw.split(b"\n", 1)[1][: int(header[2])])
+    manifest, _ = read_manifest(raw)
     cfg = NeckConfig.from_dict(manifest["config"])
     params = load_params(raw, cfg)
     total = sum(v.size for v in params.values())

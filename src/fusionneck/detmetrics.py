@@ -11,12 +11,29 @@ into one point), so ``average_precision``'s single ranking pass agrees
 exactly with ``brute_force_ap``, which re-runs the greedy matching from
 scratch at every cutoff.
 
+Matching is greedy: in rank order (descending score, ties in input order),
+each detection takes the unmatched ground truth of its image with the
+highest IoU at or above the threshold, IoU ties keeping the first ground
+truth in input order.  ``iou``, ``_match_flags``, ``_pr_points`` and
+``_class_ap`` implement this one box at a time; they are the reference, and
+``average_precision`` and ``brute_force_ap`` use them.  ``evaluate_records``
+computes the same values with array operations.  It ranks all detections
+once (a stable sort), computes the IoU of every same-class, same-image
+(detection, ground truth) pair once, with ``iou``'s operations in ``iou``'s
+order, and drops the pairs below the smallest threshold, which never match.
+It then runs the greedy matching for all thresholds together.  Matching
+never crosses a (class, image) group, so step k matches the k-th ranked
+detection of every group at once.  Size buckets reuse the IoU values but
+match again on the same-bucket pairs, because dropping ground truths changes
+what greedy matching picks.  Its results equal the reference's bit for bit.
+
 Interchange files are line-oriented text, one box per line:
 
     detections:    image_id class_id x_min y_min x_max y_max score
     ground truth:  image_id class_id x_min y_min x_max y_max
 
 Fields are whitespace-separated; blank lines and ``#`` comments are skipped.
+Box coordinates must be finite.
 """
 
 from __future__ import annotations
@@ -25,12 +42,21 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ContractError, FileFormatError
 
 RECALL_GRID = tuple(i / 10 for i in range(11))
 DEFAULT_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))  # 0.50 ... 0.95
 SMALL_AREA = 32.0 ** 2
 LARGE_AREA = 96.0 ** 2
+_INF = float("inf")
+SIZE_BUCKETS = {
+    "small": (0.0, SMALL_AREA),
+    "medium": (SMALL_AREA, LARGE_AREA),
+    "large": (LARGE_AREA, _INF),
+}
+_PAIR_BLOCK = 512  # detections whose pairs evaluate_records builds at once
 
 
 @dataclass(frozen=True)
@@ -43,8 +69,9 @@ class Box:
     y_max: float
 
     def __post_init__(self) -> None:
-        if self.x_max < self.x_min or self.y_max < self.y_min:
-            raise ContractError(f"degenerate box: {self}")
+        # one chained comparison: false for NaN, infinities and inverted corners
+        if not (-_INF < self.x_min <= self.x_max < _INF and -_INF < self.y_min <= self.y_max < _INF):
+            raise ContractError(f"box needs finite coordinates with min <= max: {self}")
 
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
@@ -276,8 +303,141 @@ def _class_ap(
     return _interpolated_ap(points)
 
 
-def _bucket(records: Iterable, lo: float, hi: float) -> list:
-    return [r for r in records if lo <= r.box.area() < hi]
+def _indices(keys: Iterable, table: dict) -> np.ndarray:
+    """Dense index of each key in ``table``, adding unseen keys in order."""
+    return np.fromiter((table.setdefault(k, len(table)) for k in keys), dtype=np.intp)
+
+
+def _boxes(records: Sequence) -> np.ndarray:
+    """(4, n) array of x_min, y_min, x_max, y_max rows, in record order."""
+    corners = ((r.box.x_min, r.box.y_min, r.box.x_max, r.box.y_max) for r in records)
+    return np.fromiter(corners, dtype=np.dtype((np.float64, 4)), count=len(records)).T
+
+
+def _size_buckets(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box areas (``Box.area``'s operations) and their ``SIZE_BUCKETS`` index, -1 for none."""
+    areas = (boxes[2] - boxes[0]) * (boxes[3] - boxes[1])
+    bucket = np.full(len(areas), -1)
+    for b, (lo, hi) in enumerate(SIZE_BUCKETS.values()):
+        bucket[(lo <= areas) & (areas < hi)] = b
+    return areas, bucket
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + n)`` over the (s, n) pairs."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _pair_iou(a: np.ndarray, b: np.ndarray, area_a: np.ndarray, area_b: np.ndarray) -> np.ndarray:
+    """``iou`` of the columns of two (4, n) box arrays, with its operations in its order."""
+    ix = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+    iy = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    union = area_a + area_b - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
+def _matchable_pairs(
+    det_group: np.ndarray,
+    gt_group: np.ndarray,
+    det_box: np.ndarray,
+    gt_box: np.ndarray,
+    det_area: np.ndarray,
+    gt_area: np.ndarray,
+    min_iou: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Same-group (detection, ground truth) index pairs with IoU >= ``min_iou``, and that IoU.
+
+    Sorted by detection, then by descending IoU, then by ground truth, which
+    numbers a group's ground truths in input order.  Pairs are built for
+    ``_PAIR_BLOCK`` detections at a time, which bounds the temporaries.
+    """
+    gt_order = np.argsort(gt_group, kind="stable")
+    sorted_group = gt_group[gt_order]
+    blocks = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+    for start in range(0, len(det_group), _PAIR_BLOCK):
+        group = det_group[start:start + _PAIR_BLOCK]
+        lo = np.searchsorted(sorted_group, group, side="left")
+        count = np.searchsorted(sorted_group, group, side="right") - lo
+        det = np.repeat(np.arange(start, start + len(group)), count)
+        gt = gt_order[_ranges(lo, count)]
+        iou_k = _pair_iou(det_box[:, det], gt_box[:, gt], det_area[det], gt_area[gt])
+        keep = np.flatnonzero(iou_k >= min_iou)
+        keep = keep[np.lexsort((-iou_k[keep], det[keep]))]  # stable: IoU ties stay in ground-truth order
+        blocks.append((det[keep], gt[keep], iou_k[keep]))
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def _greedy_hits(
+    det_group: np.ndarray,
+    pair_det: np.ndarray,
+    pair_gt: np.ndarray,
+    pair_iou: np.ndarray,
+    n_gt: int,
+    thresholds: np.ndarray,
+) -> np.ndarray:
+    """``_match_flags`` at every threshold at once: a (thresholds, detections) hit mask.
+
+    Detections are numbered in rank order, and a ground truth pairs only with
+    detections of its group.  Pairs are sorted as ``_matchable_pairs`` sorts
+    them, so a detection takes its first pair at or above the threshold whose
+    ground truth is not yet taken, as ``_match_flags`` does.  Groups never
+    share ground truths, so step k matches the k-th ranked paired detection
+    of every group, for all thresholds together.
+    """
+    hits = np.zeros((len(thresholds), len(det_group)), dtype=bool)
+    seg_start = np.flatnonzero(np.diff(pair_det, prepend=-1))
+    seg_len = np.diff(seg_start, append=len(pair_det))
+    seg_det = pair_det[seg_start]
+    # a detection's step is its rank among the paired detections of its group
+    group = det_group[seg_det]
+    by_group = np.argsort(group, kind="stable")
+    position = np.arange(len(seg_det))
+    step = np.empty_like(position)
+    step[by_group] = position - np.maximum.accumulate(
+        np.where(np.diff(group[by_group], prepend=-1) != 0, position, 0))
+    by_step = np.argsort(step, kind="stable")
+    bounds = np.cumsum(np.bincount(step)).tolist()
+    del group, by_group, position, step  # the first steps are the largest
+
+    taken = np.zeros((len(thresholds), n_gt), dtype=bool)
+    column = thresholds[:, None]
+    for s0, s1 in zip([0] + bounds[:-1], bounds):
+        segs = by_step[s0:s1]
+        pairs = _ranges(seg_start[segs], seg_len[segs])
+        g = pair_gt[pairs]
+        free = (pair_iou[pairs] >= column) & ~taken[:, g]
+        n = len(pairs)
+        position = np.where(free, np.arange(n, dtype=np.int32), n)
+        first = np.minimum.reduceat(position, np.cumsum(seg_len[segs]) - seg_len[segs], axis=1)
+        hit = first < n
+        rows, cols = np.nonzero(hit)
+        taken[rows, g[first[rows, cols]]] = True
+        hits[:, seg_det[segs]] = hit
+    return hits
+
+
+def _ranked_aps(scores: np.ndarray, hits: np.ndarray, n_gt: int) -> list[float]:
+    """``_interpolated_ap`` of the PR points of each hits row, for detections in rank order."""
+    if not len(scores) or not n_gt:
+        return [0.0] * len(hits)
+    last = np.flatnonzero(np.diff(scores, append=np.nan))  # end of each tie group
+    # recall never falls along the ranking, so the points above a grid value
+    # are a suffix, whose best precision is a suffix maximum
+    best = np.zeros(len(last) + 1)
+    aps = []
+    for row in hits:
+        tp = np.cumsum(row)[last]
+        recall = tp / n_gt
+        best[:-1] = np.maximum.accumulate((tp / (last + 1))[::-1])[::-1]
+        above = np.searchsorted(recall, RECALL_GRID, side="right")
+        at = np.searchsorted(recall, RECALL_GRID, side="left")
+        total = 0.0
+        for value in best[np.where(above < len(last), above, at)].tolist():
+            total += value  # left to right, as _interpolated_ap sums
+        aps.append(total / len(RECALL_GRID))
+    return aps
 
 
 def evaluate_records(
@@ -287,38 +447,59 @@ def evaluate_records(
 ) -> ApResult:
     """Per-class AP, mAP, AP50/AP75, and size-bucketed AP over record lists.
 
-    Headline AP per class is the mean over ``thresholds``; matching is
-    confined to each record's image.  Size buckets filter both detections and
-    ground truths by box area (small < 32², medium < 96², large ≥ 96²).
-    A class with no ground truths and no detections is flagged undefined.
+    Headline AP per class is the mean over ``thresholds``, each in (0, 1];
+    matching is confined to each record's image.  Size buckets filter both
+    detections and ground truths by box area (small < 32², medium < 96²,
+    large ≥ 96²).  A class with no ground truths and no detections is flagged
+    undefined.  Every AP equals the one ``_class_ap`` gives.
     """
     if not thresholds:
         raise ContractError("evaluate_records: need at least one threshold")
-    classes = sorted({d.class_id for d in dets} | {g.class_id for g in gts})
+    if not all(0.0 < t <= 1.0 for t in thresholds):
+        raise ContractError(f"evaluate_records: thresholds must lie in (0, 1], got {list(thresholds)}")
+    class_ids: dict = {}
+    images: dict = {}
+    d_cls, g_cls = _indices((d.class_id for d in dets), class_ids), _indices((g.class_id for g in gts), class_ids)
+    d_img, g_img = _indices((d.image_id for d in dets), images), _indices((g.image_id for g in gts), images)
+    classes = sorted(class_ids)
     if not classes:
         raise ContractError("evaluate_records: no classes present")
+    d_score = np.fromiter((d.score for d in dets), dtype=np.float64, count=len(dets))
+    if not np.all((0.0 <= d_score) & (d_score <= 1.0)):  # NaN would rank unlike sorted()
+        raise ContractError("evaluate_records: detection scores must lie in [0, 1]")
+    rank = np.argsort(-d_score, kind="stable")
+    d_cls, d_img, d_score = d_cls[rank], d_img[rank], d_score[rank]
+    d_box, g_box = _boxes(dets)[:, rank], _boxes(gts)
+    (d_area, d_bucket), (g_area, g_bucket) = _size_buckets(d_box), _size_buckets(g_box)
+    n_img, n_gt = len(images), len(g_cls)
+
+    # A pair below every threshold never matches, so it is dropped.
+    matched = sorted(set(thresholds) | {0.50, 0.75})
+    group = d_cls * n_img + d_img
+    pair_det, pair_gt, pair_iou = _matchable_pairs(
+        group, g_cls * n_img + g_img, d_box, g_box, d_area, g_area, matched[0])
+    del d_box, g_box, d_area, g_area
+    hits = _greedy_hits(group, pair_det, pair_gt, pair_iou, n_gt, np.array(matched))
+    # Buckets reuse the IoU values, but match again: dropping ground truths
+    # changes what greedy matching picks.
+    same = (d_bucket[pair_det] == g_bucket[pair_gt]) & (d_bucket[pair_det] >= 0)
+    bucket_hits = _greedy_hits(group, pair_det[same], pair_gt[same], pair_iou[same], n_gt, np.array(matched))
+
     per_class: dict[int, dict] = {}
-    buckets = {
-        "small": (0.0, SMALL_AREA),
-        "medium": (SMALL_AREA, LARGE_AREA),
-        "large": (LARGE_AREA, float("inf")),
-    }
-    bucket_totals = {name: [] for name in buckets}
+    bucket_totals = {name: [] for name in SIZE_BUCKETS}
     for cid in classes:
-        cdets = [d for d in dets if d.class_id == cid]
-        cgts = [g for g in gts if g.class_id == cid]
-        ap_by_thresh = {t: _class_ap(cdets, cgts, t) for t in thresholds}
-        headline = sum(ap_by_thresh[t] for t in thresholds) / len(thresholds)
+        d_in, g_in = d_cls == class_ids[cid], g_cls == class_ids[cid]
+        ap_by_thresh = dict(zip(matched, _ranked_aps(d_score[d_in], hits[:, d_in], int(g_in.sum()))))
         entry = {
-            "ap": headline,
-            "ap50": _class_ap(cdets, cgts, 0.50),
-            "ap75": _class_ap(cdets, cgts, 0.75),
-            "defined": bool(cdets or cgts),
+            "ap": sum(ap_by_thresh[t] for t in thresholds) / len(thresholds),
+            "ap50": ap_by_thresh[0.50],
+            "ap75": ap_by_thresh[0.75],
+            "defined": bool(d_in.any() or g_in.any()),
         }
-        for name, (lo, hi) in buckets.items():
-            bdets = _bucket(cdets, lo, hi)
-            bgts = _bucket(cgts, lo, hi)
-            bucket_ap = sum(_class_ap(bdets, bgts, t) for t in thresholds) / len(thresholds)
+        for b, name in enumerate(SIZE_BUCKETS):
+            d_b, g_b = d_in & (d_bucket == b), g_in & (g_bucket == b)
+            bucket_aps = dict(zip(matched, _ranked_aps(d_score[d_b], bucket_hits[:, d_b], int(g_b.sum()))))
+            bucket_ap = sum(bucket_aps[t] for t in thresholds) / len(thresholds)
             entry[f"ap_{name}"] = bucket_ap
             bucket_totals[name].append(bucket_ap)
         per_class[cid] = entry

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,16 +144,41 @@ class NeckConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NeckConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        """Build from a JSON-style dict; each value must have its field's type."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
+        fields = cls.__dataclass_fields__
+        unknown = set(d) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(d)
+        for key, value in kwargs.items():
+            if not _has_field_type(value, fields[key].default):
+                raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
         if "dilations" in kwargs:
             kwargs["dilations"] = tuple(kwargs["dilations"])
         if "in_channels" in kwargs:
             kwargs["in_channels"] = tuple(kwargs["in_channels"])
         return cls(**kwargs)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _has_field_type(value, default) -> bool:
+    """Whether ``value`` fits the NeckConfig field whose default is ``default``."""
+    if default is None:  # register_count: an int, or None to follow head_count
+        return value is None or _is_int(value)
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, int):
+        return _is_int(value)
+    if isinstance(default, float):  # JSON also reads NaN and Infinity
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    if isinstance(default, str):
+        return isinstance(value, str)
+    return isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)  # int tuples
 
 
 @dataclass
@@ -463,12 +489,12 @@ def save_params(params: NeckParams) -> bytes:
     return header + manifest_bytes + b"".join(chunks)
 
 
-def load_params(stream: bytes, cfg: NeckConfig) -> NeckParams:
-    """Parse a parameter stream, checking every tensor against ``cfg``.
+def read_manifest(stream: bytes) -> tuple[dict, bytes]:
+    """Parse a parameter stream's header and manifest; return (manifest, payload).
 
-    Errors name the offending tensor: unknown/missing names, shape mismatches
-    against the config-derived layout, and truncated payload ranges are all
-    rejected.  A config echo that disagrees with ``cfg`` is refused up front.
+    The manifest is a JSON object with a ``config`` object and a ``tensors``
+    list, each tensor an object with a string ``name``, a list-of-ints
+    ``shape`` and an int ``offset``.  Anything else raises ``ParamsIOError``.
     """
     buf = io.BytesIO(stream)
     header = buf.readline().decode("ascii", errors="replace").strip()
@@ -489,16 +515,42 @@ def load_params(stream: bytes, cfg: NeckConfig) -> NeckParams:
         raise ParamsIOError("truncated manifest")
     try:
         manifest = json.loads(manifest_bytes)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParamsIOError(f"manifest is not valid JSON: {exc}") from None
-    echo = manifest.get("config", {})
+    if not isinstance(manifest, dict):
+        raise ParamsIOError(f"manifest must be a JSON object, got {type(manifest).__name__}")
+    if not isinstance(manifest.get("config"), dict):
+        raise ParamsIOError("manifest has no config object")
+    tensors = manifest.get("tensors")
+    if not isinstance(tensors, list):
+        raise ParamsIOError("manifest has no tensors list")
+    for i, entry in enumerate(tensors):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(_is_int(n) for n in entry["shape"])
+            and _is_int(entry.get("offset"))
+        ):
+            raise ParamsIOError(f"manifest tensor {i} needs a string name, an int list shape and an int offset")
+    return manifest, buf.read()
+
+
+def load_params(stream: bytes, cfg: NeckConfig) -> NeckParams:
+    """Parse a parameter stream, checking every tensor against ``cfg``.
+
+    Errors name the offending tensor: unknown/missing names, shape mismatches
+    against the config-derived layout, and truncated payload ranges are all
+    rejected.  A config echo that disagrees with ``cfg`` is refused up front.
+    """
+    manifest, payload = read_manifest(stream)
+    echo = manifest["config"]
     expected_cfg = cfg.to_dict()
     if echo != expected_cfg:
         diffs = [k for k in expected_cfg if echo.get(k) != expected_cfg[k]]
         diffs += [k for k in echo if k not in expected_cfg]
         raise ParamsIOError(f"config mismatch on keys: {sorted(set(diffs))}")
-    payload = buf.read()
-    entries = {t["name"]: t for t in manifest.get("tensors", [])}
+    entries = {t["name"]: t for t in manifest["tensors"]}
     spec = parameter_spec(cfg)
     expected_names = [name for name, _ in spec]
     extra = set(entries) - set(expected_names)
@@ -514,7 +566,7 @@ def load_params(stream: bytes, cfg: NeckConfig) -> NeckParams:
                 f"shape mismatch for tensor {name}: manifest {tuple(entry['shape'])}, expected {shape}"
             )
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = int(entry["offset"])
+        start = entry["offset"]
         end = start + count * 8
         if start < 0 or end > len(payload):
             raise ParamsIOError(f"truncated payload for tensor {name}")

@@ -82,6 +82,46 @@ class TestForward:
         cfg_file.write_text('{"pyramid_widht": 8}')
         assert main(["forward", "--config", str(cfg_file)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '"pyramid_width"',
+        '{"pyramid_width": "64"}',
+        '{"use_mhsa": "yes"}',
+        '{"init_sigma": NaN}',
+        '{"in_channels": 5}',
+        '{"dilations": "1,x"}',
+        '{"seed": "7"}',
+        '{"batch": true}',
+    ])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, text):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        assert main(["forward", "--config", str(cfg_file), "--report", str(tmp_path / "r.json")]) == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"pyramid_width": "64"}', '{"seed": 1.5}'])
+    def test_params_init_bad_config_file_exits_2(self, tmp_path, capsys, text):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        assert main(["params", "init", "--config", str(cfg_file), "--out", str(tmp_path / "p.bin")]) == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    def test_config_file_read_once(self, tmp_path, monkeypatch):
+        import fusionneck.cli as cli_mod
+
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"seed": 3, "batch": 1, "pyramid_width": 4, "head_count": 2,
+                                        "scse_reduction": 2, "in_channels": [3, 4, 5],
+                                        "base_height": 8, "base_width": 8}))
+        reads = []
+        real_read_text = Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: reads.append(self) or real_read_text(self, *a, **k))
+        report = tmp_path / "r.json"
+        assert cli_mod.main(["forward", "--config", str(cfg_file), "--report", str(report)]) == EXIT_OK
+        assert reads.count(cfg_file) == 1
+        echo = json.loads(report.read_text())["config"]
+        assert (echo["seed"], echo["batch"]) == (3, 1)
+
     def test_report_reproducible_from_its_own_echo(self, tmp_path):
         code, original = run_forward(tmp_path, "orig.json")
         assert code == EXIT_OK
@@ -132,6 +172,19 @@ class TestParams:
         code = main(["forward", "--seed", "4", *SMALL, "--gating", "raw",
                      "--params-in", str(pfile), "--report", str(tmp_path / "r.json")])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("manifest", [
+        b"{not json",
+        b"[1, 2]",
+        b'{"config": {}, "tensors": [{"name": "x", "offset": 0}]}',
+        b'{"config": {}, "tensors": [{"shape": [1], "offset": 0}]}',
+        b'{"config": {}, "tensors": [{"name": "x", "shape": [1]}]}',
+    ])
+    def test_inspect_malformed_manifest_exits_2(self, tmp_path, capsys, manifest):
+        pfile = tmp_path / "p.bin"
+        pfile.write_bytes(f"fusionneck-params 1 {len(manifest)}\n".encode("ascii") + manifest)
+        assert main(["params", "inspect", str(pfile)]) == EXIT_INPUT
+        assert "manifest" in capsys.readouterr().err
 
     def test_corrupt_file_exits_2(self, tmp_path):
         pfile = tmp_path / "p.bin"
@@ -218,6 +271,15 @@ class TestEval:
         det = tmp_path / "det.txt"
         gt.write_text("img 0 0 0 10 10\n")
         det.write_text("img 0 0 0 10 10 0.9\nimg 0 bad 0 10 10 0.8\n")
+        code = main(["eval", "--detections", str(det), "--ground-truth", str(gt)])
+        assert code == EXIT_INPUT
+        assert ":2:" in capsys.readouterr().err
+
+    def test_non_finite_coordinate_exits_2_with_line(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        det = tmp_path / "det.txt"
+        gt.write_text("img0 0 0 0 10 10\n")
+        det.write_text("img0 0 0 0 10 10 0.9\nimg0 0 0 0 nan 5 0.5\n")
         code = main(["eval", "--detections", str(det), "--ground-truth", str(gt)])
         assert code == EXIT_INPUT
         assert ":2:" in capsys.readouterr().err

@@ -4,11 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusionneck.detmetrics import (
+    SIZE_BUCKETS,
+    ApResult,
     Box,
     Detection,
+    DetectionRecord,
     GroundTruth,
+    GroundTruthRecord,
+    _class_ap,
     average_precision,
     brute_force_ap,
     evaluate_records,
@@ -58,6 +65,16 @@ class TestIou:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ContractError):
             Box(2.0, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("coords", [
+        (float("nan"), 0.0, 1.0, 1.0),
+        (0.0, 0.0, 1.0, float("nan")),
+        (float("-inf"), 0.0, 1.0, 1.0),
+        (0.0, 0.0, 1.0, float("inf")),
+    ])
+    def test_non_finite_box_rejected(self, coords):
+        with pytest.raises(ContractError, match="finite"):
+            Box(*coords)
 
 
 class TestAveragePrecision:
@@ -190,6 +207,18 @@ class TestEvaluateRecords:
         assert res.per_class[0]["ap_medium"] == 1.0
         assert res.per_class[0]["ap_large"] == 0.0
 
+    def test_rejects_thresholds_outside_unit_interval(self):
+        dets = [DetectionRecord("img", 0, unit_box(), 0.9)]
+        for bad in ((0.0,), (0.5, 1.5), (float("nan"),)):
+            with pytest.raises(ContractError, match="thresholds"):
+                evaluate_records(dets, [], bad)
+
+    @pytest.mark.parametrize("score", [float("nan"), 1.5, -0.1])
+    def test_rejects_scores_outside_unit_interval(self, score):
+        dets = [DetectionRecord("img", 0, unit_box(), 0.9), DetectionRecord("img", 0, unit_box(), score)]
+        with pytest.raises(ContractError, match="scores"):
+            evaluate_records(dets, [GroundTruthRecord("img", 0, unit_box())])
+
     def test_matching_respects_image_ids(self):
         from fusionneck.detmetrics import DetectionRecord, GroundTruthRecord
 
@@ -225,8 +254,115 @@ class TestInterchangeFiles:
         recs = load_detections(str(f))
         assert len(recs) == 1 and recs[0].class_id == 3 and recs[0].score == 0.25
 
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_names_line(self, tmp_path, coord):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"img0 0 0 0 1 1 0.5\nimg0 0 0 0 {coord} 5 0.5\n")
+        with pytest.raises(FileFormatError, match=":2:.*finite"):
+            load_detections(str(bad))
+
     def test_score_range_checked(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("img 0 0 0 1 1 1.5\n")
         with pytest.raises(FileFormatError, match=":1:"):
             load_detections(str(bad))
+
+
+def scalar_evaluate(dets, gts, thresholds) -> ApResult:
+    """``evaluate_records`` recomputed with the scalar ``_class_ap``, one class,
+    threshold and size bucket at a time."""
+    classes = sorted({d.class_id for d in dets} | {g.class_id for g in gts})
+    per_class = {}
+    for cid in classes:
+        cdets = [d for d in dets if d.class_id == cid]
+        cgts = [g for g in gts if g.class_id == cid]
+        entry = {
+            "ap": sum(_class_ap(cdets, cgts, t) for t in thresholds) / len(thresholds),
+            "ap50": _class_ap(cdets, cgts, 0.50),
+            "ap75": _class_ap(cdets, cgts, 0.75),
+            "defined": True,
+        }
+        for name, (lo, hi) in SIZE_BUCKETS.items():
+            bdets = [d for d in cdets if lo <= d.box.area() < hi]
+            bgts = [g for g in cgts if lo <= g.box.area() < hi]
+            entry[f"ap_{name}"] = sum(_class_ap(bdets, bgts, t) for t in thresholds) / len(thresholds)
+        per_class[cid] = entry
+    n = len(classes)
+    return ApResult(
+        per_class=per_class,
+        mean=mean_ap([per_class[c]["ap"] for c in classes]),
+        ap50=sum(per_class[c]["ap50"] for c in classes) / n,
+        ap75=sum(per_class[c]["ap75"] for c in classes) / n,
+        ap_small=sum(per_class[c]["ap_small"] for c in classes) / n,
+        ap_medium=sum(per_class[c]["ap_medium"] for c in classes) / n,
+        ap_large=sum(per_class[c]["ap_large"] for c in classes) / n,
+    )
+
+
+# Few distinct corners, sides and scores, so that scenes often hold score
+# ties, duplicate boxes (IoU ties) and zero-area boxes (union 0); 32x32 and
+# 16x64 have area exactly 32², 96x96 exactly 96².
+_corner = st.sampled_from([0.0, 4.0, 8.0, 16.0])
+_side = st.sampled_from([0.0, 8.0, 16.0, 32.0, 64.0, 96.0])
+_box = st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h), _corner, _corner, _side, _side)
+_image = st.sampled_from(["a", "b", "c"])
+_class = st.sampled_from([0, 1, 2])
+_dets = st.lists(
+    st.builds(DetectionRecord, _image, _class, _box, st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0])),
+    max_size=25,
+)
+_gts = st.lists(st.builds(GroundTruthRecord, _image, _class, _box), max_size=15)
+_thresholds = st.lists(st.sampled_from([1.0, 0.75, 0.5, 0.3, 0.1]), min_size=1, max_size=5)
+
+
+class TestEvaluateRecordsMatchesScalarReference:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_dets, _gts, _thresholds)
+    @example(
+        # class 0: duplicate ground truths and tied scores in image a, a
+        # zero-area pair in image b, nothing small or large; class 1 has only
+        # detections, class 2 only a ground truth; thresholds repeat, unsorted
+        dets=[
+            DetectionRecord("a", 0, Box(0, 0, 32, 32), 0.5),
+            DetectionRecord("a", 0, Box(0, 0, 32, 32), 0.5),
+            DetectionRecord("a", 1, Box(0, 0, 10, 10), 0.9),
+            DetectionRecord("b", 0, Box(8, 8, 8, 8), 0.5),
+        ],
+        gts=[
+            GroundTruthRecord("a", 0, Box(0, 0, 32, 32)),
+            GroundTruthRecord("a", 0, Box(0, 0, 32, 32)),
+            GroundTruthRecord("a", 2, Box(0, 0, 96, 96)),
+            GroundTruthRecord("b", 0, Box(8, 8, 8, 8)),
+        ],
+        thresholds=[0.75, 0.5, 0.75, 1.0],
+    )
+    @example(
+        # the first detection has IoU 1/3 with both ground truths and takes
+        # the first; the second then misses, as it overlaps only that one
+        dets=[DetectionRecord("a", 0, Box(8, 0, 24, 16), 0.9), DetectionRecord("a", 0, Box(0, 0, 16, 16), 0.5)],
+        gts=[GroundTruthRecord("a", 0, Box(0, 0, 16, 16)), GroundTruthRecord("a", 0, Box(16, 0, 32, 16))],
+        thresholds=[0.3],
+    )
+    @example(
+        # equal scores match in input order: the first detection takes the
+        # ground truth the second one needs, so only one of them hits
+        dets=[DetectionRecord("a", 0, Box(0, 0, 16, 16), 0.5), DetectionRecord("a", 0, Box(0, 0, 8, 16), 0.5)],
+        gts=[GroundTruthRecord("a", 0, Box(0, 0, 16, 16)), GroundTruthRecord("a", 0, Box(8, 0, 24, 16))],
+        thresholds=[0.3],
+    )
+    def test_equal_to_scalar_class_ap(self, dets, gts, thresholds):
+        if not dets and not gts:
+            return
+        assert evaluate_records(dets, gts, thresholds) == scalar_evaluate(dets, gts, thresholds)
+
+    def test_equal_on_random_scenes_and_fixture(self):
+        rng = Rng(3000)
+        dets, gts = [], []
+        for i in range(40):
+            scene_dets, scene_gts = random_scene(rng.split(i))
+            dets += [DetectionRecord(f"img{i % 7}", i % 3, d.box, d.score) for d in scene_dets]
+            gts += [GroundTruthRecord(f"img{i % 7}", i % 3, g.box) for g in scene_gts]
+        fixture = (load_detections(str(DATA / "dets_4class.txt")), load_ground_truths(str(DATA / "gts_4class.txt")))
+        for scene in ((dets, gts), fixture):
+            for thresholds in ((0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95), (0.9, 0.3, 0.3)):
+                assert evaluate_records(*scene, thresholds) == scalar_evaluate(*scene, thresholds)

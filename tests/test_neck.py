@@ -14,6 +14,7 @@ from fusionneck.neck import (
     PyramidIn,
     init_params,
     load_params,
+    read_manifest,
     neck_forward,
     parallel_atrous_block,
     attention_upsample,
@@ -77,6 +78,30 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             NeckConfig.from_dict({"pyramid_widht": 8})
+
+    @pytest.mark.parametrize("values", [
+        [1, 2],
+        {"pyramid_width": "64"},
+        {"pyramid_width": True},
+        {"pyramid_width": 64.0},
+        {"register_count": "4"},
+        {"use_mhsa": 1},
+        {"gating_mode": 2},
+        {"init_sigma": "0.01"},
+        {"init_sigma": False},
+        {"init_sigma": float("nan")},
+        {"init_sigma": float("inf")},
+        {"dilations": 5},
+        {"dilations": [1, "2"]},
+        {"in_channels": [16, 32.5, 64]},
+    ])
+    def test_wrong_types_rejected(self, values):
+        with pytest.raises(ConfigError):
+            NeckConfig.from_dict(values)
+
+    def test_int_init_sigma_and_null_register_count_accepted(self):
+        cfg = NeckConfig.from_dict({"init_sigma": 0, "register_count": None})
+        assert cfg.init_sigma == 0 and cfg.effective_register_count == cfg.head_count
 
 
 class TestPyramidIn:
@@ -363,3 +388,19 @@ class TestSerialization:
     def test_bad_magic_rejected(self):
         with pytest.raises(ParamsIOError, match="magic"):
             load_params(b"not a params file", small_cfg())
+
+    @pytest.mark.parametrize("manifest", [
+        b"{not json",
+        b"[1, 2]",
+        b'{"tensors": []}',
+        b'{"config": {}, "tensors": [{"shape": [1], "offset": 0}]}',
+        b'{"config": {}, "tensors": [{"name": "x", "offset": 0}]}',
+        b'{"config": {}, "tensors": [{"name": "x", "shape": [1]}]}',
+        b'{"config": {}, "tensors": [{"name": "x", "shape": [1], "offset": "0"}]}',
+    ])
+    def test_malformed_manifest_rejected(self, manifest):
+        blob = f"fusionneck-params 1 {len(manifest)}\n".encode("ascii") + manifest
+        with pytest.raises(ParamsIOError, match="manifest"):
+            read_manifest(blob)
+        with pytest.raises(ParamsIOError, match="manifest"):
+            load_params(blob, small_cfg())
