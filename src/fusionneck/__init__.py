@@ -72,7 +72,6 @@ from .tensor import (
     Value,
     add,
     concat_channels,
-    elementwise,
     global_avg_pool,
     grad_check,
     logistic,
@@ -81,7 +80,6 @@ from .tensor import (
     softmax_rows,
     sub,
     sum_all,
-    transpose,
     weighted_sum,
 )
 

@@ -5,8 +5,11 @@ features (no positional encoding, so the operator is permutation-equivariant
 over tokens).  Optional register biases shift the raw attention scores
 (per-head HW×HW matrices added before the 1/sqrt(d_k) scaling) and the value
 rows (per-head d_head×HW matrices); both are shared across the batch and
-leave the output shape untouched.  Also provides the concurrent
-spatial/channel gate used to recalibrate fused multi-dilation features.
+leave the output shape untouched.  ``mhsa_forward`` is one primitive: the
+whole batch and all heads go through stacked array products, and the tape
+gets a single hand-written backward rule for it.  Also provides the
+concurrent spatial/channel gate used to recalibrate fused multi-dilation
+features.
 """
 
 from __future__ import annotations
@@ -24,18 +27,11 @@ from .tensor import (
     Tape,
     Tensor4,
     Value,
+    _accum,
     add,
-    batch_tokens,
-    col_concat,
-    col_slice,
     global_avg_pool,
     logistic,
-    matmul,
-    merge_tokens,
     mul,
-    scale,
-    softmax_rows,
-    transpose,
 )
 
 
@@ -142,53 +138,77 @@ def mhsa_forward(
     tape: Tape | None = None,
     return_attention: bool = False,
 ):
-    """Multi-head self-attention over the flattened spatial grid.
+    """Multi-head self-attention over the flattened spatial grid, as one taped op.
 
-    Per batch item: tokens = flatten(x) as (HW, C); Q/K/V = tokens · W;
-    per head, scores = (Q Kᵀ + r_qk) / sqrt(d_head) and values = V + r_vᵀ
-    (register terms only when ``reg`` is given); rows are softmaxed and the
-    weighted value rows concatenated across heads, then reshaped back to
-    (B, C, H, W).  Registers never appear in the output shape.
+    tokens = flatten(x) as (B·HW, C); one product gives Q | K | V for the
+    whole batch, and head i owns columns i·d_head..(i+1)·d_head of each.
+    Batched over (item, head): scores = (Q Kᵀ + r_qk) / sqrt(d_head) and
+    values = V + r_vᵀ (register terms only when ``reg`` is given); rows are
+    softmaxed and the weighted value rows concatenated across heads, then
+    reshaped back to (B, C, H, W).  Registers never appear in the output
+    shape.  The tape gets one record whose hand-written backward accumulates
+    into x, w_q/w_k/w_v and every r_qk[i]/r_v[i].
 
     With ``return_attention`` the list of row-stochastic attention matrices
-    (one ndarray per batch item and head, batch-major) is returned alongside
-    the output.
+    (one (HW, HW) view per batch item and head, batch-major) is returned
+    alongside the output.
     """
     b, c, h, w = x.dims
     if c != p.embed_dim:
         raise ShapeError(f"mhsa_forward: input has {c} channels, params expect {p.embed_dim}")
     hw = h * w
+    heads, d_head = p.head_count, p.d_head
     if reg is not None:
-        if reg.count != p.head_count:
+        if reg.count != heads:
             raise ShapeError(
-                f"mhsa_forward: {reg.count} registers for {p.head_count} heads (one per head required)"
+                f"mhsa_forward: {reg.count} registers for {heads} heads (one per head required)"
             )
         if reg.hw != hw:
             raise ShapeError(f"mhsa_forward: registers instantiated for HW={reg.hw}, input has HW={hw}")
-        if reg.d_head != p.d_head:
-            raise ShapeError(f"mhsa_forward: register d_head {reg.d_head} vs params {p.d_head}")
-    inv_sqrt_dk = 1.0 / math.sqrt(p.d_head)
-    items: list[Matrix] = []
-    attention: list[np.ndarray] = []
-    for item in range(b):
-        tokens = batch_tokens(x, item, tape)
-        heads: list[Matrix] = []
-        for head in range(p.head_count):
-            lo = head * p.d_head
-            hi = lo + p.d_head
-            q = matmul(tokens, col_slice(p.w_q, lo, hi, tape), tape)
-            kmat = matmul(tokens, col_slice(p.w_k, lo, hi, tape), tape)
-            v = matmul(tokens, col_slice(p.w_v, lo, hi, tape), tape)
-            scores = matmul(q, transpose(kmat, tape), tape)
+        if reg.d_head != d_head:
+            raise ShapeError(f"mhsa_forward: register d_head {reg.d_head} vs params {d_head}")
+    inv_sqrt_dk = 1.0 / math.sqrt(d_head)
+    weights = p.values()  # w_q, w_k, w_v
+    w_qkv = np.concatenate([m.data for m in weights], axis=1)  # (C, 3C)
+    tokens = x.data.reshape(b, c, hw).transpose(0, 2, 1).reshape(b * hw, c)
+    # (3, B, heads, HW, d_head) views of the one projection product
+    q, k, v = (tokens @ w_qkv).reshape(b, hw, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
+    if reg is not None:
+        v = v + np.stack([r.data for r in reg.r_v]).transpose(0, 2, 1)
+    attn = q @ k.swapaxes(-1, -2)  # (B, heads, HW, HW) scores, softmaxed in place
+    if reg is not None:
+        for i, r in enumerate(reg.r_qk):
+            attn[:, i] += r.data
+    attn *= inv_sqrt_dk
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out = Tensor4((attn @ v).transpose(0, 1, 3, 2).reshape(b, c, h, w))
+    if tape is not None:
+        def backward() -> None:
+            g = out.grad
+            if g is None:
+                return
+            g = g.reshape(b, heads, d_head, hw).swapaxes(-1, -2)  # (B, heads, HW, d_head)
+            dv = attn.swapaxes(-1, -2) @ g
+            ds = g @ v.swapaxes(-1, -2)  # d attention, turned into d scores in place
+            ds -= (ds * attn).sum(axis=-1, keepdims=True)
+            ds *= attn
+            ds *= inv_sqrt_dk
+            dqkv = np.stack([ds @ k, ds.swapaxes(-1, -2) @ q, dv])  # (3, B, heads, HW, d_head)
+            dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(b * hw, 3 * c)  # as the projection product
+            dw = tokens.T @ dqkv
+            for i, m in enumerate(weights):
+                _accum(m, dw[:, i * c : (i + 1) * c])
+            _accum(x, (dqkv @ w_qkv.T).reshape(b, hw, c).transpose(0, 2, 1).reshape(b, c, h, w))
             if reg is not None:
-                scores = add(scores, reg.r_qk[head], tape)
-                v = add(v, transpose(reg.r_v[head], tape), tape)
-            attn = softmax_rows(scale(scores, inv_sqrt_dk, tape), tape)
-            attention.append(attn.data)
-            heads.append(matmul(attn, v, tape))
-        items.append(col_concat(heads, tape) if len(heads) > 1 else heads[0])
-    out = merge_tokens(items, h, w, tape)
-    return (out, attention) if return_attention else out
+                for i in range(heads):
+                    _accum(reg.r_qk[i], ds[:, i].sum(axis=0))
+                    _accum(reg.r_v[i], dv[:, i].sum(axis=0).T)
+        tape.record(backward)
+    if return_attention:
+        return out, list(attn.reshape(b * heads, hw, hw))
+    return out
 
 
 def attention_mass(a) -> np.ndarray:

@@ -51,13 +51,12 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_SHAPE = 3
 
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 CONFIG_FLAGS = {
     # dest -> (flag, type, help)
     "pyramid_width": ("--pyramid-width", int, "shared channel width of p3/p4/p5"),
     "head_count": ("--heads", int, "attention head count (must divide pyramid width)"),
-    "register_count": ("--registers", int, "register count (must equal head count)"),
     "dilations": ("--dilations", str, "comma-separated dilation set, e.g. 1,2,3"),
     "gating_mode": ("--gating", str, "gate squashing: raw or logistic"),
     "atrous_mode": ("--atrous-mode", str, "standard | atrous | attention_atrous"),
@@ -116,7 +115,6 @@ def _run_extra(args: argparse.Namespace, file_config: dict, key: str, fallback: 
 
 def _neck_config_from_args(args: argparse.Namespace, file_config: dict) -> NeckConfig:
     values = NeckConfig().to_dict()
-    values["register_count"] = None  # track head_count unless set explicitly
     loaded = {k: v for k, v in file_config.items() if k not in RUN_EXTRAS}
     unknown = set(loaded) - set(values)
     if unknown:

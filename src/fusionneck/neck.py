@@ -48,7 +48,7 @@ from .tensor import (
 )
 
 PARAMS_MAGIC = "fusionneck-params"
-PARAMS_FORMAT_VERSION = 1
+PARAMS_FORMAT_VERSION = 2
 
 GATING_MODES = ("raw", "logistic")
 ATROUS_MODES = ("standard", "atrous", "attention_atrous")
@@ -63,7 +63,6 @@ class NeckConfig:
 
     pyramid_width: int = 64
     head_count: int = 4
-    register_count: int | None = None  # defaults to head_count
     dilations: tuple[int, ...] = (1, 2, 3)
     gating_mode: str = "logistic"
     use_mhsa: bool = True
@@ -76,8 +75,13 @@ class NeckConfig:
     base_width: int = 32
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
-        object.__setattr__(self, "in_channels", tuple(int(c) for c in self.in_channels))
+        """Type-check every field against its default (lists become tuples), then validate."""
+        for key, field in self.__dataclass_fields__.items():
+            value = getattr(self, key)
+            if not _has_field_type(value, field.default):
+                raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
+            if isinstance(value, list):
+                object.__setattr__(self, key, tuple(value))
         self.validate()
 
     def validate(self) -> None:
@@ -88,10 +92,6 @@ class NeckConfig:
             raise ConfigError(f"head_count must be >= 1, got {self.head_count}")
         if c % self.head_count != 0:
             raise ConfigError(f"pyramid_width {c} not divisible by head_count {self.head_count}")
-        if self.register_count is not None and self.register_count != self.head_count:
-            raise ConfigError(
-                f"register_count {self.register_count} must equal head_count {self.head_count}"
-            )
         if not self.dilations or any(d < 1 for d in self.dilations):
             raise ConfigError(f"dilations must be a non-empty set of ints >= 1, got {self.dilations}")
         if len(set(self.dilations)) != len(self.dilations):
@@ -113,10 +113,6 @@ class NeckConfig:
                 f"base size {self.base_height}x{self.base_width} must be divisible by 4"
             )
 
-    @property
-    def effective_register_count(self) -> int:
-        return self.head_count if self.register_count is None else self.register_count
-
     def step_hw(self, step: str) -> tuple[int, int]:
         """Spatial size of the map entering the given top-down step."""
         if step == "to4":
@@ -129,7 +125,6 @@ class NeckConfig:
         return {
             "pyramid_width": self.pyramid_width,
             "head_count": self.head_count,
-            "register_count": self.effective_register_count,
             "dilations": list(self.dilations),
             "gating_mode": self.gating_mode,
             "use_mhsa": self.use_mhsa,
@@ -144,22 +139,13 @@ class NeckConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NeckConfig":
-        """Build from a JSON-style dict; each value must have its field's type."""
+        """Build from a JSON-style dict; the constructor checks each value's type."""
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
-        fields = cls.__dataclass_fields__
-        unknown = set(d) - set(fields)
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        for key, value in kwargs.items():
-            if not _has_field_type(value, fields[key].default):
-                raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
-        if "dilations" in kwargs:
-            kwargs["dilations"] = tuple(kwargs["dilations"])
-        if "in_channels" in kwargs:
-            kwargs["in_channels"] = tuple(kwargs["in_channels"])
-        return cls(**kwargs)
+        return cls(**d)
 
 
 def _is_int(value) -> bool:
@@ -168,8 +154,6 @@ def _is_int(value) -> bool:
 
 def _has_field_type(value, default) -> bool:
     """Whether ``value`` fits the NeckConfig field whose default is ``default``."""
-    if default is None:  # register_count: an int, or None to follow head_count
-        return value is None or _is_int(value)
     if isinstance(default, bool):
         return isinstance(value, bool)
     if isinstance(default, int):
@@ -306,9 +290,9 @@ def parameter_spec(cfg: NeckConfig) -> list[tuple[str, tuple[int, ...]]]:
         hw = h * w
         for name in ("w_q", "w_k", "w_v"):
             spec.append((f"step_{s}.mhsa.{name}", (c, c)))
-        for i in range(cfg.effective_register_count):
+        for i in range(cfg.head_count):
             spec.append((f"step_{s}.registers.r_qk{i}", (hw, hw)))
-        for i in range(cfg.effective_register_count):
+        for i in range(cfg.head_count):
             spec.append((f"step_{s}.registers.r_v{i}", (d_head, hw)))
         spec.append((f"step_{s}.deconv.weight", (c, c, 2, 2)))
         spec.append((f"step_{s}.deconv.bias", (c,)))
@@ -345,10 +329,9 @@ def _params_from_arrays(cfg: NeckConfig, arrays: dict[str, np.ndarray]) -> NeckP
             Matrix(arrays[f"step_{s}.mhsa.w_v"]),
             head_count=cfg.head_count,
         )
-        n_reg = cfg.effective_register_count
         registers = RegisterTokens(
-            [Matrix(arrays[f"step_{s}.registers.r_qk{i}"]) for i in range(n_reg)],
-            [Matrix(arrays[f"step_{s}.registers.r_v{i}"]) for i in range(n_reg)],
+            [Matrix(arrays[f"step_{s}.registers.r_qk{i}"]) for i in range(cfg.head_count)],
+            [Matrix(arrays[f"step_{s}.registers.r_v{i}"]) for i in range(cfg.head_count)],
         )
         deconv = DeconvKernel(arrays[f"step_{s}.deconv.weight"], arrays[f"step_{s}.deconv.bias"])
         steps[s] = StepParams(mhsa, registers, deconv)

@@ -222,30 +222,6 @@ def mul(a: Value, b: Value, tape: Tape | None = None) -> Value:
     return out
 
 
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul}
-
-
-def elementwise(op: str, a: Value, b: Value, tape: Tape | None = None) -> Value:
-    """Dispatch on op name in {add, sub, mul}."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ContractError(f"elementwise: unknown op {op!r}") from None
-    return fn(a, b, tape)
-
-
-def scale(v: Value, factor: float, tape: Tape | None = None) -> Value:
-    """Multiply by a fixed (non-learnable) scalar."""
-    factor = float(factor)
-    out = type(v)(v.data * factor)
-    if tape is not None:
-        def backward() -> None:
-            if out.grad is not None:
-                _accum(v, out.grad * factor)
-        tape.record(backward)
-    return out
-
-
 def matmul(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     """Standard matrix product; backward is dA = g Bᵀ, dB = Aᵀ g."""
     if a.cols != b.rows:
@@ -258,16 +234,6 @@ def matmul(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
                 return
             _accum(a, g @ b.data.T)
             _accum(b, a.data.T @ g)
-        tape.record(backward)
-    return out
-
-
-def transpose(m: Matrix, tape: Tape | None = None) -> Matrix:
-    out = Matrix(m.data.T.copy())
-    if tape is not None:
-        def backward() -> None:
-            if out.grad is not None:
-                _accum(m, out.grad.T)
         tape.record(backward)
     return out
 
@@ -340,81 +306,6 @@ def concat_channels(parts: Sequence[Tensor4], tape: Tape | None = None) -> Tenso
                 return
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
                 _accum(p, g[:, lo:hi])
-        tape.record(backward)
-    return out
-
-
-def batch_tokens(x: Tensor4, item: int, tape: Tape | None = None) -> Matrix:
-    """Flatten one batch item to an (H·W, C) token matrix (row-major spatial order)."""
-    b, c, h, w = x.dims
-    if not 0 <= item < b:
-        raise ShapeError(f"batch_tokens: item {item} out of range for batch {b}")
-    out = Matrix(x.data[item].reshape(c, h * w).T.copy())
-    if tape is not None:
-        def backward() -> None:
-            g = out.grad
-            if g is None:
-                return
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[item] += g.T.reshape(c, h, w)
-        tape.record(backward)
-    return out
-
-
-def merge_tokens(tokens: Sequence[Matrix], h: int, w: int, tape: Tape | None = None) -> Tensor4:
-    """Inverse of batch_tokens: stack per-item (H·W, C) matrices into (B, C, H, W)."""
-    if not tokens:
-        raise ShapeError("merge_tokens: empty token list")
-    c = tokens[0].cols
-    for i, t in enumerate(tokens):
-        if t.rows != h * w or t.cols != c:
-            raise ShapeError(f"merge_tokens: item {i} has shape {t.shape}, expected ({h * w}, {c})")
-    out = Tensor4(np.stack([t.data.T.reshape(c, h, w) for t in tokens]))
-    if tape is not None:
-        def backward() -> None:
-            g = out.grad
-            if g is None:
-                return
-            for i, t in enumerate(tokens):
-                _accum(t, g[i].reshape(c, h * w).T)
-        tape.record(backward)
-    return out
-
-
-def col_slice(m: Matrix, lo: int, hi: int, tape: Tape | None = None) -> Matrix:
-    """Contiguous column slice m[:, lo:hi]."""
-    if not 0 <= lo < hi <= m.cols:
-        raise ShapeError(f"col_slice: [{lo}:{hi}] invalid for {m.cols} columns")
-    out = Matrix(m.data[:, lo:hi].copy())
-    if tape is not None:
-        def backward() -> None:
-            g = out.grad
-            if g is None:
-                return
-            if m.grad is None:
-                m.grad = np.zeros_like(m.data)
-            m.grad[:, lo:hi] += g
-        tape.record(backward)
-    return out
-
-
-def col_concat(mats: Sequence[Matrix], tape: Tape | None = None) -> Matrix:
-    """Concatenate matrices along columns; all must share the row count."""
-    if not mats:
-        raise ShapeError("col_concat: empty matrix list")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ShapeError("col_concat: row counts differ")
-    out = Matrix(np.concatenate([m.data for m in mats], axis=1))
-    if tape is not None:
-        offsets = np.cumsum([0] + [m.cols for m in mats])
-        def backward() -> None:
-            g = out.grad
-            if g is None:
-                return
-            for m, lo, hi in zip(mats, offsets[:-1], offsets[1:]):
-                _accum(m, g[:, lo:hi])
         tape.record(backward)
     return out
 

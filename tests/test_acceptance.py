@@ -27,6 +27,7 @@ from fusionneck.detmetrics import (
 )
 from fusionneck.errors import ParamsIOError
 from fusionneck.neck import (
+    PARAMS_FORMAT_VERSION,
     NeckConfig,
     PyramidIn,
     init_params,
@@ -274,7 +275,9 @@ def test_09_determinism_and_serialization(tmp_path):
     corrupted_name = manifest["tensors"][3]["name"]
     new_manifest = _json.dumps(manifest, sort_keys=True).encode("ascii")
     corrupted = (
-        f"fusionneck-params 1 {len(new_manifest)}\n".encode("ascii") + new_manifest + rest[manifest_len:]
+        f"fusionneck-params {PARAMS_FORMAT_VERSION} {len(new_manifest)}\n".encode("ascii")
+        + new_manifest
+        + rest[manifest_len:]
     )
     try:
         load_params(corrupted, cfg)

@@ -14,7 +14,7 @@ from fusionneck.attention import (
 )
 from fusionneck.convkit import ConvKernel
 from fusionneck.errors import ContractError, ShapeError
-from fusionneck.tensor import Matrix, Rng, Tensor4, grad_check, weighted_sum
+from fusionneck.tensor import Matrix, Rng, Tape, Tensor4, grad_check, weighted_sum
 
 # frozen scalar oracle for the scse hand case (reduce [0.5, 0.25], expand
 # [1, -1], spatial [0.3, 0.1], input [1, 2]): hidden = 1.0,
@@ -225,6 +225,64 @@ class TestScse:
             ScseParams.from_rng(Rng(5), channels=4, reduction=3, sigma=0.1)
 
 
+def loop_mhsa(x, p, reg=None):
+    """Plain NumPy MHSA, one (item, head) at a time: returns (B, C, H, W) output and attention list."""
+    b, c, h, w = x.shape
+    d_head = c // p.head_count
+    out = np.empty((b, h * w, c))
+    attention = []
+    for item in range(b):
+        tokens = x[item].reshape(c, h * w).T
+        for head in range(p.head_count):
+            cols = slice(head * d_head, (head + 1) * d_head)
+            q = tokens @ p.w_q.data[:, cols]
+            k = tokens @ p.w_k.data[:, cols]
+            v = tokens @ p.w_v.data[:, cols]
+            scores = q @ k.T
+            if reg is not None:
+                scores = scores + reg.r_qk[head].data
+                v = v + reg.r_v[head].data.T
+            scores = scores / np.sqrt(d_head)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            attn = e / e.sum(axis=1, keepdims=True)
+            attention.append(attn)
+            out[item, :, cols] = attn @ v
+    return out.transpose(0, 2, 1).reshape(b, c, h, w), attention
+
+
+class TestMhsaLoopOracle:
+    """The fused op against a per-(item, head) loop: pins the contiguous head column blocks."""
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("with_reg", [False, True])
+    def test_forward_matches_loop(self, batch, heads, with_reg):
+        rng = Rng(50 + 10 * batch + heads)
+        c, h, w = 8, 2, 3
+        x = Tensor4(rng.normal((batch, c, h, w)))
+        p = make_params(rng.split(1), c, heads)
+        reg = build_registers(rng.split(2), heads, h * w, c // heads, sigma=0.5) if with_reg else None
+        out, attn = mhsa_forward(x, p, reg, return_attention=True)
+        expected, expected_attn = loop_mhsa(x.data, p, reg)
+        assert out.dims == (batch, c, h, w)
+        assert np.max(np.abs(out.data - expected)) < 1e-12
+        assert len(attn) == len(expected_attn) == batch * heads
+        for got, want in zip(attn, expected_attn):
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("with_reg", [False, True])
+    def test_one_tape_record_per_call(self, with_reg):
+        rng = Rng(60)
+        x = Tensor4(rng.normal((2, 8, 2, 3)))
+        p = make_params(rng.split(1), 8, 4)
+        reg = build_registers(rng.split(2), 4, 6, 2, sigma=0.5) if with_reg else None
+        tape = Tape()
+        mhsa_forward(x, p, reg, tape)
+        assert len(tape) == 1
+        mhsa_forward(x, p, reg, tape, return_attention=True)
+        assert len(tape) == 2
+
+
 class TestAttentionGradients:
     @pytest.mark.parametrize("with_reg", [False, True])
     def test_mhsa_backward(self, with_reg):
@@ -240,6 +298,19 @@ class TestAttentionGradients:
                 return weighted_sum(mhsa_forward(x, p, reg, tape), w, tape)
 
             assert grad_check(loss, params, epsilon=1e-6) < 1e-5
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_mhsa_backward_non_square_head_layouts(self, heads):
+        rng = Rng(310 + heads)
+        x = Tensor4(rng.normal((1, 4, 2, 3)))
+        p = make_params(rng.split(1), 4, heads)
+        reg = build_registers(rng.split(2), heads, 6, 4 // heads, sigma=0.5)
+        w = rng.normal((1, 4, 2, 3))
+
+        def loss(tape):
+            return weighted_sum(mhsa_forward(x, p, reg, tape), w, tape)
+
+        assert grad_check(loss, [x, *p.values(), *reg.values()], epsilon=1e-6) < 1e-5
 
     def test_scse_backward(self):
         for seed in range(3):

@@ -10,6 +10,7 @@ import pytest
 
 from fusionneck.cli import EXIT_INPUT, EXIT_OK, EXIT_SHAPE, EXIT_VERIFY_FAILED, main
 from fusionneck.errors import ShapeError
+from fusionneck.neck import PARAMS_FORMAT_VERSION
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,7 +40,8 @@ class TestForward:
         code, report = run_forward(tmp_path, "r.json")
         assert code == EXIT_OK
         doc = json.loads(report.read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
+        assert "register_count" not in doc["config"]
         cfg = doc["config"]
         assert cfg["pyramid_width"] == 4
         assert cfg["head_count"] == 2
@@ -182,9 +184,27 @@ class TestParams:
     ])
     def test_inspect_malformed_manifest_exits_2(self, tmp_path, capsys, manifest):
         pfile = tmp_path / "p.bin"
-        pfile.write_bytes(f"fusionneck-params 1 {len(manifest)}\n".encode("ascii") + manifest)
+        pfile.write_bytes(f"fusionneck-params {PARAMS_FORMAT_VERSION} {len(manifest)}\n".encode("ascii") + manifest)
         assert main(["params", "inspect", str(pfile)]) == EXIT_INPUT
         assert "manifest" in capsys.readouterr().err
+
+    def test_version_1_stream_exits_2(self, tmp_path, capsys):
+        """Version 1 echoed a register_count key: its streams are refused (ParamsIOError), not reinterpreted."""
+        pfile = tmp_path / "p.bin"
+        assert main(["params", "init", "--seed", "4", *SMALL, "--out", str(pfile)]) == EXIT_OK
+        header = f"fusionneck-params {PARAMS_FORMAT_VERSION} ".encode("ascii")
+        blob = pfile.read_bytes()
+        assert blob.startswith(header)
+        pfile.write_bytes(b"fusionneck-params 1 " + blob[len(header):])
+        assert main(["params", "inspect", str(pfile)]) == EXIT_INPUT
+        assert main(["forward", *SMALL, "--params-in", str(pfile),
+                     "--report", str(tmp_path / "r.json")]) == EXIT_INPUT
+        assert "unsupported format version 1" in capsys.readouterr().err
+
+    def test_registers_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["forward", *SMALL, "--registers", "2"])
+        assert exc.value.code == EXIT_INPUT
 
     def test_corrupt_file_exits_2(self, tmp_path):
         pfile = tmp_path / "p.bin"

@@ -1,6 +1,5 @@
 """Neck topology: shapes, ablations, directionality, init, serialization."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +9,7 @@ from fusionneck.attention import scse_recalibrate
 from fusionneck.convkit import conv2d, pointwise_conv
 from fusionneck.errors import ConfigError, ParamsIOError, ShapeError
 from fusionneck.neck import (
+    PARAMS_FORMAT_VERSION,
     NeckConfig,
     PyramidIn,
     init_params,
@@ -42,16 +42,12 @@ def small_cfg(**overrides):
 class TestConfig:
     def test_defaults_valid(self):
         cfg = NeckConfig()
-        assert cfg.effective_register_count == cfg.head_count
+        registers = [name for name, _ in parameter_spec(cfg) if ".registers." in name]
+        assert len(registers) == 2 * 2 * cfg.head_count  # r_qk and r_v per head, two steps
 
     def test_width_head_divisibility(self):
         with pytest.raises(ConfigError):
             NeckConfig(pyramid_width=6, head_count=4)
-
-    def test_register_count_binding(self):
-        with pytest.raises(ConfigError):
-            small_cfg(register_count=3)
-        assert small_cfg(register_count=2).effective_register_count == 2
 
     def test_dilations_validation(self):
         with pytest.raises(ConfigError):
@@ -73,7 +69,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = small_cfg(dilations=(1, 3), gating_mode="raw")
-        assert NeckConfig.from_dict(cfg.to_dict()) == dataclasses.replace(cfg, register_count=2)
+        assert NeckConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -84,7 +80,7 @@ class TestConfig:
         {"pyramid_width": "64"},
         {"pyramid_width": True},
         {"pyramid_width": 64.0},
-        {"register_count": "4"},
+        {"head_count": "4"},
         {"use_mhsa": 1},
         {"gating_mode": 2},
         {"init_sigma": "0.01"},
@@ -99,9 +95,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             NeckConfig.from_dict(values)
 
-    def test_int_init_sigma_and_null_register_count_accepted(self):
-        cfg = NeckConfig.from_dict({"init_sigma": 0, "register_count": None})
-        assert cfg.init_sigma == 0 and cfg.effective_register_count == cfg.head_count
+    def test_int_init_sigma_accepted(self):
+        assert NeckConfig.from_dict({"init_sigma": 0}).init_sigma == 0
+
+    def test_register_count_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown"):
+            NeckConfig.from_dict({"register_count": 4})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"pyramid_width": "64"},
+        {"dilations": (1.9, 2.5)},
+        {"head_count": 2.0},
+        {"use_registers": 0},
+        {"init_sigma": float("nan")},
+    ])
+    def test_constructor_rejects_wrong_types(self, kwargs):
+        """Direct construction gets the same type check as from_dict: no TypeError, no truncation."""
+        with pytest.raises(ConfigError, match="wrong type"):
+            NeckConfig(**kwargs)
+
+    def test_constructor_turns_lists_into_tuples(self):
+        cfg = NeckConfig(dilations=[1, 2], in_channels=[3, 4, 5])
+        assert cfg.dilations == (1, 2) and cfg.in_channels == (3, 4, 5)
+        assert hash(cfg) == hash(NeckConfig(dilations=(1, 2), in_channels=(3, 4, 5)))
 
 
 class TestPyramidIn:
@@ -358,7 +374,7 @@ class TestSerialization:
         name = manifest["tensors"][5]["name"]
         new_manifest = json.dumps(manifest, sort_keys=True).encode("ascii")
         new_blob = (
-            f"fusionneck-params 1 {len(new_manifest)}\n".encode("ascii")
+            f"fusionneck-params {PARAMS_FORMAT_VERSION} {len(new_manifest)}\n".encode("ascii")
             + new_manifest
             + rest[manifest_len:]
         )
@@ -374,7 +390,8 @@ class TestSerialization:
     def test_version_mismatch_rejected(self):
         cfg = small_cfg()
         blob = save_params(init_params(cfg, Rng(11)))
-        bad = blob.replace(b"fusionneck-params 1 ", b"fusionneck-params 2 ", 1)
+        header = f"fusionneck-params {PARAMS_FORMAT_VERSION} ".encode("ascii")
+        bad = blob.replace(header, f"fusionneck-params {PARAMS_FORMAT_VERSION + 1} ".encode("ascii"), 1)
         with pytest.raises(ParamsIOError, match="version"):
             load_params(bad, cfg)
 
@@ -399,7 +416,7 @@ class TestSerialization:
         b'{"config": {}, "tensors": [{"name": "x", "shape": [1], "offset": "0"}]}',
     ])
     def test_malformed_manifest_rejected(self, manifest):
-        blob = f"fusionneck-params 1 {len(manifest)}\n".encode("ascii") + manifest
+        blob = f"fusionneck-params {PARAMS_FORMAT_VERSION} {len(manifest)}\n".encode("ascii") + manifest
         with pytest.raises(ParamsIOError, match="manifest"):
             read_manifest(blob)
         with pytest.raises(ParamsIOError, match="manifest"):
