@@ -3,9 +3,9 @@
 The H·W spatial positions of a (B, C, H, W) map become tokens with C-wide
 features (no positional encoding, so the operator is permutation-equivariant
 over tokens).  Optional register biases shift the raw attention scores
-(per-head HW×HW matrices added before the 1/sqrt(d_k) scaling) and the value
-rows (per-head d_head×HW matrices); both are shared across the batch and
-leave the output shape untouched.  ``mhsa_forward`` is one primitive: the
+(a (heads, HW, HW) tensor added before the 1/sqrt(d_k) scaling) and the
+value rows (a (heads, d_head, HW) tensor); both are shared across the batch
+and leave the output shape untouched.  ``mhsa_forward`` is one primitive: the
 whole batch and all heads go through stacked array products, and the tape
 gets a single hand-written backward rule for it.  Also provides the
 concurrent spatial/channel gate used to recalibrate fused multi-dilation
@@ -15,7 +15,6 @@ features.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -38,27 +37,25 @@ from .tensor import (
 class MhsaParams:
     """Projection weights for multi-head self-attention.
 
-    w_q, w_k, w_v are D×D where D equals the channel count; heads are
-    contiguous d_head-wide column blocks of each projection.
+    w_qkv is (3, D, D), D the channel count: the Q, K and V projections
+    stacked in that order.  Heads are contiguous d_head-wide column blocks of
+    each projection.
     """
 
-    def __init__(self, w_q: Matrix, w_k: Matrix, w_v: Matrix, head_count: int) -> None:
-        dim = w_q.rows
-        for name, m in (("w_q", w_q), ("w_k", w_k), ("w_v", w_v)):
-            if m.rows != dim or m.cols != dim:
-                raise ShapeError(f"MhsaParams: {name} must be {dim}x{dim}, got {m.shape}")
+    def __init__(self, w_qkv, head_count: int) -> None:
+        self.w_qkv = w_qkv if isinstance(w_qkv, Value) else Value(w_qkv)
+        shape = self.w_qkv.shape
+        if len(shape) != 3 or shape[0] != 3 or shape[1] != shape[2]:
+            raise ShapeError(f"MhsaParams: w_qkv must be (3, D, D), got {shape}")
         if head_count < 1:
             raise ContractError(f"MhsaParams: head_count must be >= 1, got {head_count}")
-        if dim % head_count != 0:
-            raise ShapeError(f"MhsaParams: embed dim {dim} not divisible by {head_count} heads")
-        self.w_q = w_q
-        self.w_k = w_k
-        self.w_v = w_v
+        if shape[1] % head_count != 0:
+            raise ShapeError(f"MhsaParams: embed dim {shape[1]} not divisible by {head_count} heads")
         self.head_count = int(head_count)
 
     @property
     def embed_dim(self) -> int:
-        return self.w_q.rows
+        return self.w_qkv.shape[1]
 
     @property
     def d_head(self) -> int:
@@ -66,68 +63,57 @@ class MhsaParams:
 
     @classmethod
     def from_rng(cls, rng: Rng, embed_dim: int, head_count: int, sigma: float) -> "MhsaParams":
-        mats = [Matrix(rng.normal((embed_dim, embed_dim), sigma)) for _ in range(3)]
-        return cls(*mats, head_count=head_count)
+        return cls(rng.normal((3, embed_dim, embed_dim), sigma), head_count=head_count)
 
     def values(self) -> list[Value]:
-        return [self.w_q, self.w_k, self.w_v]
+        return [self.w_qkv]
 
 
 class RegisterTokens:
     """Per-head additive register biases for attention scores and values.
 
-    r_qk[i] (HW×HW) is added to head i's raw score matrix and r_v[i]
-    (d_head×HW) to head i's value rows — one register per head, shared by all
-    batch items, sized for a fixed token count HW.  All-zero registers are a
-    legal state and collapse the operator to plain attention.
+    r_qk is (heads, HW, HW) and r_v is (heads, d_head, HW): r_qk[i] is added
+    to head i's raw score matrix and r_v[i] to head i's value rows — one
+    register per head, shared by all batch items, sized for a fixed token
+    count HW.  All-zero registers are a legal state and collapse the operator
+    to plain attention.
     """
 
-    def __init__(self, r_qk: Sequence[Matrix], r_v: Sequence[Matrix]) -> None:
-        if len(r_qk) != len(r_v) or not r_qk:
-            raise ShapeError("RegisterTokens: need matching non-empty r_qk/r_v lists")
-        hw = r_qk[0].rows
-        d_head = r_v[0].rows
-        for i, m in enumerate(r_qk):
-            if m.rows != hw or m.cols != hw:
-                raise ShapeError(f"RegisterTokens: r_qk[{i}] must be {hw}x{hw}, got {m.shape}")
-        for i, m in enumerate(r_v):
-            if m.rows != d_head or m.cols != hw:
-                raise ShapeError(f"RegisterTokens: r_v[{i}] must be {d_head}x{hw}, got {m.shape}")
-        self.r_qk = list(r_qk)
-        self.r_v = list(r_v)
+    def __init__(self, r_qk, r_v) -> None:
+        self.r_qk = r_qk if isinstance(r_qk, Value) else Value(r_qk)
+        self.r_v = r_v if isinstance(r_v, Value) else Value(r_v)
+        qk, v = self.r_qk.shape, self.r_v.shape
+        if len(qk) != 3 or qk[1] != qk[2] or qk[0] < 1:
+            raise ShapeError(f"RegisterTokens: r_qk must be (heads, HW, HW), got {qk}")
+        if len(v) != 3 or v[0] != qk[0] or v[2] != qk[1]:
+            raise ShapeError(f"RegisterTokens: r_v must be ({qk[0]}, d_head, {qk[1]}), got {v}")
 
     @property
     def count(self) -> int:
-        return len(self.r_qk)
+        return self.r_qk.shape[0]
 
     @property
     def hw(self) -> int:
-        return self.r_qk[0].rows
+        return self.r_qk.shape[1]
 
     @property
     def d_head(self) -> int:
-        return self.r_v[0].rows
+        return self.r_v.shape[1]
 
     def values(self) -> list[Value]:
-        return [*self.r_qk, *self.r_v]
-
-    def zeroed(self) -> "RegisterTokens":
-        return RegisterTokens(
-            [Matrix.zeros(self.hw, self.hw) for _ in range(self.count)],
-            [Matrix.zeros(self.d_head, self.hw) for _ in range(self.count)],
-        )
+        return [self.r_qk, self.r_v]
 
 
 def build_registers(rng: Rng, head_count: int, hw: int, d_head: int, sigma: float) -> RegisterTokens:
     """Gaussian(0, sigma²) register set with one (r_qk, r_v) pair per head.
 
-    Draw order is all r_qk matrices head by head, then all r_v matrices, so a
-    given seed always produces the same registers.
+    Draw order is r_qk, then r_v, each in head order, so a given seed always
+    produces the same registers.
     """
     if head_count < 1 or hw < 1 or d_head < 1:
         raise ContractError("build_registers: all dims must be positive")
-    r_qk = [Matrix(rng.normal((hw, hw), sigma)) for _ in range(head_count)]
-    r_v = [Matrix(rng.normal((d_head, hw), sigma)) for _ in range(head_count)]
+    r_qk = rng.normal((head_count, hw, hw), sigma)
+    r_v = rng.normal((head_count, d_head, hw), sigma)
     return RegisterTokens(r_qk, r_v)
 
 
@@ -147,7 +133,7 @@ def mhsa_forward(
     softmaxed and the weighted value rows concatenated across heads, then
     reshaped back to (B, C, H, W).  Registers never appear in the output
     shape.  The tape gets one record whose hand-written backward accumulates
-    into x, w_q/w_k/w_v and every r_qk[i]/r_v[i].
+    into x, w_qkv, r_qk and r_v.
 
     With ``return_attention`` the list of row-stochastic attention matrices
     (one (HW, HW) view per batch item and head, batch-major) is returned
@@ -168,17 +154,15 @@ def mhsa_forward(
         if reg.d_head != d_head:
             raise ShapeError(f"mhsa_forward: register d_head {reg.d_head} vs params {d_head}")
     inv_sqrt_dk = 1.0 / math.sqrt(d_head)
-    weights = p.values()  # w_q, w_k, w_v
-    w_qkv = np.concatenate([m.data for m in weights], axis=1)  # (C, 3C)
+    w_qkv = p.w_qkv.data.transpose(1, 0, 2).reshape(c, 3 * c)  # (C, 3C): [W_q | W_k | W_v]
     tokens = x.data.reshape(b, c, hw).transpose(0, 2, 1).reshape(b * hw, c)
     # (3, B, heads, HW, d_head) views of the one projection product
     q, k, v = (tokens @ w_qkv).reshape(b, hw, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
     if reg is not None:
-        v = v + np.stack([r.data for r in reg.r_v]).transpose(0, 2, 1)
+        v = v + reg.r_v.data.swapaxes(-1, -2)
     attn = q @ k.swapaxes(-1, -2)  # (B, heads, HW, HW) scores, softmaxed in place
     if reg is not None:
-        for i, r in enumerate(reg.r_qk):
-            attn[:, i] += r.data
+        attn += reg.r_qk.data
     attn *= inv_sqrt_dk
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
@@ -197,14 +181,14 @@ def mhsa_forward(
             ds *= inv_sqrt_dk
             dqkv = np.stack([ds @ k, ds.swapaxes(-1, -2) @ q, dv])  # (3, B, heads, HW, d_head)
             dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(b * hw, 3 * c)  # as the projection product
-            dw = tokens.T @ dqkv
-            for i, m in enumerate(weights):
-                _accum(m, dw[:, i * c : (i + 1) * c])
+            _accum(p.w_qkv, (tokens.T @ dqkv).reshape(c, 3, c).transpose(1, 0, 2))
             _accum(x, (dqkv @ w_qkv.T).reshape(b, hw, c).transpose(0, 2, 1).reshape(b, c, h, w))
             if reg is not None:
-                for i in range(heads):
-                    _accum(reg.r_qk[i], ds[:, i].sum(axis=0))
-                    _accum(reg.r_v[i], dv[:, i].sum(axis=0).T)
+                # item by item into the gradient buffers: a summed (heads, HW, HW)
+                # temporary would be a fresh multi-MB allocation on every call
+                for item in range(b):
+                    _accum(reg.r_qk, ds[item])
+                    _accum(reg.r_v, dv[item].swapaxes(-1, -2))
         tape.record(backward)
     if return_attention:
         return out, list(attn.reshape(b * heads, hw, hw))

@@ -115,11 +115,7 @@ def _run_extra(args: argparse.Namespace, file_config: dict, key: str, fallback: 
 
 def _neck_config_from_args(args: argparse.Namespace, file_config: dict) -> NeckConfig:
     values = NeckConfig().to_dict()
-    loaded = {k: v for k, v in file_config.items() if k not in RUN_EXTRAS}
-    unknown = set(loaded) - set(values)
-    if unknown:
-        raise ConfigError(f"unknown config keys in {args.config}: {sorted(unknown)}")
-    values.update(loaded)
+    values.update((k, v) for k, v in file_config.items() if k not in RUN_EXTRAS)
     for dest in CONFIG_FLAGS:
         arg = getattr(args, dest)
         if arg is not None:

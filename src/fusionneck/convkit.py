@@ -86,15 +86,6 @@ class ConvKernel:
         bias = np.zeros(out_channels)
         return cls(weight, bias, dilation=dilation, padding=padding)
 
-    def with_geometry(self, dilation: int, padding: int) -> "ConvKernel":
-        """Same learnable values viewed with a different dilation/padding."""
-        view = ConvKernel.__new__(ConvKernel)
-        view.weight = self.weight
-        view.bias = self.bias
-        view.dilation = int(dilation)
-        view.padding = int(padding)
-        return view
-
     def values(self) -> list[Value]:
         return [self.weight, self.bias]
 

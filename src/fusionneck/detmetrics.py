@@ -450,8 +450,10 @@ def evaluate_records(
     Headline AP per class is the mean over ``thresholds``, each in (0, 1];
     matching is confined to each record's image.  Size buckets filter both
     detections and ground truths by box area (small < 32², medium < 96²,
-    large ≥ 96²).  A class with no ground truths and no detections is flagged
-    undefined.  Every AP equals the one ``_class_ap`` gives.
+    large ≥ 96²).  Classes are those the records name, so each has a
+    detection or a ground truth and its ``"defined"`` flag is always true; the
+    key stays so that results keep one shape.  Every AP equals the one
+    ``_class_ap`` gives.
     """
     if not thresholds:
         raise ContractError("evaluate_records: need at least one threshold")

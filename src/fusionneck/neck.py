@@ -14,6 +14,12 @@ pre-upsample map, then adds the lateral branch:
 
 Ablation switches select plain (single dilation-1) convolution, skip the
 gate recalibration, drop the attention gate, or zero out the registers.
+
+``parameter_spec`` names every learnable tensor once, with its shape: per
+level the conv kernels, per top-down step ``mhsa.w_qkv`` (3, C, C),
+``registers.r_qk`` (heads, HW, HW), ``registers.r_v`` (heads, d_head, HW) and
+the deconv kernel.  ``NeckParams`` holds one ``Value`` per name, and the
+kernels are built on those same values.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .attention import (
 from .convkit import ConvKernel, DeconvKernel, conv2d, deconv2x, pointwise_conv
 from .errors import ConfigError, ParamsIOError, ShapeError
 from .tensor import (
-    Matrix,
     Rng,
     Tape,
     Tensor4,
@@ -48,7 +53,7 @@ from .tensor import (
 )
 
 PARAMS_MAGIC = "fusionneck-params"
-PARAMS_FORMAT_VERSION = 2
+PARAMS_FORMAT_VERSION = 3
 
 GATING_MODES = ("raw", "logistic")
 ATROUS_MODES = ("standard", "atrous", "attention_atrous")
@@ -222,43 +227,30 @@ class StepParams:
 
 
 class NeckParams:
-    """All learnable tensors of the neck, addressable by canonical name."""
+    """All learnable tensors of the neck, addressable by canonical name.
 
-    def __init__(self, levels: dict[int, LevelParams], steps: dict[str, StepParams], config: NeckConfig):
+    ``tensors`` maps each ``parameter_spec`` name, in spec order, to the very
+    ``Value`` that ``levels`` and ``steps`` hold, so updating one updates both.
+    """
+
+    def __init__(
+        self,
+        tensors: dict[str, Value],
+        levels: dict[int, LevelParams],
+        steps: dict[str, StepParams],
+        config: NeckConfig,
+    ):
+        self.tensors = tensors
         self.levels = levels
         self.steps = steps
         self.config = config
 
     def named_values(self) -> list[tuple[str, Value]]:
         """(name, value) pairs in the canonical serialization order."""
-        out: list[tuple[str, Value]] = []
-        for n in LEVELS:
-            lp = self.levels[n]
-            out.append((f"level{n}.lateral.weight", lp.lateral.weight))
-            out.append((f"level{n}.lateral.bias", lp.lateral.bias))
-            for k in lp.branches:
-                out.append((f"level{n}.branch_d{k.dilation}.weight", k.weight))
-                out.append((f"level{n}.branch_d{k.dilation}.bias", k.bias))
-            out.append((f"level{n}.post.weight", lp.post.weight))
-            out.append((f"level{n}.post.bias", lp.post.bias))
-            for part, kern in (("reduce", lp.scse.reduce), ("expand", lp.scse.expand), ("spatial", lp.scse.spatial)):
-                out.append((f"level{n}.scse.{part}.weight", kern.weight))
-                out.append((f"level{n}.scse.{part}.bias", kern.bias))
-        for s in STEPS:
-            sp = self.steps[s]
-            out.append((f"step_{s}.mhsa.w_q", sp.mhsa.w_q))
-            out.append((f"step_{s}.mhsa.w_k", sp.mhsa.w_k))
-            out.append((f"step_{s}.mhsa.w_v", sp.mhsa.w_v))
-            for i, m in enumerate(sp.registers.r_qk):
-                out.append((f"step_{s}.registers.r_qk{i}", m))
-            for i, m in enumerate(sp.registers.r_v):
-                out.append((f"step_{s}.registers.r_v{i}", m))
-            out.append((f"step_{s}.deconv.weight", sp.deconv.weight))
-            out.append((f"step_{s}.deconv.bias", sp.deconv.bias))
-        return out
+        return list(self.tensors.items())
 
     def values(self) -> list[Value]:
-        return [v for _, v in self.named_values()]
+        return list(self.tensors.values())
 
     def zero_grad(self) -> None:
         for v in self.values():
@@ -284,58 +276,43 @@ def parameter_spec(cfg: NeckConfig) -> list[tuple[str, tuple[int, ...]]]:
         spec.append((f"level{n}.scse.expand.bias", (c,)))
         spec.append((f"level{n}.scse.spatial.weight", (1, c, 1, 1)))
         spec.append((f"level{n}.scse.spatial.bias", (1,)))
-    d_head = c // cfg.head_count
+    heads = cfg.head_count
     for s in STEPS:
         h, w = cfg.step_hw(s)
-        hw = h * w
-        for name in ("w_q", "w_k", "w_v"):
-            spec.append((f"step_{s}.mhsa.{name}", (c, c)))
-        for i in range(cfg.head_count):
-            spec.append((f"step_{s}.registers.r_qk{i}", (hw, hw)))
-        for i in range(cfg.head_count):
-            spec.append((f"step_{s}.registers.r_v{i}", (d_head, hw)))
+        spec.append((f"step_{s}.mhsa.w_qkv", (3, c, c)))
+        spec.append((f"step_{s}.registers.r_qk", (heads, h * w, h * w)))
+        spec.append((f"step_{s}.registers.r_v", (heads, c // heads, h * w)))
         spec.append((f"step_{s}.deconv.weight", (c, c, 2, 2)))
         spec.append((f"step_{s}.deconv.bias", (c,)))
     return spec
 
 
 def _params_from_arrays(cfg: NeckConfig, arrays: dict[str, np.ndarray]) -> NeckParams:
-    """Assemble structured params from a name->array mapping (canonical names)."""
-    c = cfg.pyramid_width
+    """Assemble structured params from a name->array mapping (canonical names).
+
+    One ``Value`` per spec entry; the kernels are built from those same values.
+    """
+    t = {name: Value(arrays[name]) for name, _ in parameter_spec(cfg)}
+
+    def conv(prefix: str, dilation: int = 1, padding: int = 0) -> ConvKernel:
+        return ConvKernel(t[f"{prefix}.weight"], t[f"{prefix}.bias"], dilation=dilation, padding=padding)
+
     levels: dict[int, LevelParams] = {}
     for n in LEVELS:
-        lateral = ConvKernel(arrays[f"level{n}.lateral.weight"], arrays[f"level{n}.lateral.bias"])
-        branches = [
-            ConvKernel(
-                arrays[f"level{n}.branch_d{d}.weight"],
-                arrays[f"level{n}.branch_d{d}.bias"],
-                dilation=d,
-                padding=d,
-            )
-            for d in cfg.dilations
-        ]
-        post = ConvKernel(arrays[f"level{n}.post.weight"], arrays[f"level{n}.post.bias"])
-        scse = ScseParams(
-            ConvKernel(arrays[f"level{n}.scse.reduce.weight"], arrays[f"level{n}.scse.reduce.bias"]),
-            ConvKernel(arrays[f"level{n}.scse.expand.weight"], arrays[f"level{n}.scse.expand.bias"]),
-            ConvKernel(arrays[f"level{n}.scse.spatial.weight"], arrays[f"level{n}.scse.spatial.bias"]),
+        levels[n] = LevelParams(
+            lateral=conv(f"level{n}.lateral"),
+            branches=[conv(f"level{n}.branch_d{d}", d, d) for d in cfg.dilations],
+            post=conv(f"level{n}.post"),
+            scse=ScseParams(*(conv(f"level{n}.scse.{part}") for part in ("reduce", "expand", "spatial"))),
         )
-        levels[n] = LevelParams(lateral, branches, post, scse)
     steps: dict[str, StepParams] = {}
     for s in STEPS:
-        mhsa = MhsaParams(
-            Matrix(arrays[f"step_{s}.mhsa.w_q"]),
-            Matrix(arrays[f"step_{s}.mhsa.w_k"]),
-            Matrix(arrays[f"step_{s}.mhsa.w_v"]),
-            head_count=cfg.head_count,
+        steps[s] = StepParams(
+            mhsa=MhsaParams(t[f"step_{s}.mhsa.w_qkv"], head_count=cfg.head_count),
+            registers=RegisterTokens(t[f"step_{s}.registers.r_qk"], t[f"step_{s}.registers.r_v"]),
+            deconv=DeconvKernel(t[f"step_{s}.deconv.weight"], t[f"step_{s}.deconv.bias"]),
         )
-        registers = RegisterTokens(
-            [Matrix(arrays[f"step_{s}.registers.r_qk{i}"]) for i in range(cfg.head_count)],
-            [Matrix(arrays[f"step_{s}.registers.r_v{i}"]) for i in range(cfg.head_count)],
-        )
-        deconv = DeconvKernel(arrays[f"step_{s}.deconv.weight"], arrays[f"step_{s}.deconv.bias"])
-        steps[s] = StepParams(mhsa, registers, deconv)
-    return NeckParams(levels, steps, cfg)
+    return NeckParams(t, levels, steps, cfg)
 
 
 def init_params(cfg: NeckConfig, rng: Rng) -> NeckParams:
@@ -357,7 +334,8 @@ def parallel_atrous_block(x: Tensor4, level: LevelParams, cfg: NeckConfig, tape:
     bank and fusion but skips the gates; "attention_atrous" is the full path.
     """
     if cfg.atrous_mode == "standard":
-        return conv2d(x, level.branches[0].with_geometry(dilation=1, padding=1), tape)
+        first = level.branches[0]
+        return conv2d(x, ConvKernel(first.weight, first.bias, dilation=1, padding=1), tape)
     branches = [conv2d(x, k, tape) for k in level.branches]
     fused = pointwise_conv(concat_channels(branches, tape), level.post, tape)
     if cfg.atrous_mode == "atrous":
@@ -523,8 +501,9 @@ def load_params(stream: bytes, cfg: NeckConfig) -> NeckParams:
     """Parse a parameter stream, checking every tensor against ``cfg``.
 
     Errors name the offending tensor: unknown/missing names, shape mismatches
-    against the config-derived layout, and truncated payload ranges are all
-    rejected.  A config echo that disagrees with ``cfg`` is refused up front.
+    against the config-derived layout, truncated or overlapping payload
+    ranges, and payload bytes that no tensor covers are all rejected.  A
+    config echo that disagrees with ``cfg`` is refused up front.
     """
     manifest, payload = read_manifest(stream)
     echo = manifest["config"]
@@ -540,6 +519,7 @@ def load_params(stream: bytes, cfg: NeckConfig) -> NeckParams:
     if extra:
         raise ParamsIOError(f"unexpected tensor in manifest: {sorted(extra)[0]}")
     arrays: dict[str, np.ndarray] = {}
+    spans: list[tuple[int, int, str]] = []
     for name, shape in spec:
         entry = entries.get(name)
         if entry is None:
@@ -553,5 +533,15 @@ def load_params(stream: bytes, cfg: NeckConfig) -> NeckParams:
         end = start + count * 8
         if start < 0 or end > len(payload):
             raise ParamsIOError(f"truncated payload for tensor {name}")
+        spans.append((start, end, name))
         arrays[name] = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
+    covered, previous = 0, None
+    for start, end, name in sorted(spans):
+        if start < covered:
+            raise ParamsIOError(f"payload of tensor {name} overlaps tensor {previous}")
+        if start > covered:
+            raise ParamsIOError(f"payload bytes {covered}..{start} before tensor {name} belong to no tensor")
+        covered, previous = end, name
+    if covered < len(payload):
+        raise ParamsIOError(f"payload bytes {covered}..{len(payload)} after tensor {previous} belong to no tensor")
     return _params_from_arrays(cfg, arrays)

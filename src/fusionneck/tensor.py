@@ -258,11 +258,8 @@ def softmax_rows(m: Matrix, tape: Tape | None = None) -> Matrix:
 def logistic(v: Value, tape: Tape | None = None) -> Value:
     """Numerically stable logistic squashing into (0, 1)."""
     x = v.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))  # never overflows; equals exp(-x) for x >= 0 and exp(x) below
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = type(v)(y)
     if tape is not None:
         def backward() -> None:

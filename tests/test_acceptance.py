@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 summary lines.  Tolerances are pinned here and nowhere else.
 """
 
+import functools
 import time
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from fusionneck.neck import (
     save_params,
     synthetic_pyramid,
 )
-from fusionneck.tensor import Matrix, Rng, Tensor4
+from fusionneck.tensor import Rng, Tensor4
 from fusionneck.verify import random_neck_params
 
 DATA = Path(__file__).parent / "data"
@@ -65,11 +66,17 @@ def test_01_conv_oracle_equivalence():
     )
 
 
+@functools.cache
+def timed_verify(scope: str) -> tuple[list, float]:
+    """verify.run(scope) with its wall time, run once per session for test_02 and test_10."""
+    start = time.perf_counter()
+    results = verify.run(scope, seeds=20)
+    return results, time.perf_counter() - start
+
+
 def test_02_gradient_suite():
     """Every differentiable op within 1e-5 (neck 1e-4), >=20 seeds, < 60 s."""
-    start = time.perf_counter()
-    results = verify.gradient_suite(seeds=20)
-    elapsed = time.perf_counter() - start
+    results, elapsed = timed_verify("grad")
     failing = [r.name for r in results if not r.passed]
     worst = max(r.metric / r.tolerance for r in results)
     report(
@@ -228,8 +235,7 @@ def test_08_register_steering():
         target = seed % 4
         _, before = mhsa_forward(x, p, reg, return_attention=True)
         steered = RegisterTokens(
-            [Matrix(m.data - 1e6 * (np.arange(4) == target)[None, :]) for m in reg.r_qk],
-            [m.copy() for m in reg.r_v],
+            reg.r_qk.data - 1e6 * (np.arange(4) == target), reg.r_v.data.copy()
         )
         _, after = mhsa_forward(x, p, steered, return_attention=True)
         for a_before, a_after in zip(before, after):
@@ -293,7 +299,7 @@ def test_09_determinism_and_serialization(tmp_path):
 
 
 def test_10_desk_scale_performance():
-    """Default-size forward < 2 s; full verify < 120 s."""
+    """Default-size forward < 2 s; full verify (gradient + oracle suites) < 120 s."""
     cfg = NeckConfig()  # width 64, heads 4, base 32x32
     rng = Rng(10)
     params = init_params(cfg, rng.split(2))
@@ -303,9 +309,10 @@ def test_10_desk_scale_performance():
     neck_forward(pin, params, cfg)
     forward_s = time.perf_counter() - start
 
-    start = time.perf_counter()
-    results = verify.run("all")
-    verify_s = time.perf_counter() - start
+    grad_results, grad_s = timed_verify("grad")
+    oracle_results, oracle_s = timed_verify("oracle")
+    results = grad_results + oracle_results
+    verify_s = grad_s + oracle_s
     all_green = all(r.passed for r in results)
     report(
         "10 desk-scale-performance",

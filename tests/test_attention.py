@@ -14,7 +14,7 @@ from fusionneck.attention import (
 )
 from fusionneck.convkit import ConvKernel
 from fusionneck.errors import ContractError, ShapeError
-from fusionneck.tensor import Matrix, Rng, Tape, Tensor4, grad_check, weighted_sum
+from fusionneck.tensor import Rng, Tape, Tensor4, grad_check, weighted_sum
 
 # frozen scalar oracle for the scse hand case (reduce [0.5, 0.25], expand
 # [1, -1], spatial [0.3, 0.1], input [1, 2]): hidden = 1.0,
@@ -45,7 +45,7 @@ class TestMhsaForward:
         """W_q = W_k = 0 and W_v = I gives every token the token mean."""
         rng = Rng(1)
         x = Tensor4(rng.normal((2, 4, 2, 2)))
-        p = MhsaParams(Matrix.zeros(4, 4), Matrix.zeros(4, 4), Matrix.identity(4), head_count=2)
+        p = MhsaParams(np.stack([np.zeros((4, 4)), np.zeros((4, 4)), np.eye(4)]), head_count=2)
         out = mhsa_forward(x, p)
         expected = x.data.mean(axis=(2, 3), keepdims=True) * np.ones_like(x.data)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -57,7 +57,7 @@ class TestMhsaForward:
         out, attn = mhsa_forward(x, p, return_attention=True)
         for a in attn:
             np.testing.assert_array_equal(a, [[1.0]])
-        expected = tokens_of(x)[0] @ p.w_v.data
+        expected = tokens_of(x)[0] @ p.w_qkv.data[2]
         np.testing.assert_allclose(out.data.reshape(4), expected.reshape(4), atol=1e-12)
 
     def test_rows_stochastic(self):
@@ -76,7 +76,7 @@ class TestMhsaForward:
         x = Tensor4(rng.normal((1, 6, 2, 3)))
         p = make_params(rng.split(1), 6, 3)
         out = mhsa_forward(x, p)
-        v = tokens_of(x)[0] @ p.w_v.data  # (HW, C) value rows, heads concatenated
+        v = tokens_of(x)[0] @ p.w_qkv.data[2]  # (HW, C) value rows, heads concatenated
         out_tokens = tokens_of(out)[0]
         lo = v.min(axis=0) - 1e-12
         hi = v.max(axis=0) + 1e-12
@@ -103,8 +103,7 @@ class TestMhsaForward:
             target = seed % 4
             _, attn_before = mhsa_forward(x, p, reg, return_attention=True)
             steered = RegisterTokens(
-                [Matrix(m.data - 1e6 * (np.arange(4) == target)[None, :]) for m in reg.r_qk],
-                [m.copy() for m in reg.r_v],
+                reg.r_qk.data - 1e6 * (np.arange(4) == target), reg.r_v.data.copy()
             )
             _, attn_after = mhsa_forward(x, p, steered, return_attention=True)
             for before, after in zip(attn_before, attn_after):
@@ -124,7 +123,22 @@ class TestMhsaForward:
 
     def test_head_count_must_divide(self):
         with pytest.raises(ShapeError):
-            MhsaParams(Matrix.zeros(4, 4), Matrix.zeros(4, 4), Matrix.zeros(4, 4), head_count=3)
+            MhsaParams(np.zeros((3, 4, 4)), head_count=3)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (3, 4, 2), (4, 4)])
+    def test_w_qkv_must_be_three_square_projections(self, shape):
+        with pytest.raises(ShapeError, match="w_qkv"):
+            MhsaParams(np.zeros(shape), head_count=2)
+
+    @pytest.mark.parametrize("qk_shape, v_shape", [
+        ((2, 4, 3), (2, 2, 4)),  # r_qk not square
+        ((2, 4, 4), (3, 2, 4)),  # r_v head count differs
+        ((2, 4, 4), (2, 2, 5)),  # r_v token count differs
+        ((4, 4), (2, 2, 4)),  # r_qk not stacked per head
+    ])
+    def test_register_shapes_checked(self, qk_shape, v_shape):
+        with pytest.raises(ShapeError, match="RegisterTokens"):
+            RegisterTokens(np.zeros(qk_shape), np.zeros(v_shape))
 
 
 class TestBuildRegisters:
@@ -142,7 +156,7 @@ class TestBuildRegisters:
     def test_sample_mean_within_clt_bound(self):
         sigma = 0.8
         reg = build_registers(Rng(10), 1, 100, 4, sigma=sigma)  # 10^4 logit entries
-        draws = reg.r_qk[0].data.reshape(-1)
+        draws = reg.r_qk.data[0].reshape(-1)
         assert draws.size == 10 ** 4
         assert abs(draws.mean()) < 5 * sigma / 100
 
@@ -235,13 +249,11 @@ def loop_mhsa(x, p, reg=None):
         tokens = x[item].reshape(c, h * w).T
         for head in range(p.head_count):
             cols = slice(head * d_head, (head + 1) * d_head)
-            q = tokens @ p.w_q.data[:, cols]
-            k = tokens @ p.w_k.data[:, cols]
-            v = tokens @ p.w_v.data[:, cols]
+            q, k, v = (tokens @ m[:, cols] for m in p.w_qkv.data)
             scores = q @ k.T
             if reg is not None:
-                scores = scores + reg.r_qk[head].data
-                v = v + reg.r_v[head].data.T
+                scores = scores + reg.r_qk.data[head]
+                v = v + reg.r_v.data[head].T
             scores = scores / np.sqrt(d_head)
             e = np.exp(scores - scores.max(axis=1, keepdims=True))
             attn = e / e.sum(axis=1, keepdims=True)

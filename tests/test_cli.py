@@ -79,10 +79,11 @@ class TestForward:
         assert code == EXIT_OK
         assert json.loads(report.read_text())["config"]["gating_mode"] == "logistic"
 
-    def test_unknown_config_key_exits_2(self, tmp_path):
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text('{"pyramid_widht": 8}')
         assert main(["forward", "--config", str(cfg_file)]) == EXIT_INPUT
+        assert "unknown config keys: ['pyramid_widht']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         "[1, 2]",
@@ -188,18 +189,34 @@ class TestParams:
         assert main(["params", "inspect", str(pfile)]) == EXIT_INPUT
         assert "manifest" in capsys.readouterr().err
 
-    def test_version_1_stream_exits_2(self, tmp_path, capsys):
-        """Version 1 echoed a register_count key: its streams are refused (ParamsIOError), not reinterpreted."""
+    @staticmethod
+    def assert_old_version_refused(tmp_path, capsys, version):
         pfile = tmp_path / "p.bin"
         assert main(["params", "init", "--seed", "4", *SMALL, "--out", str(pfile)]) == EXIT_OK
         header = f"fusionneck-params {PARAMS_FORMAT_VERSION} ".encode("ascii")
         blob = pfile.read_bytes()
         assert blob.startswith(header)
-        pfile.write_bytes(b"fusionneck-params 1 " + blob[len(header):])
+        pfile.write_bytes(f"fusionneck-params {version} ".encode("ascii") + blob[len(header):])
         assert main(["params", "inspect", str(pfile)]) == EXIT_INPUT
         assert main(["forward", *SMALL, "--params-in", str(pfile),
                      "--report", str(tmp_path / "r.json")]) == EXIT_INPUT
-        assert "unsupported format version 1" in capsys.readouterr().err
+        assert f"unsupported format version {version}" in capsys.readouterr().err
+
+    def test_version_1_stream_exits_2(self, tmp_path, capsys):
+        """Version 1 echoed a register_count key: its streams are refused (ParamsIOError), not reinterpreted."""
+        self.assert_old_version_refused(tmp_path, capsys, 1)
+
+    def test_version_2_stream_exits_2(self, tmp_path, capsys):
+        """Version 2 stored per-head registers and separate w_q/w_k/w_v: refused, not reinterpreted."""
+        self.assert_old_version_refused(tmp_path, capsys, 2)
+
+    def test_trailing_payload_bytes_exit_2(self, tmp_path, capsys):
+        pfile = tmp_path / "p.bin"
+        assert main(["params", "init", "--seed", "4", *SMALL, "--out", str(pfile)]) == EXIT_OK
+        pfile.write_bytes(pfile.read_bytes() + bytes(8))
+        assert main(["forward", *SMALL, "--params-in", str(pfile),
+                     "--report", str(tmp_path / "r.json")]) == EXIT_INPUT
+        assert "belong to no tensor" in capsys.readouterr().err
 
     def test_registers_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

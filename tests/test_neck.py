@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fusionneck.attention import scse_recalibrate
-from fusionneck.convkit import conv2d, pointwise_conv
+from fusionneck.convkit import ConvKernel, conv2d, pointwise_conv
 from fusionneck.errors import ConfigError, ParamsIOError, ShapeError
 from fusionneck.neck import (
     PARAMS_FORMAT_VERSION,
@@ -42,8 +42,8 @@ def small_cfg(**overrides):
 class TestConfig:
     def test_defaults_valid(self):
         cfg = NeckConfig()
-        registers = [name for name, _ in parameter_spec(cfg) if ".registers." in name]
-        assert len(registers) == 2 * 2 * cfg.head_count  # r_qk and r_v per head, two steps
+        registers = [shape for name, shape in parameter_spec(cfg) if ".registers." in name]
+        assert [shape[0] for shape in registers] == [cfg.head_count] * 4  # r_qk, r_v per head, two steps
 
     def test_width_head_divisibility(self):
         with pytest.raises(ConfigError):
@@ -196,7 +196,8 @@ class TestForward:
         lp = params.levels[3]
         x = Tensor4(rng.normal((1, cfg.pyramid_width, 6, 6)))
         out = parallel_atrous_block(x, lp, cfg)
-        by_hand = conv2d(x, lp.branches[0].with_geometry(dilation=1, padding=1))
+        first = lp.branches[0]
+        by_hand = conv2d(x, ConvKernel(first.weight, first.bias, dilation=1, padding=1))
         assert np.array_equal(out.data, by_hand.data)
         assert out.dims == x.dims
 
@@ -222,7 +223,7 @@ class TestForward:
         step = params.steps["to4"]
         # constant-ones input with W_v = I makes every attention output token
         # all-ones regardless of W_q/W_k, so the pooled gate is exactly 1
-        step.mhsa.w_v.data[:] = np.eye(cfg.pyramid_width)
+        step.mhsa.w_qkv.data[2] = np.eye(cfg.pyramid_width)
         for v in step.registers.values():
             v.data[:] = 0.0
         top = Tensor4(np.ones((1, cfg.pyramid_width, 2, 2)))
@@ -342,6 +343,24 @@ class TestInitParams:
         names = [(n, v.shape) for n, v in params.named_values()]
         assert names == parameter_spec(cfg)
 
+    def test_structure_holds_the_named_values(self):
+        """Every kernel, MHSA and register tensor is the named table's own Value."""
+        params = init_params(small_cfg(), Rng(6))
+        reachable = []
+        for lp in params.levels.values():
+            for kernel in (lp.lateral, *lp.branches, lp.post):
+                reachable += kernel.values()
+            reachable += lp.scse.values()
+        for sp in params.steps.values():
+            reachable += [*sp.mhsa.values(), *sp.registers.values(), *sp.deconv.values()]
+        assert sorted(map(id, reachable)) == sorted(map(id, params.values()))
+
+
+def pack_stream(manifest: dict, payload: bytes) -> bytes:
+    """A parameter stream with the given manifest and payload, as save_params lays it out."""
+    manifest_bytes = json.dumps(manifest, sort_keys=True).encode("ascii")
+    return f"fusionneck-params {PARAMS_FORMAT_VERSION} {len(manifest_bytes)}\n".encode("ascii") + manifest_bytes + payload
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):
@@ -366,20 +385,35 @@ class TestSerialization:
 
     def test_corrupted_shape_names_tensor(self):
         cfg = small_cfg()
-        blob = save_params(init_params(cfg, Rng(9)))
-        header, rest = blob.split(b"\n", 1)
-        manifest_len = int(header.split()[2])
-        manifest = json.loads(rest[:manifest_len])
+        manifest, payload = read_manifest(save_params(init_params(cfg, Rng(9))))
         manifest["tensors"][5]["shape"][0] += 1
         name = manifest["tensors"][5]["name"]
-        new_manifest = json.dumps(manifest, sort_keys=True).encode("ascii")
-        new_blob = (
-            f"fusionneck-params {PARAMS_FORMAT_VERSION} {len(new_manifest)}\n".encode("ascii")
-            + new_manifest
-            + rest[manifest_len:]
-        )
         with pytest.raises(ParamsIOError, match=name.replace(".", r"\.")):
-            load_params(new_blob, cfg)
+            load_params(pack_stream(manifest, payload), cfg)
+
+    def test_overlapping_payload_names_tensor(self):
+        cfg = small_cfg()
+        blob = save_params(init_params(cfg, Rng(9)))
+        manifest, payload = read_manifest(blob)
+        first, second = manifest["tensors"][:2]
+        second["offset"] = first["offset"]
+        with pytest.raises(ParamsIOError, match="overlaps") as exc:
+            load_params(pack_stream(manifest, payload), cfg)
+        assert first["name"] in str(exc.value) and second["name"] in str(exc.value)
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_uncovered_payload_bytes_name_tensor(self, where):
+        cfg = small_cfg()
+        manifest, payload = read_manifest(save_params(init_params(cfg, Rng(9))))
+        tensors = manifest["tensors"]
+        if where == "before":
+            for t in tensors:
+                t["offset"] += 8
+            payload, name = bytes(8) + payload, tensors[0]["name"]
+        else:
+            payload, name = payload + bytes(8), tensors[-1]["name"]
+        with pytest.raises(ParamsIOError, match=f"{where} tensor {name} belong to no tensor".replace(".", "[.]")):
+            load_params(pack_stream(manifest, payload), cfg)
 
     def test_truncated_payload_names_tensor(self):
         cfg = small_cfg()

@@ -291,3 +291,15 @@ class TestFiniteness:
             assert np.all(np.isfinite(global_avg_pool(x).data))
             m = Matrix(rng.normal((4, 4), 500.0))
             assert np.all(np.isfinite(softmax_rows(m).data))
+
+
+class TestLogistic:
+    def test_equals_two_branch_formula_bit_for_bit(self):
+        """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, including ±0 and the extremes."""
+        edges = np.array([0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300])
+        x = np.concatenate([edges, Rng(11).normal((2, 3, 4, 5), 20.0).reshape(-1)]).reshape(2, 1, 9, 7)
+        expected = np.empty_like(x)
+        pos = x >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        expected[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+        assert logistic(Tensor4(x)).data.tobytes() == expected.tobytes()
