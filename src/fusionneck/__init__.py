@@ -13,7 +13,6 @@ from .attention import (
     RegisterTokens,
     ScseParams,
     attention_mass,
-    build_registers,
     mhsa_forward,
     scse_recalibrate,
 )
@@ -78,7 +77,6 @@ from .tensor import (
     matmul,
     mul,
     softmax_rows,
-    sub,
     sum_all,
     weighted_sum,
 )

@@ -10,6 +10,10 @@ whole batch and all heads go through stacked array products, and the tape
 gets a single hand-written backward rule for it.  Also provides the
 concurrent spatial/channel gate used to recalibrate fused multi-dilation
 features.
+
+``MhsaParams``, ``RegisterTokens`` and ``ScseParams`` hold the arrays they
+are given and check their shapes; they draw nothing.  The neck's parameters
+are drawn once, by ``neck.init_params`` over ``neck.parameter_spec``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .convkit import ConvKernel, pointwise_conv
 from .errors import ContractError, ShapeError
 from .tensor import (
     Matrix,
-    Rng,
     Tape,
     Tensor4,
     Value,
@@ -61,10 +64,6 @@ class MhsaParams:
     def d_head(self) -> int:
         return self.embed_dim // self.head_count
 
-    @classmethod
-    def from_rng(cls, rng: Rng, embed_dim: int, head_count: int, sigma: float) -> "MhsaParams":
-        return cls(rng.normal((3, embed_dim, embed_dim), sigma), head_count=head_count)
-
     def values(self) -> list[Value]:
         return [self.w_qkv]
 
@@ -102,19 +101,6 @@ class RegisterTokens:
 
     def values(self) -> list[Value]:
         return [self.r_qk, self.r_v]
-
-
-def build_registers(rng: Rng, head_count: int, hw: int, d_head: int, sigma: float) -> RegisterTokens:
-    """Gaussian(0, sigma²) register set with one (r_qk, r_v) pair per head.
-
-    Draw order is r_qk, then r_v, each in head order, so a given seed always
-    produces the same registers.
-    """
-    if head_count < 1 or hw < 1 or d_head < 1:
-        raise ContractError("build_registers: all dims must be positive")
-    r_qk = rng.normal((head_count, hw, hw), sigma)
-    r_v = rng.normal((head_count, d_head, hw), sigma)
-    return RegisterTokens(r_qk, r_v)
 
 
 def mhsa_forward(
@@ -238,16 +224,6 @@ class ScseParams:
     @property
     def reduction(self) -> int:
         return self.channels // self.reduce.out_channels
-
-    @classmethod
-    def from_rng(cls, rng: Rng, channels: int, reduction: int, sigma: float) -> "ScseParams":
-        if reduction < 1 or channels % reduction != 0:
-            raise ContractError(f"ScseParams: reduction {reduction} must divide {channels}")
-        hidden = channels // reduction
-        reduce = ConvKernel.from_rng(rng, hidden, channels, 1, sigma)
-        expand = ConvKernel.from_rng(rng, channels, hidden, 1, sigma)
-        spatial = ConvKernel.from_rng(rng, 1, channels, 1, sigma)
-        return cls(reduce, expand, spatial)
 
     def values(self) -> list[Value]:
         return [*self.reduce.values(), *self.expand.values(), *self.spatial.values()]

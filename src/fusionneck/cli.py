@@ -8,7 +8,8 @@ Subcommands:
     params    init / inspect parameter files
 
 Exit codes: 0 success, 1 verification failure, 2 input or config error,
-3 runtime shape error.  Reports are JSON with sorted keys so identical
+3 runtime shape error, 141 output pipe closed by its reader (128 + SIGPIPE,
+as a shell reports it).  Reports are JSON with sorted keys so identical
 configs and seeds produce byte-identical files; every report embeds its
 format version, the full config echo, and the seed it can be reproduced from.
 """
@@ -19,6 +20,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -50,6 +52,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_SHAPE = 3
+EXIT_BROKEN_PIPE = 141
 
 REPORT_FORMAT_VERSION = 2
 
@@ -324,7 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the rest of stdout, and the interpreter's
+        # final flush, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ShapeError as exc:
         print(f"shape error: {exc}", file=sys.stderr)
         return EXIT_SHAPE

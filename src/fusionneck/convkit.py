@@ -13,7 +13,8 @@ transposed.  ``deconv2x`` is
 a single (O·4, C) @ (B, C, H·W) product followed by a transpose that
 interleaves the 2x2 blocks.  The ``naive_*`` functions re-derive the same
 definitions with explicit loops and serve as ground truth in equivalence
-tests.
+tests.  ``ConvKernel`` and ``DeconvKernel`` hold the weight and bias arrays
+they are given and check their shapes; ``neck.init_params`` draws the neck's.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import Rng, Tape, Tensor4, Value, _accum
+from .tensor import Tape, Tensor4, Value, _accum
 
 # conv2d builds the columns of as many kernel taps at once as fit in this many
 # bytes: all taps of a small map in one product, one tap per product at the
@@ -71,21 +72,6 @@ class ConvKernel:
     def k_w(self) -> int:
         return self.weight.shape[3]
 
-    @classmethod
-    def from_rng(
-        cls,
-        rng: Rng,
-        out_channels: int,
-        in_channels: int,
-        k: int,
-        sigma: float,
-        dilation: int = 1,
-        padding: int = 0,
-    ) -> "ConvKernel":
-        weight = rng.normal((out_channels, in_channels, k, k), sigma)
-        bias = np.zeros(out_channels)
-        return cls(weight, bias, dilation=dilation, padding=padding)
-
     def values(self) -> list[Value]:
         return [self.weight, self.bias]
 
@@ -118,12 +104,6 @@ class DeconvKernel:
     @property
     def out_channels(self) -> int:
         return self.weight.shape[1]
-
-    @classmethod
-    def from_rng(cls, rng: Rng, in_channels: int, out_channels: int, sigma: float) -> "DeconvKernel":
-        weight = rng.normal((in_channels, out_channels, 2, 2), sigma)
-        bias = np.zeros(out_channels)
-        return cls(weight, bias)
 
     def values(self) -> list[Value]:
         return [self.weight, self.bias]

@@ -33,7 +33,9 @@ Interchange files are line-oriented text, one box per line:
     ground truth:  image_id class_id x_min y_min x_max y_max
 
 Fields are whitespace-separated; blank lines and ``#`` comments are skipped.
-Box coordinates must be finite.
+Box coordinates must be finite.  The loaders return ``Detection`` and
+``GroundTruth`` records, the one record pair that every function here takes:
+each carries its image id, class id and box, and a detection its score.
 """
 
 from __future__ import annotations
@@ -79,38 +81,21 @@ class Box:
 
 @dataclass(frozen=True)
 class Detection:
-    """Scored class-labelled box."""
-
-    box: Box
-    score: float
-    class_id: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ContractError(f"score {self.score} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Reference class-labelled box."""
-
-    box: Box
-    class_id: int
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    """File-level detection row (adds the image id the core types omit)."""
+    """Scored class-labelled box in one image; the score lies in [0, 1]."""
 
     image_id: str
     class_id: int
     box: Box
     score: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.score <= 1.0:  # false for NaN too
+            raise ContractError(f"score {self.score} outside [0, 1]")
+
 
 @dataclass(frozen=True)
-class GroundTruthRecord:
-    """File-level ground-truth row."""
+class GroundTruth:
+    """Reference class-labelled box in one image."""
 
     image_id: str
     class_id: int
@@ -127,7 +112,7 @@ def iou(a: Box, b: Box) -> float:
 
 
 def _match_flags(
-    ordered: Sequence[tuple[str, Box]],
+    ordered: Sequence[Detection],
     gts_by_image: dict[str, list[Box]],
     iou_thresh: float,
 ) -> list[bool]:
@@ -139,13 +124,14 @@ def _match_flags(
     """
     taken = {img: [False] * len(boxes) for img, boxes in gts_by_image.items()}
     flags: list[bool] = []
-    for img, box in ordered:
+    for d in ordered:
+        img = d.image_id
         best_iou = 0.0
         best_j = -1
         for j, gt_box in enumerate(gts_by_image.get(img, ())):
-            if taken.get(img, [])[j]:
+            if taken[img][j]:
                 continue
-            v = iou(box, gt_box)
+            v = iou(d.box, gt_box)
             if v >= iou_thresh and v > best_iou:
                 best_iou = v
                 best_j = j
@@ -157,21 +143,28 @@ def _match_flags(
     return flags
 
 
+def _gts_by_image(gts: Iterable[GroundTruth]) -> dict[str, list[Box]]:
+    """Ground-truth boxes grouped by image, each group in input order."""
+    by_image: dict[str, list[Box]] = {}
+    for g in gts:
+        by_image.setdefault(g.image_id, []).append(g.box)
+    return by_image
+
+
 def _pr_points(
-    dets: Sequence[tuple[str, Box, float]],
+    dets: Sequence[Detection],
     gts_by_image: dict[str, list[Box]],
     iou_thresh: float,
 ) -> list[tuple[float, float]]:
     """(recall, precision) points at every distinct score cutoff, best first."""
     npos = sum(len(v) for v in gts_by_image.values())
-    order = sorted(range(len(dets)), key=lambda i: -dets[i][2])
-    ordered = [(dets[i][0], dets[i][1]) for i in order]
+    ordered = sorted(dets, key=lambda d: -d.score)
     flags = _match_flags(ordered, gts_by_image, iou_thresh)
     points: list[tuple[float, float]] = []
     tp = 0
-    for rank, idx in enumerate(order, start=1):
+    for rank, d in enumerate(ordered, start=1):
         tp += flags[rank - 1]
-        boundary = rank == len(order) or dets[order[rank]][2] != dets[idx][2]
+        boundary = rank == len(ordered) or ordered[rank].score != d.score
         if boundary:
             points.append((tp / npos if npos else 0.0, tp / rank))
     return points
@@ -204,22 +197,15 @@ def average_precision(
     gts: Sequence[GroundTruth],
     iou_thresh: float,
 ) -> float:
-    """11-point interpolated AP for a single class (single image pool).
+    """11-point interpolated AP for a single class.
 
     Detections are ranked by descending score with ties kept in input order,
-    matched greedily to ground truths, and the interpolated precision over
-    the recall grid {0, 0.1, …, 1} is averaged.  No ground truths, or no
-    detections, yields 0.
+    matched greedily to the ground truths of their own image, and the
+    interpolated precision over the recall grid {0, 0.1, …, 1} is averaged.
+    No ground truths, or no detections, yields 0.
     """
     _check_thresh(iou_thresh)
-    if not gts or not dets:
-        return 0.0
-    points = _pr_points(
-        [("", d.box, d.score) for d in dets],
-        {"": [g.box for g in gts]},
-        iou_thresh,
-    )
-    return _interpolated_ap(points)
+    return _class_ap(dets, gts, iou_thresh)
 
 
 def brute_force_ap(
@@ -240,13 +226,13 @@ def brute_force_ap(
     if not gts or not dets:
         return 0.0
     npos = len(gts)
-    gt_boxes = [g.box for g in gts]
+    gts_by_image = _gts_by_image(gts)
     ranked = sorted(dets, key=lambda d: -d.score)
     cutoffs = sorted({d.score for d in dets}, reverse=True)
     points = []
     for cutoff in cutoffs:
         subset = [d for d in ranked if d.score >= cutoff]
-        flags = _match_flags([("", d.box) for d in subset], {"": gt_boxes}, iou_thresh)
+        flags = _match_flags(subset, gts_by_image, iou_thresh)
         tp = sum(flags)
         points.append((tp / npos, tp / len(subset)))
     total = 0.0
@@ -290,17 +276,13 @@ class ApResult:
 
 
 def _class_ap(
-    dets: Sequence[DetectionRecord],
-    gts: Sequence[GroundTruthRecord],
+    dets: Sequence[Detection],
+    gts: Sequence[GroundTruth],
     iou_thresh: float,
 ) -> float:
     if not gts or not dets:
         return 0.0
-    gts_by_image: dict[str, list[Box]] = {}
-    for g in gts:
-        gts_by_image.setdefault(g.image_id, []).append(g.box)
-    points = _pr_points([(d.image_id, d.box, d.score) for d in dets], gts_by_image, iou_thresh)
-    return _interpolated_ap(points)
+    return _interpolated_ap(_pr_points(dets, _gts_by_image(gts), iou_thresh))
 
 
 def _indices(keys: Iterable, table: dict) -> np.ndarray:
@@ -441,8 +423,8 @@ def _ranked_aps(scores: np.ndarray, hits: np.ndarray, n_gt: int) -> list[float]:
 
 
 def evaluate_records(
-    dets: Sequence[DetectionRecord],
-    gts: Sequence[GroundTruthRecord],
+    dets: Sequence[Detection],
+    gts: Sequence[GroundTruth],
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
 ) -> ApResult:
     """Per-class AP, mAP, AP50/AP75, and size-bucketed AP over record lists.
@@ -517,25 +499,22 @@ def evaluate_records(
     )
 
 
-def _parse_line(path: str, lineno: int, line: str, with_score: bool):
+def _parse_line(path: str, lineno: int, line: str, with_score: bool) -> Detection | GroundTruth:
     fields = line.split()
     expected = 7 if with_score else 6
     if len(fields) != expected:
         raise FileFormatError(f"{path}:{lineno}: expected {expected} fields, got {len(fields)}")
-    image_id = fields[0]
     try:
         class_id = int(fields[1])
         coords = [float(v) for v in fields[2:6]]
         score = float(fields[6]) if with_score else None
     except ValueError as exc:
         raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    try:
+    try:  # Box checks the coordinates and Detection the score
         box = Box(*coords)
-        if with_score and not 0.0 <= score <= 1.0:
-            raise ContractError(f"score {score} outside [0, 1]")
+        return Detection(fields[0], class_id, box, score) if with_score else GroundTruth(fields[0], class_id, box)
     except ContractError as exc:
         raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    return image_id, class_id, box, score
 
 
 def _iter_records(path: str):
@@ -546,19 +525,11 @@ def _iter_records(path: str):
             yield lineno, line
 
 
-def load_detections(path: str) -> list[DetectionRecord]:
+def load_detections(path: str) -> list[Detection]:
     """Read a detection interchange file; malformed rows name their line."""
-    out = []
-    for lineno, line in _iter_records(path):
-        image_id, class_id, box, score = _parse_line(path, lineno, line, with_score=True)
-        out.append(DetectionRecord(image_id, class_id, box, score))
-    return out
+    return [_parse_line(path, lineno, line, with_score=True) for lineno, line in _iter_records(path)]
 
 
-def load_ground_truths(path: str) -> list[GroundTruthRecord]:
+def load_ground_truths(path: str) -> list[GroundTruth]:
     """Read a ground-truth interchange file; malformed rows name their line."""
-    out = []
-    for lineno, line in _iter_records(path):
-        image_id, class_id, box, _ = _parse_line(path, lineno, line, with_score=False)
-        out.append(GroundTruthRecord(image_id, class_id, box))
-    return out
+    return [_parse_line(path, lineno, line, with_score=False) for lineno, line in _iter_records(path)]

@@ -39,7 +39,7 @@ from .attention import (
     scse_recalibrate,
 )
 from .convkit import ConvKernel, DeconvKernel, conv2d, deconv2x, pointwise_conv
-from .errors import ConfigError, ParamsIOError, ShapeError
+from .errors import ConfigError, ContractError, ParamsIOError, ShapeError
 from .tensor import (
     Rng,
     Tape,
@@ -385,6 +385,8 @@ def _validate_input(pin: PyramidIn, cfg: NeckConfig) -> None:
         _, c, _, _ = pin.level(n).dims
         if c != expected:
             raise ShapeError(f"c{n}: expected {expected} channels, got {c}")
+        if not np.isfinite(pin.level(n).data).all():
+            raise ContractError(f"c{n}: input holds non-finite values")
 
 
 def neck_forward(
@@ -394,7 +396,10 @@ def neck_forward(
     tape: Tape | None = None,
     trace: dict | None = None,
 ) -> PyramidOut:
-    """Full top-down pass producing p3/p4/p5 at the lateral resolutions."""
+    """Full top-down pass producing p3/p4/p5 at the lateral resolutions.
+
+    The inputs must have the configured shapes and hold finite values only.
+    """
     _validate_input(pin, cfg)
     p5 = parallel_atrous_block(
         pointwise_conv(pin.c5, params.levels[5].lateral, tape), params.levels[5], cfg, tape
@@ -502,8 +507,9 @@ def load_params(stream: bytes, cfg: NeckConfig) -> NeckParams:
 
     Errors name the offending tensor: unknown/missing names, shape mismatches
     against the config-derived layout, truncated or overlapping payload
-    ranges, and payload bytes that no tensor covers are all rejected.  A
-    config echo that disagrees with ``cfg`` is refused up front.
+    ranges, payload bytes that no tensor covers and NaN or infinite values
+    are all rejected.  A config echo that disagrees with ``cfg`` is refused
+    up front.
     """
     manifest, payload = read_manifest(stream)
     echo = manifest["config"]
@@ -535,6 +541,8 @@ def load_params(stream: bytes, cfg: NeckConfig) -> NeckParams:
             raise ParamsIOError(f"truncated payload for tensor {name}")
         spans.append((start, end, name))
         arrays[name] = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise ParamsIOError(f"tensor {name} holds non-finite values")
     covered, previous = 0, None
     for start, end, name in sorted(spans):
         if start < covered:

@@ -4,12 +4,14 @@ Every operation is a pure function: it reads its inputs, allocates a fresh
 output, and — when handed a ``Tape`` — records a closure that propagates
 gradients from the output back to the inputs.  ``Tape.backward`` replays the
 closures in reverse execution order, accumulating ``grad`` buffers on every
-value that influenced the loss.  Passing ``tape=None`` runs the forward math
-alone, which is what the finite-difference side of ``grad_check`` uses.
+value that influenced the loss: a value's first gradient is stored as a copy
+of the incoming array, later ones are added into that copy.  Passing
+``tape=None`` runs the forward math alone, which is what the
+finite-difference side of ``grad_check`` uses.
 
 Values are float64 throughout and treated as immutable once created;
 operations never write to their inputs.  Broadcasting is deliberately narrow:
-the second operand of an elementwise op may have any axis collapsed to 1
+the second operand of ``add`` or ``mul`` may have any axis collapsed to 1
 (per-channel gates of shape (B, C, 1, 1) and per-pixel gates of shape
 (B, 1, H, W) are the two patterns actually used).
 """
@@ -86,10 +88,6 @@ class Tensor4(Value):
     def zeros(cls, b: int, c: int, h: int, w: int) -> "Tensor4":
         return cls(np.zeros((b, c, h, w)))
 
-    @classmethod
-    def full(cls, b: int, c: int, h: int, w: int, fill: float) -> "Tensor4":
-        return cls(np.full((b, c, h, w), float(fill)))
-
 
 class Matrix(Value):
     """Row-major 2-D float64 matrix."""
@@ -110,10 +108,6 @@ class Matrix(Value):
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(np.zeros((rows, cols)))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(np.eye(n))
 
 
 class Rng:
@@ -152,8 +146,11 @@ class Rng:
 
 def _accum(value: Value, grad: np.ndarray) -> None:
     if value.grad is None:
-        value.grad = np.zeros_like(value.data)
-    value.grad += grad
+        # a fresh copy, never the passed array: ``add`` hands one gradient to
+        # both operands, and some rules pass read-only broadcast views
+        value.grad = np.array(grad, dtype=np.float64, order="C")
+    else:
+        value.grad += grad
 
 
 def _gate_broadcastable(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> bool:
@@ -188,21 +185,6 @@ def add(a: Value, b: Value, tape: Tape | None = None) -> Value:
                 return
             _accum(a, g)
             _accum(b, _reduce_to(b.shape, g))
-        tape.record(backward)
-    return out
-
-
-def sub(a: Value, b: Value, tape: Tape | None = None) -> Value:
-    """Elementwise a - b; b may be a broadcastable gate."""
-    _check_binary("sub", a, b)
-    out = type(a)(a.data - b.data)
-    if tape is not None:
-        def backward() -> None:
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g)
-            _accum(b, _reduce_to(b.shape, -g))
         tape.record(backward)
     return out
 

@@ -22,13 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import convkit, detmetrics, neck
-from .attention import (
-    MhsaParams,
-    ScseParams,
-    build_registers,
-    mhsa_forward,
-    scse_recalibrate,
-)
+from .attention import MhsaParams, RegisterTokens, ScseParams, mhsa_forward, scse_recalibrate
 from .convkit import ConvKernel, DeconvKernel, ReceptiveFieldState, receptive_field_step
 from .detmetrics import Box, Detection, GroundTruth
 from .errors import ContractError
@@ -45,7 +39,6 @@ from .tensor import (
     matmul,
     mul,
     softmax_rows,
-    sub,
     sum_all,
     weighted_sum,
     _accum,
@@ -118,7 +111,7 @@ def _case_elementwise(rng: Rng):
 
     def loss(tape):
         u = mul(add(a, gate_c, tape), gate_s, tape)
-        v = sub(b, gate_c, tape)
+        v = add(mul(b, gate_c, tape), gate_s, tape)
         s1 = weighted_sum(u, w1, tape)
         s2 = weighted_sum(v, w2, tape)
         return add(s1, s2, tape)
@@ -213,7 +206,8 @@ def _case_deconv(rng: Rng):
 
 def _case_scse(rng: Rng):
     x = Tensor4(rng.normal((2, 4, 3, 3)))
-    p = ScseParams.from_rng(rng.split(1), channels=4, reduction=2, sigma=0.6)
+    r = rng.split(1)  # reduce 4 -> 2, expand 2 -> 4, spatial 4 -> 1
+    p = ScseParams(*(ConvKernel(r.normal((o, i, 1, 1), 0.6), np.zeros(o)) for o, i in ((2, 4), (4, 2), (1, 4))))
     w = _loss_weights(rng, (2, 4, 3, 3))
 
     def loss(tape):
@@ -224,8 +218,11 @@ def _case_scse(rng: Rng):
 
 def _mhsa_fixture(rng: Rng, with_registers: bool):
     x = Tensor4(rng.normal((2, 4, 2, 2)))
-    p = MhsaParams.from_rng(rng.split(1), embed_dim=4, head_count=2, sigma=0.6)
-    reg = build_registers(rng.split(2), head_count=2, hw=4, d_head=2, sigma=0.5) if with_registers else None
+    p = MhsaParams(rng.split(1).normal((3, 4, 4), 0.6), head_count=2)
+    reg = None
+    if with_registers:  # one (HW, HW) score and one (d_head, HW) value register per head
+        r = rng.split(2)
+        reg = RegisterTokens(r.normal((2, 4, 4), 0.5), r.normal((2, 2, 4), 0.5))
     w = _loss_weights(rng, (2, 4, 2, 2))
     params = [x, *p.values()] + (reg.values() if reg is not None else [])
 
@@ -368,7 +365,7 @@ def pointwise_oracle_suite(rng: Rng | None = None) -> SuiteCase:
 
 
 def random_scene(rng: Rng, max_boxes: int = 6):
-    """A random single-class scene of jittered unit boxes for AP testing."""
+    """A random single-class, single-image scene of jittered unit boxes for AP testing."""
     n_gt = rng.integers(1, max_boxes + 1)
     n_det = rng.integers(1, max_boxes + 1)
     gts = []
@@ -376,7 +373,7 @@ def random_scene(rng: Rng, max_boxes: int = 6):
         x = rng.uniform(0.0, 20.0)
         y = rng.uniform(0.0, 20.0)
         s = rng.uniform(1.0, 4.0)
-        gts.append(GroundTruth(Box(x, y, x + s, y + s), class_id=0))
+        gts.append(GroundTruth("", 0, Box(x, y, x + s, y + s)))
     dets = []
     for _ in range(n_det):
         anchor = gts[rng.integers(0, n_gt)].box
@@ -385,9 +382,7 @@ def random_scene(rng: Rng, max_boxes: int = 6):
         side = max(anchor.x_max - anchor.x_min + grow, 0.2)
         x = anchor.x_min + float(jitter[0])
         y = anchor.y_min + float(jitter[1])
-        dets.append(
-            Detection(Box(x, y, x + side, y + side), score=float(rng.uniform(0.05, 0.99)), class_id=0)
-        )
+        dets.append(Detection("", 0, Box(x, y, x + side, y + side), float(rng.uniform(0.05, 0.99))))
     return dets, gts
 
 

@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from fusionneck import verify
-from fusionneck.attention import RegisterTokens, attention_mass, build_registers, mhsa_forward
-from fusionneck.attention import MhsaParams
+from fusionneck.attention import MhsaParams, RegisterTokens, attention_mass, mhsa_forward
 from fusionneck.cli import EXIT_OK, main
 from fusionneck.convkit import ReceptiveFieldState, conv2d, deconv2x, naive_conv2d, receptive_field_step
 from fusionneck.convkit import DeconvKernel
@@ -97,8 +96,8 @@ def test_03_zero_register_collapse():
         h = 1 + seed % 3
         w = 1 + (seed // 3) % 3
         x = Tensor4(rng.normal((2, dim, h, w)))
-        p = MhsaParams.from_rng(rng.split(1), dim, heads, sigma=0.6)
-        zeros = build_registers(rng.split(2), heads, h * w, dim // heads, sigma=0.0)
+        p = MhsaParams(rng.split(1).normal((3, dim, dim), 0.6), heads)
+        zeros = RegisterTokens(np.zeros((heads, h * w, h * w)), np.zeros((heads, dim // heads, h * w)))
         with_reg = mhsa_forward(x, p, zeros)
         without = mhsa_forward(x, p, None)
         worst = max(worst, float(np.max(np.abs(with_reg.data - without.data))))
@@ -174,11 +173,11 @@ def test_06_ap_oracle_and_reference_values():
         if average_precision(dets, gts, thresh) != brute_force_ap(dets, gts, thresh):
             mismatches += 1
     box = lambda x: Box(x, 0.0, x + 10.0, 10.0)
-    gts = [GroundTruth(box(0), 0), GroundTruth(box(20), 0)]
+    gts = [GroundTruth("img", 0, box(0)), GroundTruth("img", 0, box(20))]
     dets = [
-        Detection(box(0), 0.9, 0),
-        Detection(Box(50, 50, 60, 60), 0.8, 0),
-        Detection(box(20), 0.7, 0),
+        Detection("img", 0, box(0), 0.9),
+        Detection("img", 0, Box(50, 50, 60, 60), 0.8),
+        Detection("img", 0, box(20), 0.7),
     ]
     worked = average_precision(dets, gts, 0.5)
     fixture = evaluate_records(
@@ -230,8 +229,9 @@ def test_08_register_steering():
         heads = (1, 2)[seed % 2]
         dim = 4
         x = Tensor4(rng.normal((1, dim, 2, 2)))
-        p = MhsaParams.from_rng(rng.split(1), dim, heads, sigma=0.6)
-        reg = build_registers(rng.split(2), heads, 4, dim // heads, sigma=0.3)
+        p = MhsaParams(rng.split(1).normal((3, dim, dim), 0.6), heads)
+        r = rng.split(2)
+        reg = RegisterTokens(r.normal((heads, 4, 4), 0.3), r.normal((heads, dim // heads, 4), 0.3))
         target = seed % 4
         _, before = mhsa_forward(x, p, reg, return_attention=True)
         steered = RegisterTokens(

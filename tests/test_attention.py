@@ -8,12 +8,12 @@ from fusionneck.attention import (
     RegisterTokens,
     ScseParams,
     attention_mass,
-    build_registers,
     mhsa_forward,
     scse_recalibrate,
 )
 from fusionneck.convkit import ConvKernel
 from fusionneck.errors import ContractError, ShapeError
+from fusionneck.neck import NeckConfig, init_params
 from fusionneck.tensor import Rng, Tape, Tensor4, grad_check, weighted_sum
 
 # frozen scalar oracle for the scse hand case (reduce [0.5, 0.25], expand
@@ -23,7 +23,19 @@ SCSE_HAND_EXPECTED = [1.3535179098318595, 1.7828015051436994]
 
 
 def make_params(rng, dim, heads, sigma=0.6):
-    return MhsaParams.from_rng(rng, embed_dim=dim, head_count=heads, sigma=sigma)
+    return MhsaParams(rng.normal((3, dim, dim), sigma), head_count=heads)
+
+
+def make_registers(rng, heads, hw, d_head, sigma):
+    """Gaussian registers drawn r_qk first, then r_v."""
+    return RegisterTokens(rng.normal((heads, hw, hw), sigma), rng.normal((heads, d_head, hw), sigma))
+
+
+def make_scse(rng, channels=4, reduction=2, sigma=0.5):
+    """Gaussian reduce, expand and spatial 1x1 kernels, drawn in that order, with zero biases."""
+    hidden = channels // reduction
+    shapes = ((hidden, channels), (channels, hidden), (1, channels))
+    return ScseParams(*(ConvKernel(rng.normal((o, i, 1, 1), sigma), np.zeros(o)) for o, i in shapes))
 
 
 def tokens_of(x):
@@ -36,7 +48,7 @@ class TestMhsaForward:
         rng = Rng(0)
         x = Tensor4(rng.normal((2, 4, 2, 3)))
         p = make_params(rng.split(1), 4, 2)
-        zeros = build_registers(rng.split(2), 2, 6, 2, sigma=0.0)
+        zeros = make_registers(rng.split(2), 2, 6, 2, sigma=0.0)
         a = mhsa_forward(x, p, zeros)
         b = mhsa_forward(x, p, None)
         assert np.max(np.abs(a.data - b.data)) < 1e-12
@@ -64,7 +76,7 @@ class TestMhsaForward:
         rng = Rng(3)
         x = Tensor4(rng.normal((2, 4, 3, 3)))
         p = make_params(rng.split(1), 4, 4)
-        reg = build_registers(rng.split(2), 4, 9, 1, sigma=0.5)
+        reg = make_registers(rng.split(2), 4, 9, 1, sigma=0.5)
         _, attn = mhsa_forward(x, p, reg, return_attention=True)
         assert len(attn) == 2 * 4
         for a in attn:
@@ -99,7 +111,7 @@ class TestMhsaForward:
             rng = Rng(100 + seed)
             x = Tensor4(rng.normal((1, 4, 2, 2)))
             p = make_params(rng.split(1), 4, 2)
-            reg = build_registers(rng.split(2), 2, 4, 2, sigma=0.3)
+            reg = make_registers(rng.split(2), 2, 4, 2, sigma=0.3)
             target = seed % 4
             _, attn_before = mhsa_forward(x, p, reg, return_attention=True)
             steered = RegisterTokens(
@@ -117,7 +129,7 @@ class TestMhsaForward:
         p = make_params(rng, 4, 2)
         with pytest.raises(ShapeError):
             mhsa_forward(Tensor4.zeros(1, 3, 2, 2), p)
-        reg = build_registers(rng.split(1), 2, 4, 2, sigma=0.1)
+        reg = make_registers(rng.split(1), 2, 4, 2, sigma=0.1)
         with pytest.raises(ShapeError):
             mhsa_forward(Tensor4.zeros(1, 4, 3, 3), p, reg)  # HW 9 vs registers at 4
 
@@ -141,28 +153,33 @@ class TestMhsaForward:
             RegisterTokens(np.zeros(qk_shape), np.zeros(v_shape))
 
 
+def register_config(sigma):
+    """Small neck whose to4 step has 10x10 tokens and one head."""
+    return NeckConfig(pyramid_width=4, head_count=1, in_channels=(1, 1, 1),
+                      base_height=40, base_width=40, init_sigma=sigma)
+
+
 class TestBuildRegisters:
+    """Registers are built by ``init_params`` from ``Rng.normal`` draws."""
+
     def test_sigma_zero_all_zero(self):
-        reg = build_registers(Rng(0), 2, 4, 2, sigma=0.0)
-        for m in reg.values():
-            assert np.array_equal(m.data, np.zeros_like(m.data))
+        params = init_params(register_config(0.0), Rng(0))
+        for step in params.steps.values():
+            for m in step.registers.values():
+                assert np.array_equal(m.data, np.zeros_like(m.data))
 
     def test_same_seed_bit_identical(self):
-        a = build_registers(Rng(9), 3, 5, 2, sigma=0.7)
-        b = build_registers(Rng(9), 3, 5, 2, sigma=0.7)
-        for ma, mb in zip(a.values(), b.values()):
-            assert np.array_equal(ma.data, mb.data)
+        a = init_params(register_config(0.7), Rng(9))
+        b = init_params(register_config(0.7), Rng(9))
+        for (name, ma), (_, mb) in zip(a.named_values(), b.named_values()):
+            assert np.array_equal(ma.data, mb.data), name
 
     def test_sample_mean_within_clt_bound(self):
         sigma = 0.8
-        reg = build_registers(Rng(10), 1, 100, 4, sigma=sigma)  # 10^4 logit entries
-        draws = reg.r_qk.data[0].reshape(-1)
-        assert draws.size == 10 ** 4
+        params = init_params(register_config(sigma), Rng(10))
+        draws = params.steps["to4"].registers.r_qk.data[0].reshape(-1)
+        assert draws.size == 10 ** 4  # one (HW, HW) logit register at HW = 100
         assert abs(draws.mean()) < 5 * sigma / 100
-
-    def test_bad_dims(self):
-        with pytest.raises(ContractError):
-            build_registers(Rng(0), 0, 4, 2, sigma=0.1)
 
 
 class TestAttentionMass:
@@ -189,11 +206,8 @@ class TestAttentionMass:
 
 
 class TestScse:
-    def make_scse(self, rng, channels=4, reduction=2, sigma=0.5):
-        return ScseParams.from_rng(rng, channels=channels, reduction=reduction, sigma=sigma)
-
     def test_zero_weights_give_half_gates_identity(self):
-        p = self.make_scse(Rng(0), sigma=0.0)
+        p = make_scse(Rng(0), sigma=0.0)
         rng = Rng(1)
         x = Tensor4(rng.normal((2, 4, 3, 3)))
         out = scse_recalibrate(x, p)
@@ -201,7 +215,7 @@ class TestScse:
 
     def test_output_bounded_by_twice_input(self):
         rng = Rng(2)
-        p = self.make_scse(rng.split(0), sigma=1.5)
+        p = make_scse(rng.split(0), sigma=1.5)
         x = Tensor4(rng.normal((2, 4, 3, 3), 3.0))
         out = scse_recalibrate(x, p)
         assert np.all(np.abs(out.data) <= 2.0 * np.abs(x.data) + 1e-12)
@@ -222,7 +236,7 @@ class TestScse:
         from fusionneck.convkit import pointwise_conv
 
         rng = Rng(3)
-        p = self.make_scse(rng.split(0), sigma=1.0)
+        p = make_scse(rng.split(0), sigma=1.0)
         x = Tensor4(rng.normal((1, 4, 4, 4), 2.0))
         channel_gate = logistic(pointwise_conv(pointwise_conv(global_avg_pool(x), p.reduce), p.expand))
         spatial_gate = logistic(pointwise_conv(x, p.spatial))
@@ -230,13 +244,16 @@ class TestScse:
             assert np.all(g > 0.0) and np.all(g < 1.0)
 
     def test_channel_mismatch(self):
-        p = self.make_scse(Rng(4))
+        p = make_scse(Rng(4))
         with pytest.raises(ShapeError):
             scse_recalibrate(Tensor4.zeros(1, 3, 2, 2), p)
 
     def test_reduction_must_divide(self):
-        with pytest.raises(ContractError):
-            ScseParams.from_rng(Rng(5), channels=4, reduction=3, sigma=0.1)
+        reduce = ConvKernel(np.zeros((3, 4, 1, 1)), np.zeros(3))
+        expand = ConvKernel(np.zeros((4, 3, 1, 1)), np.zeros(4))
+        spatial = ConvKernel(np.zeros((1, 4, 1, 1)), np.zeros(1))
+        with pytest.raises(ShapeError, match="does not divide"):
+            ScseParams(reduce, expand, spatial)
 
 
 def loop_mhsa(x, p, reg=None):
@@ -273,7 +290,7 @@ class TestMhsaLoopOracle:
         c, h, w = 8, 2, 3
         x = Tensor4(rng.normal((batch, c, h, w)))
         p = make_params(rng.split(1), c, heads)
-        reg = build_registers(rng.split(2), heads, h * w, c // heads, sigma=0.5) if with_reg else None
+        reg = make_registers(rng.split(2), heads, h * w, c // heads, sigma=0.5) if with_reg else None
         out, attn = mhsa_forward(x, p, reg, return_attention=True)
         expected, expected_attn = loop_mhsa(x.data, p, reg)
         assert out.dims == (batch, c, h, w)
@@ -287,7 +304,7 @@ class TestMhsaLoopOracle:
         rng = Rng(60)
         x = Tensor4(rng.normal((2, 8, 2, 3)))
         p = make_params(rng.split(1), 8, 4)
-        reg = build_registers(rng.split(2), 4, 6, 2, sigma=0.5) if with_reg else None
+        reg = make_registers(rng.split(2), 4, 6, 2, sigma=0.5) if with_reg else None
         tape = Tape()
         mhsa_forward(x, p, reg, tape)
         assert len(tape) == 1
@@ -302,7 +319,7 @@ class TestAttentionGradients:
             rng = Rng(300 + seed)
             x = Tensor4(rng.normal((2, 4, 2, 2)))
             p = make_params(rng.split(1), 4, 2)
-            reg = build_registers(rng.split(2), 2, 4, 2, sigma=0.5) if with_reg else None
+            reg = make_registers(rng.split(2), 2, 4, 2, sigma=0.5) if with_reg else None
             w = rng.normal((2, 4, 2, 2))
             params = [x, *p.values()] + (reg.values() if reg else [])
 
@@ -316,7 +333,7 @@ class TestAttentionGradients:
         rng = Rng(310 + heads)
         x = Tensor4(rng.normal((1, 4, 2, 3)))
         p = make_params(rng.split(1), 4, heads)
-        reg = build_registers(rng.split(2), heads, 6, 4 // heads, sigma=0.5)
+        reg = make_registers(rng.split(2), heads, 6, 4 // heads, sigma=0.5)
         w = rng.normal((1, 4, 2, 3))
 
         def loss(tape):
@@ -328,7 +345,7 @@ class TestAttentionGradients:
         for seed in range(3):
             rng = Rng(400 + seed)
             x = Tensor4(rng.normal((1, 4, 3, 3)))
-            p = ScseParams.from_rng(rng.split(1), channels=4, reduction=2, sigma=0.6)
+            p = make_scse(rng.split(1), sigma=0.6)
             w = rng.normal((1, 4, 3, 3))
 
             def loss(tape):

@@ -2,15 +2,16 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from fusionneck.cli import EXIT_INPUT, EXIT_OK, EXIT_SHAPE, EXIT_VERIFY_FAILED, main
+from fusionneck.cli import EXIT_BROKEN_PIPE, EXIT_INPUT, EXIT_OK, EXIT_SHAPE, EXIT_VERIFY_FAILED, main
 from fusionneck.errors import ShapeError
-from fusionneck.neck import PARAMS_FORMAT_VERSION
+from fusionneck.neck import PARAMS_FORMAT_VERSION, read_manifest
 
 DATA = Path(__file__).parent / "data"
 
@@ -223,6 +224,22 @@ class TestParams:
             main(["forward", *SMALL, "--registers", "2"])
         assert exc.value.code == EXIT_INPUT
 
+    def test_non_finite_tensor_exits_2_naming_it(self, tmp_path, capsys):
+        pfile = tmp_path / "p.bin"
+        assert main(["params", "init", "--seed", "4", *SMALL, "--out", str(pfile)]) == EXIT_OK
+        blob = pfile.read_bytes()
+        manifest, payload = read_manifest(blob)
+        offset = next(t["offset"] for t in manifest["tensors"] if t["name"] == "level5.lateral.weight")
+        start = len(blob) - len(payload) + offset
+        pfile.write_bytes(blob[:start] + struct.pack("<d", float("nan")) + blob[start + 8:])
+        capsys.readouterr()
+        assert main(["params", "inspect", str(pfile)]) == EXIT_INPUT
+        assert "level5.lateral.weight" in capsys.readouterr().err
+        assert main(["forward", "--seed", "4", *SMALL, "--params-in", str(pfile),
+                     "--report", str(tmp_path / "r.json")]) == EXIT_INPUT
+        assert "level5.lateral.weight" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_corrupt_file_exits_2(self, tmp_path):
         pfile = tmp_path / "p.bin"
         pfile.write_bytes(b"garbage")
@@ -267,6 +284,40 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         out = capsys.readouterr().out
         assert "FAILED: matmul" in out
+
+
+def module_env(unbuffered: bool) -> dict:
+    """The environment for ``python -m fusionneck`` from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+class TestBrokenPipe:
+    """A reader that closes the pipe early: exit 141 (128 + SIGPIPE) and nothing on stderr."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command", [
+        ["params", "inspect", "PARAMS"],
+        ["forward", *SMALL],
+        ["verify", "--scope", "oracle"],
+    ])
+    def test_closed_stdout_exits_141_silently(self, tmp_path, command, unbuffered):
+        pfile = tmp_path / "p.bin"
+        assert main(["params", "init", *SMALL, "--out", str(pfile)]) == EXIT_OK
+        argv = [str(pfile) if arg == "PARAMS" else arg for arg in command]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fusionneck", *argv],
+            env=module_env(unbuffered), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # before the child has written anything
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == EXIT_BROKEN_PIPE == 141
+        assert err == b""
 
 
 class TestEval:

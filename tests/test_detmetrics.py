@@ -1,6 +1,7 @@
 """IoU, 11-point interpolated AP vs. the cutoff oracle, mAP, and file I/O."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ from fusionneck.detmetrics import (
     ApResult,
     Box,
     Detection,
-    DetectionRecord,
     GroundTruth,
-    GroundTruthRecord,
     _class_ap,
     average_precision,
     brute_force_ap,
@@ -79,22 +78,22 @@ class TestIou:
 
 class TestAveragePrecision:
     def test_perfect_single_detection(self):
-        gt = [GroundTruth(unit_box(), 0)]
-        det = [Detection(unit_box(), 0.9, 0)]
+        gt = [GroundTruth("img", 0, unit_box())]
+        det = [Detection("img", 0, unit_box(), 0.9)]
         assert average_precision(det, gt, 0.5) == 1.0
 
     def test_disjoint_detection(self):
-        gt = [GroundTruth(unit_box(), 0)]
-        det = [Detection(unit_box(10, 10), 0.9, 0)]
+        gt = [GroundTruth("img", 0, unit_box())]
+        det = [Detection("img", 0, unit_box(10, 10), 0.9)]
         assert average_precision(det, gt, 0.5) == 0.0
 
     def test_worked_three_detection_example(self):
         """hit(0.9), miss(0.8), hit(0.7) over two ground truths -> 9/11."""
-        gts = [GroundTruth(unit_box(0, 0, 10), 0), GroundTruth(unit_box(20, 0, 10), 0)]
+        gts = [GroundTruth("img", 0, unit_box(0, 0, 10)), GroundTruth("img", 0, unit_box(20, 0, 10))]
         dets = [
-            Detection(unit_box(0, 0, 10), 0.9, 0),
-            Detection(unit_box(50, 50, 10), 0.8, 0),
-            Detection(unit_box(20, 0, 10), 0.7, 0),
+            Detection("img", 0, unit_box(0, 0, 10), 0.9),
+            Detection("img", 0, unit_box(50, 50, 10), 0.8),
+            Detection("img", 0, unit_box(20, 0, 10), 0.7),
         ]
         ap = average_precision(dets, gts, 0.5)
         np.testing.assert_allclose(ap, 9 / 11, atol=1e-12)
@@ -102,8 +101,8 @@ class TestAveragePrecision:
         assert brute_force_ap(dets, gts, 0.5) == ap
 
     def test_empty_cases(self):
-        gt = [GroundTruth(unit_box(), 0)]
-        det = [Detection(unit_box(), 0.9, 0)]
+        gt = [GroundTruth("img", 0, unit_box())]
+        det = [Detection("img", 0, unit_box(), 0.9)]
         assert average_precision([], gt, 0.5) == 0.0
         assert average_precision(det, [], 0.5) == 0.0
         assert average_precision([], [], 0.5) == 0.0
@@ -128,6 +127,49 @@ class TestAveragePrecision:
             assert all(a >= b - 1e-15 for a, b in zip(aps, aps[1:]))
 
 
+class TestRecords:
+    @pytest.mark.parametrize("score", [float("nan"), -0.1, 1.5])
+    def test_detection_score_checked(self, score):
+        with pytest.raises(ContractError, match="score"):
+            Detection("img", 0, unit_box(), score)
+
+    def test_loaders_return_records_with_image_ids(self, tmp_path):
+        det_file, gt_file = tmp_path / "dets.txt", tmp_path / "gts.txt"
+        det_file.write_text("img1 2 0 0 1 1 0.5\nimg2 3 1 1 2 2 0.25\n")
+        gt_file.write_text("img2 3 1 1 2 2\n")
+        assert load_detections(str(det_file)) == [
+            Detection("img1", 2, Box(0, 0, 1, 1), 0.5),
+            Detection("img2", 3, Box(1, 1, 2, 2), 0.25),
+        ]
+        assert load_ground_truths(str(gt_file)) == [GroundTruth("img2", 3, Box(1, 1, 2, 2))]
+
+
+class TestImageConfinedMatching:
+    """Two images hold the same boxes, so only the image id keeps matches apart."""
+
+    def scene(self):
+        gts = [GroundTruth("a", 0, unit_box(0, 0, 10)), GroundTruth("b", 0, unit_box(20, 0, 10))]
+        dets = [
+            Detection("b", 0, unit_box(0, 0, 10), 0.9),  # a's box, in image b: a miss
+            Detection("a", 0, unit_box(0, 0, 10), 0.8),
+            Detection("a", 0, unit_box(20, 0, 10), 0.7),  # b's box, in image a: a miss
+            Detection("b", 0, unit_box(20, 0, 10), 0.6),
+        ]
+        return dets, gts
+
+    def test_no_match_across_images(self):
+        dets, gts = self.scene()
+        # misses at ranks 1 and 3, hits at 2 and 4: precision 1/2 at recall 0.5 and 1
+        assert average_precision(dets, gts, 0.5) == 0.5
+        assert brute_force_ap(dets, gts, 0.5) == 0.5
+        pooled = [Detection("a", d.class_id, d.box, d.score) for d in dets]
+        assert average_precision(pooled, [GroundTruth("a", 0, g.box) for g in gts], 0.5) > 0.5
+
+    def test_equals_evaluate_records_ap50(self):
+        dets, gts = self.scene()
+        assert average_precision(dets, gts, 0.5) == evaluate_records(dets, gts).ap50
+
+
 class TestBruteForceOracle:
     def test_agrees_on_random_scenes(self):
         for seed in range(200):
@@ -137,20 +179,20 @@ class TestBruteForceOracle:
 
     def test_tie_rule_shared(self):
         """Equal-score detections keep input order in both implementations."""
-        gts = [GroundTruth(unit_box(0, 0, 10), 0), GroundTruth(unit_box(20, 0, 10), 0)]
+        gts = [GroundTruth("img", 0, unit_box(0, 0, 10)), GroundTruth("img", 0, unit_box(20, 0, 10))]
         dets = [
-            Detection(unit_box(0, 0, 10), 0.5, 0),
-            Detection(unit_box(50, 0, 10), 0.5, 0),
-            Detection(unit_box(20, 0, 10), 0.5, 0),
+            Detection("img", 0, unit_box(0, 0, 10), 0.5),
+            Detection("img", 0, unit_box(50, 0, 10), 0.5),
+            Detection("img", 0, unit_box(20, 0, 10), 0.5),
         ]
         assert average_precision(dets, gts, 0.5) == brute_force_ap(dets, gts, 0.5)
         permuted = [dets[2], dets[0], dets[1]]
         assert average_precision(permuted, gts, 0.5) == brute_force_ap(permuted, gts, 0.5)
 
     def test_rejects_large_scenes(self):
-        dets = [Detection(unit_box(), 0.5, 0)] * 11
+        dets = [Detection("img", 0, unit_box(), 0.5)] * 11
         with pytest.raises(ContractError):
-            brute_force_ap(dets, [GroundTruth(unit_box(), 0)], 0.5)
+            brute_force_ap(dets, [GroundTruth("img", 0, unit_box())], 0.5)
 
 
 class TestMeanAp:
@@ -195,12 +237,10 @@ class TestEvaluateRecords:
             ("img", 0, Box(100, 0, 150, 50)),
             ("img", 0, Box(300, 0, 500, 200)),
         ]
-        from fusionneck.detmetrics import DetectionRecord, GroundTruthRecord
-
-        gt_records = [GroundTruthRecord(*g) for g in gts]
+        gt_records = [GroundTruth(*g) for g in gts]
         det_records = [
-            DetectionRecord("img", 0, Box(0, 0, 10, 10), 0.9),
-            DetectionRecord("img", 0, Box(100, 0, 150, 50), 0.8),
+            Detection("img", 0, Box(0, 0, 10, 10), 0.9),
+            Detection("img", 0, Box(100, 0, 150, 50), 0.8),
         ]
         res = evaluate_records(det_records, gt_records)
         assert res.per_class[0]["ap_small"] == 1.0
@@ -208,23 +248,24 @@ class TestEvaluateRecords:
         assert res.per_class[0]["ap_large"] == 0.0
 
     def test_rejects_thresholds_outside_unit_interval(self):
-        dets = [DetectionRecord("img", 0, unit_box(), 0.9)]
+        dets = [Detection("img", 0, unit_box(), 0.9)]
         for bad in ((0.0,), (0.5, 1.5), (float("nan"),)):
             with pytest.raises(ContractError, match="thresholds"):
                 evaluate_records(dets, [], bad)
 
     @pytest.mark.parametrize("score", [float("nan"), 1.5, -0.1])
     def test_rejects_scores_outside_unit_interval(self, score):
-        dets = [DetectionRecord("img", 0, unit_box(), 0.9), DetectionRecord("img", 0, unit_box(), score)]
+        # Detection refuses such a score itself; any record with the same
+        # attributes reaches evaluate_records' own check
+        bad = SimpleNamespace(image_id="img", class_id=0, box=unit_box(), score=score)
+        dets = [Detection("img", 0, unit_box(), 0.9), bad]
         with pytest.raises(ContractError, match="scores"):
-            evaluate_records(dets, [GroundTruthRecord("img", 0, unit_box())])
+            evaluate_records(dets, [GroundTruth("img", 0, unit_box())])
 
     def test_matching_respects_image_ids(self):
-        from fusionneck.detmetrics import DetectionRecord, GroundTruthRecord
-
-        gt_records = [GroundTruthRecord("a", 0, unit_box())]
+        gt_records = [GroundTruth("a", 0, unit_box())]
         # same coordinates but the wrong image: must not match
-        det_records = [DetectionRecord("b", 0, unit_box(), 0.9)]
+        det_records = [Detection("b", 0, unit_box(), 0.9)]
         res = evaluate_records(det_records, gt_records)
         assert res.per_class[0]["ap"] == 0.0
 
@@ -308,10 +349,10 @@ _box = st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h), _corner, _corner, _
 _image = st.sampled_from(["a", "b", "c"])
 _class = st.sampled_from([0, 1, 2])
 _dets = st.lists(
-    st.builds(DetectionRecord, _image, _class, _box, st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0])),
+    st.builds(Detection, _image, _class, _box, st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0])),
     max_size=25,
 )
-_gts = st.lists(st.builds(GroundTruthRecord, _image, _class, _box), max_size=15)
+_gts = st.lists(st.builds(GroundTruth, _image, _class, _box), max_size=15)
 _thresholds = st.lists(st.sampled_from([1.0, 0.75, 0.5, 0.3, 0.1]), min_size=1, max_size=5)
 
 
@@ -323,31 +364,31 @@ class TestEvaluateRecordsMatchesScalarReference:
         # zero-area pair in image b, nothing small or large; class 1 has only
         # detections, class 2 only a ground truth; thresholds repeat, unsorted
         dets=[
-            DetectionRecord("a", 0, Box(0, 0, 32, 32), 0.5),
-            DetectionRecord("a", 0, Box(0, 0, 32, 32), 0.5),
-            DetectionRecord("a", 1, Box(0, 0, 10, 10), 0.9),
-            DetectionRecord("b", 0, Box(8, 8, 8, 8), 0.5),
+            Detection("a", 0, Box(0, 0, 32, 32), 0.5),
+            Detection("a", 0, Box(0, 0, 32, 32), 0.5),
+            Detection("a", 1, Box(0, 0, 10, 10), 0.9),
+            Detection("b", 0, Box(8, 8, 8, 8), 0.5),
         ],
         gts=[
-            GroundTruthRecord("a", 0, Box(0, 0, 32, 32)),
-            GroundTruthRecord("a", 0, Box(0, 0, 32, 32)),
-            GroundTruthRecord("a", 2, Box(0, 0, 96, 96)),
-            GroundTruthRecord("b", 0, Box(8, 8, 8, 8)),
+            GroundTruth("a", 0, Box(0, 0, 32, 32)),
+            GroundTruth("a", 0, Box(0, 0, 32, 32)),
+            GroundTruth("a", 2, Box(0, 0, 96, 96)),
+            GroundTruth("b", 0, Box(8, 8, 8, 8)),
         ],
         thresholds=[0.75, 0.5, 0.75, 1.0],
     )
     @example(
         # the first detection has IoU 1/3 with both ground truths and takes
         # the first; the second then misses, as it overlaps only that one
-        dets=[DetectionRecord("a", 0, Box(8, 0, 24, 16), 0.9), DetectionRecord("a", 0, Box(0, 0, 16, 16), 0.5)],
-        gts=[GroundTruthRecord("a", 0, Box(0, 0, 16, 16)), GroundTruthRecord("a", 0, Box(16, 0, 32, 16))],
+        dets=[Detection("a", 0, Box(8, 0, 24, 16), 0.9), Detection("a", 0, Box(0, 0, 16, 16), 0.5)],
+        gts=[GroundTruth("a", 0, Box(0, 0, 16, 16)), GroundTruth("a", 0, Box(16, 0, 32, 16))],
         thresholds=[0.3],
     )
     @example(
         # equal scores match in input order: the first detection takes the
         # ground truth the second one needs, so only one of them hits
-        dets=[DetectionRecord("a", 0, Box(0, 0, 16, 16), 0.5), DetectionRecord("a", 0, Box(0, 0, 8, 16), 0.5)],
-        gts=[GroundTruthRecord("a", 0, Box(0, 0, 16, 16)), GroundTruthRecord("a", 0, Box(8, 0, 24, 16))],
+        dets=[Detection("a", 0, Box(0, 0, 16, 16), 0.5), Detection("a", 0, Box(0, 0, 8, 16), 0.5)],
+        gts=[GroundTruth("a", 0, Box(0, 0, 16, 16)), GroundTruth("a", 0, Box(8, 0, 24, 16))],
         thresholds=[0.3],
     )
     def test_equal_to_scalar_class_ap(self, dets, gts, thresholds):
@@ -360,8 +401,8 @@ class TestEvaluateRecordsMatchesScalarReference:
         dets, gts = [], []
         for i in range(40):
             scene_dets, scene_gts = random_scene(rng.split(i))
-            dets += [DetectionRecord(f"img{i % 7}", i % 3, d.box, d.score) for d in scene_dets]
-            gts += [GroundTruthRecord(f"img{i % 7}", i % 3, g.box) for g in scene_gts]
+            dets += [Detection(f"img{i % 7}", i % 3, d.box, d.score) for d in scene_dets]
+            gts += [GroundTruth(f"img{i % 7}", i % 3, g.box) for g in scene_gts]
         fixture = (load_detections(str(DATA / "dets_4class.txt")), load_ground_truths(str(DATA / "gts_4class.txt")))
         for scene in ((dets, gts), fixture):
             for thresholds in ((0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95), (0.9, 0.3, 0.3)):

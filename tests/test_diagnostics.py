@@ -18,7 +18,7 @@ class TestLevelStats:
         assert s.minimum == 0.0 and s.maximum == 0.0
 
     def test_constant(self):
-        s = level_stats(Tensor4.full(1, 2, 3, 3, 2.5))
+        s = level_stats(Tensor4(np.full((1, 2, 3, 3), 2.5)))
         np.testing.assert_array_equal(s.channel_mean, [2.5, 2.5])
         np.testing.assert_array_equal(s.channel_std, [0.0, 0.0])
 
@@ -82,7 +82,7 @@ class TestArtifactReport:
     def test_uniform_attention_uniform_norms(self):
         n = 9
         attn = [np.full((n, n), 1.0 / n)]
-        out = Tensor4.full(1, 2, 3, 3, 1.0)
+        out = Tensor4(np.full((1, 2, 3, 3), 1.0))
         rep = artifact_report(attn, out, k=3.0)
         assert rep.high_norm_fraction == 0.0
         np.testing.assert_allclose(rep.attention_mass, np.ones(n), atol=1e-12)
@@ -92,14 +92,14 @@ class TestArtifactReport:
         n = 4
         a = np.zeros((n, n))
         a[:, 1] = 1.0
-        rep = artifact_report([a], Tensor4.full(1, 1, 2, 2, 1.0), k=3.0)
+        rep = artifact_report([a], Tensor4(np.full((1, 1, 2, 2), 1.0)), k=3.0)
         np.testing.assert_allclose(rep.gini, (n - 1) / n, atol=1e-12)
 
     def test_equal_norms_zero_fraction(self):
         """Degenerate sigma: threshold collapses to the mean, strict > gives 0."""
         n = 4
         attn = [np.full((n, n), 0.25)]
-        rep = artifact_report(attn, Tensor4.full(2, 3, 2, 2, 0.7), k=3.0)
+        rep = artifact_report(attn, Tensor4(np.full((2, 3, 2, 2), 0.7)), k=3.0)
         assert rep.high_norm_fraction == 0.0
 
     def test_outlier_detected(self):

@@ -7,7 +7,8 @@ import pytest
 
 from fusionneck.attention import scse_recalibrate
 from fusionneck.convkit import ConvKernel, conv2d, pointwise_conv
-from fusionneck.errors import ConfigError, ParamsIOError, ShapeError
+from fusionneck import attention, convkit, tensor
+from fusionneck.errors import ConfigError, ContractError, ParamsIOError, ShapeError
 from fusionneck.neck import (
     PARAMS_FORMAT_VERSION,
     NeckConfig,
@@ -22,7 +23,7 @@ from fusionneck.neck import (
     save_params,
     synthetic_pyramid,
 )
-from fusionneck.tensor import Rng, Tensor4, concat_channels, grad_check, sum_all, add
+from fusionneck.tensor import Rng, Tape, Tensor4, concat_channels, grad_check, sum_all, add, weighted_sum
 from fusionneck.verify import random_neck_params
 
 
@@ -147,6 +148,16 @@ class TestPyramidIn:
         params = init_params(cfg, rng.split(2))
         with pytest.raises(ShapeError, match="c4"):
             neck_forward(pin, params, cfg)
+
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_names_level(self, level, bad):
+        cfg = small_cfg()
+        rng = Rng(0)
+        pin = synthetic_pyramid(cfg, 1, rng)
+        pin.level(level).data[0, -1, 1, 0] = bad
+        with pytest.raises(ContractError, match=f"c{level}: .*non-finite"):
+            neck_forward(pin, init_params(cfg, rng.split(2)), cfg)
 
 
 class TestForward:
@@ -306,6 +317,45 @@ class TestForward:
         assert grad_check(loss, params.values(), epsilon=1e-5) < 1e-4
 
 
+def _zero_buffer_accum(value, grad):
+    """Gradient accumulation as first written: a zeroed buffer, then ``+=``."""
+    if value.grad is None:
+        value.grad = np.zeros_like(value.data)
+    value.grad += grad
+
+
+class TestGradientAccumulation:
+    def test_default_config_gradients_equal_zero_buffer_rule(self, monkeypatch):
+        """Copying the first gradient changes no gradient bit (np.array_equal: zero signs may differ)."""
+        cfg = NeckConfig()
+        rng = Rng(0)
+        pin = synthetic_pyramid(cfg, 2, rng.split(1))
+        params = init_params(cfg, rng.split(2))
+        weights = [rng.normal((2, cfg.pyramid_width, cfg.base_height // d, cfg.base_width // d)) for d in (1, 2, 4)]
+
+        def gradients():
+            tape = Tape()
+            out = neck_forward(pin, params, cfg, tape)
+            loss = weighted_sum(out.p3, weights[0], tape)
+            loss = add(loss, weighted_sum(out.p4, weights[1], tape), tape)
+            loss = add(loss, weighted_sum(out.p5, weights[2], tape), tape)
+            loss.grad = np.ones(())
+            tape.backward()
+            grads = [v.grad for v in params.values()] + [pin.level(n).grad for n in (3, 4, 5)]
+            params.zero_grad()
+            for n in (3, 4, 5):
+                pin.level(n).zero_grad()
+            return grads
+
+        copied = gradients()
+        for module in (tensor, convkit, attention):
+            monkeypatch.setattr(module, "_accum", _zero_buffer_accum)
+        zero_buffer = gradients()
+        assert len(copied) == len(params.values()) + 3
+        for a, b in zip(copied, zero_buffer):
+            assert np.array_equal(a, b)
+
+
 class TestInitParams:
     def test_same_seed_bit_identical(self):
         cfg = small_cfg()
@@ -414,6 +464,14 @@ class TestSerialization:
             payload, name = payload + bytes(8), tensors[-1]["name"]
         with pytest.raises(ParamsIOError, match=f"{where} tensor {name} belong to no tensor".replace(".", "[.]")):
             load_params(pack_stream(manifest, payload), cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_tensor_named(self, bad):
+        cfg = small_cfg()
+        params = init_params(cfg, Rng(10))
+        params.tensors["level5.lateral.weight"].data[1, 0, 0, 0] = bad
+        with pytest.raises(ParamsIOError, match=r"level5\.lateral\.weight .*non-finite"):
+            load_params(save_params(params), cfg)
 
     def test_truncated_payload_names_tensor(self):
         cfg = small_cfg()

@@ -9,8 +9,10 @@ from fusionneck.errors import ContractError, EvaluationError, ShapeError
 from fusionneck.tensor import (
     Matrix,
     Rng,
+    Tape,
     Tensor4,
     Value,
+    _accum,
     add,
     concat_channels,
     global_avg_pool,
@@ -19,7 +21,6 @@ from fusionneck.tensor import (
     matmul,
     mul,
     softmax_rows,
-    sub,
     sum_all,
     weighted_sum,
 )
@@ -95,7 +96,7 @@ class TestMatmul:
     def test_identity(self):
         rng = np.random.default_rng(3)
         m = Matrix(rng.standard_normal((3, 3)))
-        out = matmul(Matrix.identity(3), m)
+        out = matmul(Matrix(np.eye(3)), m)
         np.testing.assert_allclose(out.data, m.data, atol=1e-15)
 
     def test_hand_case_vs_triple_loop(self):
@@ -274,12 +275,39 @@ class TestGradCheck:
 
         def loss(tape):
             gated = mul(logistic(x, tape), g, tape)
-            pooled = global_avg_pool(sub(gated, g, tape), tape)
+            pooled = global_avg_pool(add(gated, g, tape), tape)
             s1 = weighted_sum(pooled, w_t, tape)
             s2 = weighted_sum(softmax_rows(matmul(m, m, tape), tape), w_m, tape)
             return add(s1, s2, tape)
 
         assert grad_check(loss, [x, g, m], epsilon=1e-6) < 1e-5
+
+
+class TestAccum:
+    def test_first_gradient_is_a_copy(self):
+        v = Value(np.zeros((2, 3)))
+        g = np.ones((2, 3))
+        _accum(v, g)
+        assert not np.shares_memory(v.grad, g)
+        _accum(v, g)
+        assert np.array_equal(v.grad, np.full((2, 3), 2.0)) and np.array_equal(g, np.ones((2, 3)))
+
+    def test_read_only_broadcast_view_copied(self):
+        v = Value(np.zeros((2, 3)))
+        view = np.broadcast_to(np.arange(3.0), (2, 3))  # read-only, as sum_all and global_avg_pool pass
+        _accum(v, view)
+        assert not np.shares_memory(v.grad, view) and v.grad.flags.c_contiguous
+        _accum(v, view)
+        assert np.array_equal(v.grad, [[0.0, 2.0, 4.0], [0.0, 2.0, 4.0]])
+
+    def test_add_gives_each_operand_its_own_gradient(self):
+        a, b = Tensor4(np.zeros((1, 2, 2, 2))), Tensor4(np.zeros((1, 2, 2, 2)))
+        tape = Tape()
+        out = add(a, b, tape)
+        out.grad = np.ones(out.shape)
+        tape.backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, out.grad) and not np.shares_memory(b.grad, out.grad)
 
 
 class TestFiniteness:
