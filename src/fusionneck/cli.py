@@ -32,6 +32,7 @@ from .detmetrics import evaluate_records, load_detections, load_ground_truths
 from .errors import (
     ConfigError,
     ContractError,
+    EvaluationError,
     FileFormatError,
     FusionNeckError,
     ParamsIOError,
@@ -173,6 +174,9 @@ def cmd_forward(cfg: RunConfig) -> dict:
         Path(cfg.params_out).write_bytes(save_params(params))
     trace: dict = {}
     out = neck_forward(pin, params, cfg.neck, trace=trace if cfg.neck.use_mhsa else None)
+    for name, level in (("p3", out.p3), ("p4", out.p4), ("p5", out.p5)):
+        if not np.isfinite(level.data).all():  # NaN or inf would make the report invalid JSON
+            raise EvaluationError(f"forward output {name} is not finite")
     report = {
         "format_version": REPORT_FORMAT_VERSION,
         "config": cfg.echo(),

@@ -2,19 +2,21 @@
 
 Convolution here means cross-correlation (no kernel flip), the deep-learning
 convention.  The fast paths are lowered to BLAS matrix products (the GEMM
-lowering of Chellapilla et al., 2006).  ``conv2d`` copies the windows that a
-group of kernel taps reads from the padded input into one (B, taps·C,
-H_out·W_out) column buffer and multiplies it by the matching columns of the
-weight.  A group is as many taps as fit ``_COLUMN_BYTES``, so small maps take
-all taps in one product and large ones one tap per product, and the columns
-never outgrow the input there.  Its tape entry holds no copy of the input:
-the backward pads it again.  The backward rules are the same products
-transposed.  ``deconv2x`` is
-a single (O·4, C) @ (B, C, H·W) product followed by a transpose that
-interleaves the 2x2 blocks.  The ``naive_*`` functions re-derive the same
-definitions with explicit loops and serve as ground truth in equivalence
-tests.  ``ConvKernel`` and ``DeconvKernel`` hold the weight and bias arrays
-they are given and check their shapes; ``neck.init_params`` draws the neck's.
+lowering of Chellapilla et al., 2006).  ``conv2d`` reads the padded input
+through a read-only strided (B, C, kh, kw, H_out, W_out) window view, copies
+the columns of all kh·kw taps for a band of output rows in one go, and
+multiplies them by the weight read as an (O, C·kh·kw) matrix; each band
+writes its output rows directly.  The weight gradient sums g @ columnsᵀ over
+the same bands.  The input gradient is the same lowering run on g, padded
+by d·(k−1) − pad (cropped where that is negative), with the kernel flipped
+and its channel axes swapped.  A pointwise conv is one product with the
+input as it is.  Its tape entry holds no padded input and no columns: the
+backward builds them again.  ``deconv2x`` is a single (O·4, C) @ (B, C, H·W)
+product followed by a transpose that interleaves the 2x2 blocks.  The
+``naive_*`` functions re-derive the same definitions with explicit loops and
+serve as ground truth in equivalence tests.  ``ConvKernel`` and
+``DeconvKernel`` hold the weight and bias arrays they are given and check
+their shapes; ``neck.init_params`` draws the neck's.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .tensor import Tape, Tensor4, Value, _accum
 
-# conv2d builds the columns of as many kernel taps at once as fit in this many
-# bytes: all taps of a small map in one product, one tap per product at the
-# default config's finest level (64 channels, 32x32, batch 2), so the buffer
-# stays the size of the input there.
+# conv2d gathers the columns of as many output rows at once as fit in this
+# many bytes (at least one row): a small map is one band, and the default
+# config's finest level (64 channels, 32x32, batch 2) takes bands of 3 rows,
+# so the buffer stays below the size of the input there.  The backward uses
+# the same bands for both gradients.
 _COLUMN_BYTES = 1 << 20
 
 
@@ -130,13 +133,62 @@ def receptive_field_step(state: ReceptiveFieldState, k: int, dilation: int) -> R
     return ReceptiveFieldState(state.r + (k - 1) * dilation, state.layer + 1)
 
 
-def _pad(a: np.ndarray, p: int) -> np.ndarray:
-    """``a`` with ``p`` zeros around each spatial plane: zeros plus a copy, ~20x cheaper than np.pad here."""
-    if not p:
+def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """``a`` with ``ph`` zero rows and ``pw`` zero columns around each spatial plane.
+
+    Zeros plus a copy, ~20x cheaper than np.pad here.
+    """
+    if not (ph or pw):
         return a
     b, c, h, w = a.shape
-    out = np.zeros((b, c, h + 2 * p, w + 2 * p))
-    out[:, :, p : p + h, p : p + w] = a
+    out = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
+    out[:, :, ph : ph + h, pw : pw + w] = a
+    return out
+
+
+def _column_bands(a: np.ndarray, kh: int, kw: int, d: int, ph: int, pw: int):
+    """Yield (s, cols) for each band of output rows of a kh x kw, dilation-d conv of ``a``.
+
+    ``a`` is read as if zero-padded by ``ph`` rows and ``pw`` columns on each
+    side; a negative amount crops instead.  ``cols`` is (B, C·kh·kw, n), rows
+    ordered (channel, tap row, tap column) as in the weight's own layout, and
+    ``s`` slices the band's n positions out of the flattened output plane.
+    All taps of a band are gathered by one copy from a strided window view,
+    and the bands are as many output rows as fit ``_COLUMN_BYTES``.
+    """
+    b, c, h, w = a.shape
+    h_out = h + 2 * ph - d * (kh - 1)
+    w_out = w + 2 * pw - d * (kw - 1)
+    if kh == kw == 1 and ph == pw == 0:  # a pointwise conv reads its input as it is
+        yield slice(None), a.reshape(b, c, h * w)
+        return
+    ap = np.ascontiguousarray(_pad(a, max(ph, 0), max(pw, 0)))
+    sb, sc, sh, sw = ap.strides
+    window = np.ndarray(
+        (b, c, kh, kw, h_out, w_out), np.float64, ap,
+        offset=max(-ph, 0) * sh + max(-pw, 0) * sw,
+        strides=(sb, sc, d * sh, d * sw, sh, sw),
+    )
+    window.flags.writeable = False
+    k = c * kh * kw
+    rows = min(h_out, max(1, _COLUMN_BYTES // (b * k * w_out * ap.itemsize)))
+    buf = np.empty(b * k * rows * w_out)
+    for r0 in range(0, h_out, rows):
+        r = min(rows, h_out - r0)
+        cols = buf[: b * k * r * w_out].reshape(b, c, kh, kw, r, w_out)
+        cols[...] = window[..., r0 : r0 + r, :]
+        yield slice(r0 * w_out, (r0 + r) * w_out), cols.reshape(b, k, r * w_out)
+
+
+def _lowered(a: np.ndarray, wmat: np.ndarray, kh: int, kw: int, d: int, ph: int, pw: int) -> np.ndarray:
+    """``wmat`` (O, C·kh·kw) times the columns of ``a``, band by band, as (B, O, H_out·W_out)."""
+    b, c, h, w = a.shape
+    if kh == kw == 1 and not (ph or pw):  # pointwise: the input is its own column matrix
+        return np.matmul(wmat, a.reshape(b, c, h * w))
+    hw = (h + 2 * ph - d * (kh - 1)) * (w + 2 * pw - d * (kw - 1))
+    out = np.empty((b, wmat.shape[0], hw))
+    for s, cols in _column_bands(a, kh, kw, d, ph, pw):
+        np.matmul(wmat, cols, out=out[:, :, s])
     return out
 
 
@@ -146,95 +198,41 @@ def conv2d(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tensor4:
     Output spatial dims are H + 2·pad − dilation·(k−1); with a 3x3 kernel and
     pad = dilation this is "same" size.  Out-of-bounds taps read zero.
     """
-    b, c, h, w = x.dims
-    if c != k.in_channels:
-        raise ShapeError(f"conv2d: input has {c} channels, kernel expects {k.in_channels}")
+    b, c, h, w = x.data.shape
+    o, kc, kh, kw = k.weight.data.shape
+    if c != kc:
+        raise ShapeError(f"conv2d: input has {c} channels, kernel expects {kc}")
     d, p = k.dilation, k.padding
-    kh, kw = k.k_h, k.k_w
     h_out = h + 2 * p - d * (kh - 1)
     w_out = w + 2 * p - d * (kw - 1)
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"conv2d: kernel span exceeds padded input ({h}x{w}, d={d}, pad={p})")
-    o = k.out_channels
-    hw = h_out * w_out
-    ntaps = kh * kw
-    tap_bytes = b * c * hw * x.data.itemsize
-    # taps per product: the most that divide kh·kw and whose columns fit _COLUMN_BYTES
-    fits = [n for n in range(2, ntaps + 1) if ntaps % n == 0 and n * tap_bytes <= _COLUMN_BYTES]
-    group = max(fits, default=1)
-    wdat = k.weight.data
-
-    def weight_matrix() -> np.ndarray:
-        """(O, kh·kw·C), columns ordered (tap, channel): tap t owns columns t·C..(t+1)·C.
-
-        Built in the forward and again in the backward, so that the tape
-        holds no copy of the weight.
-        """
-        return np.ascontiguousarray(wdat.transpose(0, 2, 3, 1)).reshape(o, ntaps * c)
-
-    def window(a: np.ndarray, t: int) -> np.ndarray:
-        """The (B, ·, H_out, W_out) view of padded ``a`` that tap t = u·kw + v reads."""
-        u, v = divmod(t, kw)
-        return a[:, :, u * d : u * d + h_out, v * d : v * d + w_out]
-
-    def column_groups(xp: np.ndarray):
-        """Yield (a tap group's weight columns, padded ``xp``'s columns as (B, taps·C, H_out·W_out)).
-
-        The windows are copied into one buffer reused across groups: a fresh
-        array per group costs page faults that, at the default config,
-        outweigh the products themselves.
-        """
-        if ntaps == 1 and not p:  # a pointwise conv reads its input as it is
-            yield slice(None), xp.reshape(b, c, hw)
-            return
-        cols = np.empty((b, group, c, h_out, w_out))
-        for t0 in range(0, ntaps, group):
-            for t in range(t0, t0 + group):
-                cols[:, t - t0] = window(xp, t)
-            yield slice(t0 * c, (t0 + group) * c), cols.reshape(b, group * c, hw)
-
-    def weight_grad(g: np.ndarray) -> np.ndarray:
-        """Sum over the batch of g @ columnsᵀ, one tap group at a time, as (O, C, kh, kw).
-
-        The input is padded again here, so that the tape holds no padded copy.
-        """
-        gwmat = np.empty((o, ntaps * c))
-        for taps, cols in column_groups(_pad(x.data, p)):
-            gwmat[:, taps] = (g @ cols.transpose(0, 2, 1)).sum(axis=0)
-        return gwmat.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
-
-    def input_grad(g: np.ndarray) -> np.ndarray:
-        """Scatter each tap's W_tapᵀ @ g into the padded input gradient; return its interior."""
-        wmat = weight_matrix()
-        if ntaps == 1 and not p:  # pointwise: the product is the gradient
-            return (wmat.T @ g).reshape(b, c, h, w)
-        gxp = np.zeros((b, c, h + 2 * p, w + 2 * p))
-        gcols = np.empty((b, group * c, hw))
-        gtaps = gcols.reshape(b, group, c, h_out, w_out)
-        for t0 in range(0, ntaps, group):
-            np.matmul(wmat[:, t0 * c : (t0 + group) * c].T, g, out=gcols)
-            for t in range(t0, t0 + group):
-                window(gxp, t)[...] += gtaps[:, t - t0]
-        return gxp[:, :, p : p + h, p : p + w] if p else gxp
-
-    wmat = weight_matrix()
-    out_data = np.zeros((b, o, hw))
-    prod = np.empty_like(out_data)
-    for taps, cols in column_groups(_pad(x.data, p)):
-        out_data += np.matmul(wmat[:, taps], cols, out=prod)
-    out_data += k.bias.data[None, :, None]
+    out_data = _lowered(x.data, k.weight.data.reshape(o, c * kh * kw), kh, kw, d, p, p)
+    out_data += k.bias.data[:, None]
     out = Tensor4(out_data.reshape(b, o, h_out, w_out))
-    if tape is not None:
-        def backward() -> None:
-            g = out.grad
-            if g is None:
-                return
-            g = g.reshape(b, o, hw)
-            # weight, then input: the column and gradient buffers are never alive together
-            _accum(k.weight, weight_grad(g))
-            _accum(k.bias, g.sum(axis=(0, 2)))
-            _accum(x, input_grad(g))
-        tape.record(backward)
+    if tape is None:
+        return out
+
+    def backward() -> None:
+        g = out.grad
+        if g is None:
+            return
+        g = g.reshape(b, o, h_out * w_out)
+        # the input is padded again here, so that the tape holds no padded copy
+        gw = np.zeros((o, c * kh * kw))
+        for s, cols in _column_bands(x.data, kh, kw, d, p, p):
+            for gi, ci in zip(g[:, :, s], cols):
+                gw += gi @ ci.T
+        _accum(k.weight, gw.reshape(o, c, kh, kw))
+        _accum(k.bias, g.sum(axis=(0, 2)))
+        # the input gradient is the same lowering run on g with the flipped,
+        # transposed kernel; g padded by q = d·(k−1) − p, cropped where q < 0
+        wflip = k.weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
+        gx = _lowered(g.reshape(b, o, h_out, w_out), wflip, kh, kw, d,
+                      d * (kh - 1) - p, d * (kw - 1) - p)
+        _accum(x, gx.reshape(b, c, h, w))
+
+    tape.record(backward)
     return out
 
 

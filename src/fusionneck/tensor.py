@@ -123,12 +123,16 @@ class Rng:
     def __init__(self, seed: int, _path: tuple[int, ...] = ()) -> None:
         self.seed = int(seed)
         self._path = tuple(int(p) for p in _path)
+        if self.seed < 0:
+            raise ContractError(f"Rng seed must be >= 0, got {self.seed}")
         self._gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=self._path))
         )
 
     def split(self, index: int) -> "Rng":
         """Independent child stream identified by ``index``."""
+        if index < 0:
+            raise ContractError(f"Rng split index must be >= 0, got {index}")
         return Rng(self.seed, self._path + (index,))
 
     def normal(self, shape, sigma: float = 1.0) -> np.ndarray:

@@ -95,6 +95,7 @@ class TestForward:
         '{"in_channels": 5}',
         '{"dilations": "1,x"}',
         '{"seed": "7"}',
+        '{"seed": -1}',
         '{"batch": true}',
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, text):
@@ -103,12 +104,30 @@ class TestForward:
         assert main(["forward", "--config", str(cfg_file), "--report", str(tmp_path / "r.json")]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["[1, 2]", '{"pyramid_width": "64"}', '{"seed": 1.5}'])
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"pyramid_width": "64"}', '{"seed": 1.5}', '{"seed": -1}'])
     def test_params_init_bad_config_file_exits_2(self, tmp_path, capsys, text):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(text)
         assert main(["params", "init", "--config", str(cfg_file), "--out", str(tmp_path / "p.bin")]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["forward", "--seed", "-1", *SMALL],
+        ["params", "init", "--seed", "-1", *SMALL, "--out", "p.bin"],
+    ])
+    def test_negative_seed_flag_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_INPUT
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_output_exits_2_naming_the_level(self, tmp_path, capsys):
+        code, report = run_forward(tmp_path, "r.json", extra=["--init-sigma", "1e200"])
+        assert code == EXIT_INPUT
+        assert "forward output p3 is not finite" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_config_file_read_once(self, tmp_path, monkeypatch):
         import fusionneck.cli as cli_mod

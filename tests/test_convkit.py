@@ -1,5 +1,7 @@
 """Convolution kernels: fast paths vs. naive oracles, geometry, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,21 @@ class TestConv2d:
         k = ConvKernel(rng.normal((1, 1, 3, 3)), np.zeros(1), dilation=1, padding=1)
         scaled = naive_conv2d(Tensor4(3.0 * x.data), k).data
         np.testing.assert_allclose(scaled, 3.0 * naive_conv2d(x, k).data, atol=1e-12)
+
+    def test_conv2d_tape_retains_only_the_output(self):
+        """A taped p3 branch conv keeps its output alive, and no padded input or columns."""
+        rng = Rng(103)
+        x = Tensor4(rng.normal((2, 64, 32, 32)))
+        k = ConvKernel(rng.normal((64, 64, 3, 3)), np.zeros(64), dilation=2, padding=2)
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, k, tape)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes <= retained < out.data.nbytes + (64 << 10)
 
     def test_channel_mismatch(self):
         k = ConvKernel(np.zeros((1, 3, 3, 3)), np.zeros(1))
@@ -251,6 +268,43 @@ class TestConvGradients:
             return weighted_sum(conv2d(x, k, tape), w, tape)
 
         assert np.max(np.abs(conv2d(x, k).data - naive_conv2d(x, k).data)) < 1e-12
+        assert grad_check(loss, [x, k.weight, k.bias], epsilon=1e-6) < 1e-5
+
+    @pytest.mark.parametrize("band_rows, expected", [(1, [1] * 5), (2, [2, 2, 1])])
+    def test_row_bands(self, band_rows, expected, monkeypatch):
+        # a column budget of `band_rows` output rows; the last band is partial at 2
+        rng = Rng(130 + band_rows)
+        x = Tensor4(rng.normal((2, 3, 5, 7)))
+        k = ConvKernel(rng.normal((2, 3, 3, 3), 0.7), rng.normal((2,), 0.3), dilation=2, padding=2)
+        row_bytes = 2 * 3 * 9 * 7 * x.data.itemsize  # B · C·kh·kw · W_out columns per output row
+        monkeypatch.setattr(convkit, "_COLUMN_BYTES", band_rows * row_bytes)
+        bands = [cols.shape[2] // 7 for _, cols in convkit._column_bands(x.data, 3, 3, 2, 2, 2)]
+        assert bands == expected
+        w = rng.normal((2, 2, 5, 7))
+
+        def loss(tape):
+            return weighted_sum(conv2d(x, k, tape), w, tape)
+
+        assert np.max(np.abs(conv2d(x, k).data - naive_conv2d(x, k).data)) < 1e-12
+        assert grad_check(loss, [x, k.weight, k.bias], epsilon=1e-6) < 1e-5
+
+    # the input gradient pads g by q = d·(k−1) − pad per axis, and crops it
+    # where q < 0, once the padding exceeds d·(k−1); a 3x1 or 1x3 kernel pads
+    # one axis and crops the other (padding 0, q = 2d, is in the general-shapes test)
+    @pytest.mark.parametrize("kh, kw, dilation, pad", [
+        (3, 3, 1, 3), (3, 3, 2, 5), (3, 1, 1, 1), (1, 3, 2, 3), (1, 1, 1, 2),
+    ])
+    def test_input_gradient_pad_and_crop(self, kh, kw, dilation, pad):
+        rng = Rng(140 + 10 * kh + kw + dilation + pad)
+        x = Tensor4(rng.normal((2, 3, 5, 7)))
+        k = ConvKernel(rng.normal((2, 3, kh, kw), 0.7), rng.normal((2,), 0.3), dilation=dilation, padding=pad)
+        out = conv2d(x, k)
+        assert np.max(np.abs(out.data - naive_conv2d(x, k).data)) < 1e-12
+        w = rng.normal(out.shape)
+
+        def loss(tape):
+            return weighted_sum(conv2d(x, k, tape), w, tape)
+
         assert grad_check(loss, [x, k.weight, k.bias], epsilon=1e-6) < 1e-5
 
     @pytest.mark.parametrize("seed", range(5))

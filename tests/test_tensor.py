@@ -217,6 +217,12 @@ class TestRng:
         assert not np.array_equal(a, b)
         assert np.array_equal(a, Rng(5).split(0).normal((8,)))
 
+    def test_negative_seed_or_split_index_refused(self):
+        with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
+            Rng(-1)
+        with pytest.raises(ContractError, match="split index must be >= 0, got -3"):
+            Rng(0).split(-3)
+
 
 class TestGradCheck:
     def test_sum_of_squares(self):
