@@ -221,10 +221,6 @@ class ScseParams:
     def channels(self) -> int:
         return self.reduce.in_channels
 
-    @property
-    def reduction(self) -> int:
-        return self.channels // self.reduce.out_channels
-
     def values(self) -> list[Value]:
         return [*self.reduce.values(), *self.expand.values(), *self.spatial.values()]
 

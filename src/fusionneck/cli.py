@@ -29,15 +29,7 @@ import numpy as np
 from . import verify
 from .diagnostics import artifact_report, level_stats
 from .detmetrics import evaluate_records, load_detections, load_ground_truths
-from .errors import (
-    ConfigError,
-    ContractError,
-    EvaluationError,
-    FileFormatError,
-    FusionNeckError,
-    ParamsIOError,
-    ShapeError,
-)
+from .errors import ConfigError, EvaluationError, FusionNeckError, ShapeError
 from .neck import (
     NeckConfig,
     init_params,
@@ -58,86 +50,72 @@ EXIT_BROKEN_PIPE = 141
 REPORT_FORMAT_VERSION = 2
 
 CONFIG_FLAGS = {
-    # dest -> (flag, type, help)
-    "pyramid_width": ("--pyramid-width", int, "shared channel width of p3/p4/p5"),
-    "head_count": ("--heads", int, "attention head count (must divide pyramid width)"),
-    "dilations": ("--dilations", str, "comma-separated dilation set, e.g. 1,2,3"),
-    "gating_mode": ("--gating", str, "gate squashing: raw or logistic"),
-    "atrous_mode": ("--atrous-mode", str, "standard | atrous | attention_atrous"),
-    "init_sigma": ("--init-sigma", float, "Gaussian std for weight init"),
-    "scse_reduction": ("--scse-reduction", int, "channel-gate reduction ratio"),
-    "base_height": ("--height", int, "base (c3) height, divisible by 4"),
-    "base_width": ("--width", int, "base (c3) width, divisible by 4"),
+    # NeckConfig field -> (flag, help); the flag's type follows the field's default
+    "pyramid_width": ("--pyramid-width", "shared channel width of p3/p4/p5"),
+    "head_count": ("--heads", "attention head count (must divide pyramid width)"),
+    "dilations": ("--dilations", "comma-separated dilation set, e.g. 1,2,3"),
+    "gating_mode": ("--gating", "gate squashing: raw or logistic"),
+    "atrous_mode": ("--atrous-mode", "standard | atrous | attention_atrous"),
+    "init_sigma": ("--init-sigma", "Gaussian std for weight init"),
+    "scse_reduction": ("--scse-reduction", "channel-gate reduction ratio"),
+    "base_height": ("--height", "base (c3) height, divisible by 4"),
+    "base_width": ("--width", "base (c3) width, divisible by 4"),
+    "use_mhsa": ("--use-mhsa", "enable the attention gate on the top-down path"),
+    "use_registers": ("--use-registers", "enable register biases inside the attention gate"),
 }
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from None
+
+
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file with the same keys as the flags")
-    for dest, (flag, typ, help_text) in CONFIG_FLAGS.items():
-        parser.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
+    parser.add_argument("--config", help="JSON file with the keys and values of a report's config echo")
+    defaults = NeckConfig()
+    for dest, (flag, help_text) in CONFIG_FLAGS.items():
+        default = getattr(defaults, dest)
+        if isinstance(default, bool):
+            kind = {"action": argparse.BooleanOptionalAction}
+        else:
+            kind = {"type": _int_list if isinstance(default, tuple) else type(default)}
+        parser.add_argument(flag, dest=dest, default=None, help=help_text, **kind)
     parser.add_argument("--c3", type=int, default=None, help="c3 channel count")
     parser.add_argument("--c4", type=int, default=None, help="c4 channel count")
     parser.add_argument("--c5", type=int, default=None, help="c5 channel count")
-    parser.add_argument(
-        "--use-mhsa", action=argparse.BooleanOptionalAction, default=None,
-        help="enable the attention gate on the top-down path",
-    )
-    parser.add_argument(
-        "--use-registers", action=argparse.BooleanOptionalAction, default=None,
-        help="enable register biases inside the attention gate",
-    )
 
 
-RUN_EXTRAS = ("seed", "batch")  # RunConfig keys a config file holds beside NeckConfig's
+def resolve_run(args: argparse.Namespace) -> tuple[NeckConfig, int, int]:
+    """A run's (neck config, seed, batch): defaults, then ``--config``, then explicit flags.
 
-
-def _load_config_file(args: argparse.Namespace) -> dict:
-    """The ``--config`` file's JSON object, or {} without one."""
-    if not args.config:
-        return {}
-    try:
-        loaded = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
-    if not isinstance(loaded, dict):
-        raise ConfigError(f"config file {args.config} must hold a JSON object, got {type(loaded).__name__}")
-    return loaded
-
-
-def _run_extra(args: argparse.Namespace, file_config: dict, key: str, fallback: int) -> int:
-    """seed/batch resolve as: explicit flag > config file > hard default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    value = file_config.get(key)
-    if value is None:
-        return fallback
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _neck_config_from_args(args: argparse.Namespace, file_config: dict) -> NeckConfig:
-    values = NeckConfig().to_dict()
-    values.update((k, v) for k, v in file_config.items() if k not in RUN_EXTRAS)
-    for dest in CONFIG_FLAGS:
-        arg = getattr(args, dest)
-        if arg is not None:
-            values[dest] = arg
-    for flag, dest in (("use_mhsa", "use_mhsa"), ("use_registers", "use_registers")):
-        arg = getattr(args, flag)
-        if arg is not None:
-            values[dest] = arg
-    flags = [getattr(args, name) for name in ("c3", "c4", "c5")]
-    channels = values["in_channels"]
-    if isinstance(channels, (list, tuple)) and len(channels) == 3:  # else from_dict rejects it
-        values["in_channels"] = [c if flag is None else flag for c, flag in zip(channels, flags)]
-    if isinstance(values["dilations"], str):
+    The three merge into one dict of JSON values keyed and typed like a
+    report's ``config`` echo, so a config file holds exactly what an echo
+    holds.  Any bad key or value raises a ``ConfigError``.
+    """
+    values = {**NeckConfig().to_dict(), "seed": 0, "batch": 2}
+    if args.config:
         try:
-            values["dilations"] = tuple(int(v) for v in values["dilations"].split(","))
-        except ValueError:
-            raise ConfigError(f"bad dilation list {values['dilations']!r}") from None
-    return NeckConfig.from_dict(values)
+            loaded = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object, got {type(loaded).__name__}")
+        values.update(loaded)
+    for key in (*CONFIG_FLAGS, "seed", "batch"):
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    channels, flags = values["in_channels"], (args.c3, args.c4, args.c5)
+    if isinstance(channels, list) and len(channels) == 3:  # else NeckConfig rejects it
+        values["in_channels"] = [c if flag is None else flag for c, flag in zip(channels, flags)]
+    seed, batch = values.pop("seed"), values.pop("batch")
+    for key, value in (("seed", seed), ("batch", batch)):
+        if type(value) is not int:
+            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    if batch < 1:
+        raise ConfigError(f"batch must be >= 1, got {batch}")
+    return NeckConfig.from_dict(values), seed, batch
 
 
 @dataclasses.dataclass
@@ -173,7 +151,8 @@ def cmd_forward(cfg: RunConfig) -> dict:
     if cfg.params_out:
         Path(cfg.params_out).write_bytes(save_params(params))
     trace: dict = {}
-    out = neck_forward(pin, params, cfg.neck, trace=trace if cfg.neck.use_mhsa else None)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the level instead
+        out = neck_forward(pin, params, cfg.neck, trace=trace if cfg.neck.use_mhsa else None)
     for name, level in (("p3", out.p3), ("p4", out.p4), ("p5", out.p5)):
         if not np.isfinite(level.data).all():  # NaN or inf would make the report invalid JSON
             raise EvaluationError(f"forward output {name} is not finite")
@@ -207,17 +186,8 @@ def _write_report(doc: dict, path: str | None) -> None:
 
 
 def _forward(args: argparse.Namespace) -> int:
-    file_config = _load_config_file(args)
-    cfg = RunConfig(
-        neck=_neck_config_from_args(args, file_config),
-        seed=_run_extra(args, file_config, "seed", 0),
-        batch=_run_extra(args, file_config, "batch", 2),
-        report_path=args.report,
-        params_in=args.params_in,
-        params_out=args.params_out,
-    )
-    if cfg.batch < 1:
-        raise ConfigError(f"batch must be >= 1, got {cfg.batch}")
+    neck, seed, batch = resolve_run(args)
+    cfg = RunConfig(neck, seed, batch, args.report, args.params_in, args.params_out)
     report = cmd_forward(cfg)
     _write_report(report, cfg.report_path)
     if cfg.report_path:
@@ -270,9 +240,8 @@ def _eval(args: argparse.Namespace) -> int:
 
 def _params(args: argparse.Namespace) -> int:
     if args.action == "init":
-        file_config = _load_config_file(args)
-        cfg = _neck_config_from_args(args, file_config)
-        params = init_params(cfg, Rng(_run_extra(args, file_config, "seed", 0)).split(2))
+        cfg, seed, _ = resolve_run(args)
+        params = init_params(cfg, Rng(seed).split(2))
         Path(args.out).write_bytes(save_params(params))
         print(f"wrote {args.out}")
         return EXIT_OK
@@ -342,10 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     except ShapeError as exc:
         print(f"shape error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except (ConfigError, ContractError, FileFormatError, ParamsIOError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FusionNeckError as exc:  # any other package error is an input problem
+    except (FusionNeckError, OSError) as exc:  # every other package error is an input problem
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -127,20 +128,8 @@ class NeckConfig:
         raise ConfigError(f"unknown top-down step {step!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "pyramid_width": self.pyramid_width,
-            "head_count": self.head_count,
-            "dilations": list(self.dilations),
-            "gating_mode": self.gating_mode,
-            "use_mhsa": self.use_mhsa,
-            "use_registers": self.use_registers,
-            "atrous_mode": self.atrous_mode,
-            "init_sigma": self.init_sigma,
-            "scse_reduction": self.scse_reduction,
-            "in_channels": list(self.in_channels),
-            "base_height": self.base_height,
-            "base_width": self.base_width,
-        }
+        """Every field as a JSON value, tuples as lists: the config echo."""
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NeckConfig":
@@ -163,8 +152,8 @@ def _has_field_type(value, default) -> bool:
         return isinstance(value, bool)
     if isinstance(default, int):
         return _is_int(value)
-    if isinstance(default, float):  # JSON also reads NaN and Infinity
-        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    if isinstance(default, float):  # JSON also reads NaN, Infinity and ints beyond the float range
+        return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
     if isinstance(default, str):
         return isinstance(value, str)
     return isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)  # int tuples
@@ -428,31 +417,36 @@ def synthetic_pyramid(cfg: NeckConfig, batch: int, rng: Rng) -> PyramidIn:
     )
 
 
+def _tensor_index(cfg: NeckConfig) -> list[dict]:
+    """The manifest's tensor index: ``parameter_spec`` order, payloads back to back."""
+    index, offset = [], 0
+    for name, shape in parameter_spec(cfg):
+        index.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * math.prod(shape)
+    return index
+
+
 def save_params(params: NeckParams) -> bytes:
     """Serialize to a manifest header plus raw little-endian float64 payload.
 
     Layout: one ASCII header line ``fusionneck-params <version> <manifest_len>``,
-    a JSON manifest (format version, config echo, named tensor index with
-    shapes and payload byte offsets), then the concatenated tensor data.
-    The round trip is bit-exact.
+    a JSON manifest (format version, config echo, and the tensor index of
+    ``_tensor_index``: names, shapes and payload byte offsets), then the
+    concatenated tensor data.  The round trip is bit-exact.
     """
-    named = params.named_values()
-    tensors = []
-    offset = 0
-    chunks = []
-    for name, value in named:
-        data = np.ascontiguousarray(value.data, dtype="<f8")
-        tensors.append({"name": name, "shape": list(value.shape), "offset": offset})
-        chunks.append(data.tobytes())
-        offset += data.nbytes
+    index = _tensor_index(params.config)
+    for entry, value in zip(index, params.values()):
+        if list(value.shape) != entry["shape"]:
+            raise ShapeError(f"tensor {entry['name']} has shape {value.shape}, expected {tuple(entry['shape'])}")
     manifest = {
         "format_version": PARAMS_FORMAT_VERSION,
         "config": params.config.to_dict(),
-        "tensors": tensors,
+        "tensors": index,
     }
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("ascii")
     header = f"{PARAMS_MAGIC} {PARAMS_FORMAT_VERSION} {len(manifest_bytes)}\n".encode("ascii")
-    return header + manifest_bytes + b"".join(chunks)
+    payload = b"".join(np.ascontiguousarray(v.data, dtype="<f8").tobytes() for v in params.values())
+    return header + manifest_bytes + payload
 
 
 def read_manifest(stream: bytes) -> tuple[dict, bytes]:
@@ -503,13 +497,12 @@ def read_manifest(stream: bytes) -> tuple[dict, bytes]:
 
 
 def load_params(stream: bytes, cfg: NeckConfig) -> NeckParams:
-    """Parse a parameter stream, checking every tensor against ``cfg``.
+    """Parse a parameter stream written by ``save_params`` for ``cfg``.
 
-    Errors name the offending tensor: unknown/missing names, shape mismatches
-    against the config-derived layout, truncated or overlapping payload
-    ranges, payload bytes that no tensor covers and NaN or infinite values
-    are all rejected.  A config echo that disagrees with ``cfg`` is refused
-    up front.
+    The stream must be exactly what ``save_params`` writes: a config echo
+    equal to ``cfg``'s, the tensor index ``_tensor_index(cfg)`` entry for
+    entry, a payload of exactly the indexed length, and finite values.
+    Anything else raises ``ParamsIOError`` naming the first tensor at fault.
     """
     manifest, payload = read_manifest(stream)
     echo = manifest["config"]
@@ -518,38 +511,27 @@ def load_params(stream: bytes, cfg: NeckConfig) -> NeckParams:
         diffs = [k for k in expected_cfg if echo.get(k) != expected_cfg[k]]
         diffs += [k for k in echo if k not in expected_cfg]
         raise ParamsIOError(f"config mismatch on keys: {sorted(set(diffs))}")
-    entries = {t["name"]: t for t in manifest["tensors"]}
-    spec = parameter_spec(cfg)
-    expected_names = [name for name, _ in spec]
-    extra = set(entries) - set(expected_names)
-    if extra:
-        raise ParamsIOError(f"unexpected tensor in manifest: {sorted(extra)[0]}")
-    arrays: dict[str, np.ndarray] = {}
-    spans: list[tuple[int, int, str]] = []
-    for name, shape in spec:
-        entry = entries.get(name)
-        if entry is None:
-            raise ParamsIOError(f"missing tensor {name}")
-        if tuple(entry["shape"]) != shape:
+    index, tensors = _tensor_index(cfg), manifest["tensors"]
+    for i, want in enumerate(index):
+        got = tensors[i] if i < len(tensors) else None
+        if got != want:
+            where = f"right after tensor {index[i - 1]['name']}" if i else "the payload start"
             raise ParamsIOError(
-                f"shape mismatch for tensor {name}: manifest {tuple(entry['shape'])}, expected {shape}"
+                f"manifest entry {i} must be tensor {want['name']} with shape {tuple(want['shape'])} "
+                f"at offset {want['offset']} ({where}), found {json.dumps(got, sort_keys=True)}"
             )
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["offset"]
-        end = start + count * 8
-        if start < 0 or end > len(payload):
+    if len(tensors) > len(index):
+        raise ParamsIOError(f"unexpected tensor in manifest: {tensors[len(index)]['name']}")
+    arrays: dict[str, np.ndarray] = {}
+    end = 0
+    for entry in index:
+        name, start = entry["name"], entry["offset"]
+        end = start + 8 * math.prod(entry["shape"])
+        if end > len(payload):
             raise ParamsIOError(f"truncated payload for tensor {name}")
-        spans.append((start, end, name))
-        arrays[name] = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
+        arrays[name] = np.frombuffer(payload[start:end], dtype="<f8").reshape(entry["shape"]).copy()
         if not np.isfinite(arrays[name]).all():
             raise ParamsIOError(f"tensor {name} holds non-finite values")
-    covered, previous = 0, None
-    for start, end, name in sorted(spans):
-        if start < covered:
-            raise ParamsIOError(f"payload of tensor {name} overlaps tensor {previous}")
-        if start > covered:
-            raise ParamsIOError(f"payload bytes {covered}..{start} before tensor {name} belong to no tensor")
-        covered, previous = end, name
-    if covered < len(payload):
-        raise ParamsIOError(f"payload bytes {covered}..{len(payload)} after tensor {previous} belong to no tensor")
+    if end < len(payload):
+        raise ParamsIOError(f"payload bytes {end}..{len(payload)} after tensor {index[-1]['name']} belong to no tensor")
     return _params_from_arrays(cfg, arrays)

@@ -64,9 +64,6 @@ class Value:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def copy(self) -> "Value":
-        return type(self)(self.data.copy())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(shape={self.shape})"
 

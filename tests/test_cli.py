@@ -5,13 +5,25 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fusionneck.cli import EXIT_BROKEN_PIPE, EXIT_INPUT, EXIT_OK, EXIT_SHAPE, EXIT_VERIFY_FAILED, main
-from fusionneck.errors import ShapeError
-from fusionneck.neck import PARAMS_FORMAT_VERSION, read_manifest
+from fusionneck.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_SHAPE,
+    EXIT_VERIFY_FAILED,
+    build_parser,
+    main,
+    resolve_run,
+)
+from fusionneck.errors import FusionNeckError, ShapeError
+from fusionneck.neck import PARAMS_FORMAT_VERSION, NeckConfig, read_manifest
 
 DATA = Path(__file__).parent / "data"
 
@@ -22,6 +34,19 @@ SMALL = [
     "--c3", "3", "--c4", "4", "--c5", "5",
     "--height", "8", "--width", "8",
 ]
+
+RUN_KEYS = [*NeckConfig.__dataclass_fields__, "seed", "batch"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+PLAUSIBLE = [0, 1, 2, 3, 4, 8, 64, 0.5, "raw", "logistic", "standard", "atrous", [1, 2, 3], [1, 1], [3, 4, 5], True, False]
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("resolver") / "cfg.json"
 
 
 def run_forward(tmp_path, name, extra=()):
@@ -94,6 +119,7 @@ class TestForward:
         '{"init_sigma": NaN}',
         '{"in_channels": 5}',
         '{"dilations": "1,x"}',
+        '{"dilations": "1,2"}',
         '{"seed": "7"}',
         '{"seed": -1}',
         '{"batch": true}',
@@ -104,7 +130,14 @@ class TestForward:
         assert main(["forward", "--config", str(cfg_file), "--report", str(tmp_path / "r.json")]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["[1, 2]", '{"pyramid_width": "64"}', '{"seed": 1.5}', '{"seed": -1}'])
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"pyramid_width": "64"}',
+        '{"seed": 1.5}',
+        '{"seed": -1}',
+        '{"batch": true}',
+        '{"batch": 0}',
+    ])
     def test_params_init_bad_config_file_exits_2(self, tmp_path, capsys, text):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(text)
@@ -121,13 +154,19 @@ class TestForward:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_output_exits_2_naming_the_level(self, tmp_path, capsys):
-        code, report = run_forward(tmp_path, "r.json", extra=["--init-sigma", "1e200"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy RuntimeWarning would escape main as an exception
+            code, report = run_forward(tmp_path, "r.json", extra=["--init-sigma", "1e200"])
         assert code == EXIT_INPUT
-        assert "forward output p3 is not finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: forward output p3 is not finite\n"
         assert not report.exists()
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_bytes(b'\xff{"seed": 1}')
+        assert main(["forward", "--config", str(cfg_file)]) == EXIT_INPUT
+        assert "cannot read config file" in capsys.readouterr().err
 
     def test_config_file_read_once(self, tmp_path, monkeypatch):
         import fusionneck.cli as cli_mod
@@ -154,6 +193,25 @@ class TestForward:
         replay = tmp_path / "replay.json"
         assert main(["forward", "--config", str(cfg_file), "--report", str(replay)]) == EXIT_OK
         assert replay.read_bytes() == original.read_bytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.dictionaries(st.sampled_from(RUN_KEYS), JSON_VALUES | st.sampled_from(PLAUSIBLE), max_size=3))
+    @example({"init_sigma": 10**400})
+    @example({"dilations": [1, 2], "batch": 1, "use_mhsa": False})
+    def test_resolver_returns_a_config_or_a_named_error(self, config_path, file_values):
+        """A config file over the known keys resolves to a config or raises a FusionNeckError.
+
+        What resolves reads back to itself from its own echo.  The resolver
+        runs no forward, so huge sizes cost nothing here.
+        """
+        config_path.write_text(json.dumps(file_values))
+        args = build_parser().parse_args(["forward", "--config", str(config_path)])
+        try:
+            neck, seed, batch = resolve_run(args)
+        except FusionNeckError:
+            return
+        config_path.write_text(json.dumps({**neck.to_dict(), "seed": seed, "batch": batch}))
+        assert resolve_run(args) == (neck, seed, batch)
 
     def test_shape_error_maps_to_exit_3(self, monkeypatch, tmp_path, capsys):
         import fusionneck.cli as cli_mod

@@ -1,9 +1,12 @@
 """Neck topology: shapes, ablations, directionality, init, serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionneck.attention import scse_recalibrate
 from fusionneck.convkit import ConvKernel, conv2d, pointwise_conv
@@ -88,6 +91,7 @@ class TestConfig:
         {"init_sigma": False},
         {"init_sigma": float("nan")},
         {"init_sigma": float("inf")},
+        {"init_sigma": 10**400},  # a JSON int too large for a float
         {"dilations": 5},
         {"dilations": [1, "2"]},
         {"in_channels": [16, 32.5, 64]},
@@ -406,10 +410,35 @@ class TestInitParams:
         assert sorted(map(id, reachable)) == sorted(map(id, params.values()))
 
 
-def pack_stream(manifest: dict, payload: bytes) -> bytes:
-    """A parameter stream with the given manifest and payload, as save_params lays it out."""
+def pack_stream(manifest: dict, payload: bytes, version: int = PARAMS_FORMAT_VERSION, length_delta: int = 0) -> bytes:
+    """A parameter stream with the given manifest and payload, as save_params lays it out.
+
+    ``version`` and ``length_delta`` edit the header's format version and manifest length.
+    """
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("ascii")
-    return f"fusionneck-params {PARAMS_FORMAT_VERSION} {len(manifest_bytes)}\n".encode("ascii") + manifest_bytes + payload
+    header = f"fusionneck-params {version} {len(manifest_bytes) + length_delta}\n"
+    return header.encode("ascii") + manifest_bytes + payload
+
+
+def relaid(tensors: list[dict], chunks: dict[str, bytes]) -> bytes:
+    """Give ``tensors`` back-to-back offsets in list order; return the payload laid out to match."""
+    offset = 0
+    for t in tensors:
+        t["offset"] = offset
+        offset += len(chunks[t["name"]])
+    return b"".join(chunks[t["name"]] for t in tensors)
+
+
+def saved_stream(cfg: NeckConfig, seed: int) -> tuple[dict, bytes, dict[str, bytes]]:
+    """(manifest, payload, payload bytes by tensor name) of a freshly saved stream."""
+    manifest, payload = read_manifest(save_params(init_params(cfg, Rng(seed))))
+    chunks = {}
+    for t in manifest["tensors"]:
+        chunks[t["name"]] = payload[t["offset"]:t["offset"] + 8 * int(np.prod(t["shape"]))]
+    return manifest, payload, chunks
+
+
+STREAM_EDITS = ("reorder", "drop", "duplicate", "name", "shape", "offset", "truncate", "extend", "version", "length")
 
 
 class TestSerialization:
@@ -421,6 +450,15 @@ class TestSerialization:
         for (na, va), (nb, vb) in zip(params.named_values(), restored.named_values()):
             assert na == nb
             assert va.data.tobytes() == vb.data.tobytes()
+
+    def test_save_refuses_a_value_off_the_layout(self):
+        """A value reshaped after init would be written under its spec shape; save_params refuses it."""
+        cfg = small_cfg()
+        params = init_params(cfg, Rng(7))
+        value = params.tensors["level3.lateral.weight"]
+        value.data = value.data.reshape(value.shape[1], value.shape[0], 1, 1)
+        with pytest.raises(ShapeError, match=r"level3\.lateral\.weight"):
+            save_params(params)
 
     def test_payload_length_matches_manifest(self):
         cfg = small_cfg()
@@ -447,7 +485,7 @@ class TestSerialization:
         manifest, payload = read_manifest(blob)
         first, second = manifest["tensors"][:2]
         second["offset"] = first["offset"]
-        with pytest.raises(ParamsIOError, match="overlaps") as exc:
+        with pytest.raises(ParamsIOError, match="right after tensor") as exc:
             load_params(pack_stream(manifest, payload), cfg)
         assert first["name"] in str(exc.value) and second["name"] in str(exc.value)
 
@@ -460,10 +498,68 @@ class TestSerialization:
             for t in tensors:
                 t["offset"] += 8
             payload, name = bytes(8) + payload, tensors[0]["name"]
+            message = rf"entry 0 must be tensor {re.escape(name)} .* at offset 0 \(the payload start\)"
         else:
             payload, name = payload + bytes(8), tensors[-1]["name"]
-        with pytest.raises(ParamsIOError, match=f"{where} tensor {name} belong to no tensor".replace(".", "[.]")):
+            message = f"after tensor {re.escape(name)} belong to no tensor"
+        with pytest.raises(ParamsIOError, match=message):
             load_params(pack_stream(manifest, payload), cfg)
+
+    def test_reordered_entries_refused(self):
+        """Entries in another order, with offsets and payload moved to match, are not the layout save_params writes."""
+        cfg = small_cfg()
+        manifest, _, chunks = saved_stream(cfg, 9)
+        tensors = manifest["tensors"]
+        tensors[0], tensors[1] = tensors[1], tensors[0]
+        payload = relaid(tensors, chunks)
+        with pytest.raises(ParamsIOError, match=r"entry 0 must be tensor level3\.lateral\.weight"):
+            load_params(pack_stream(manifest, payload), cfg)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_structured_edit_never_loads(self, data):
+        """Every structured edit of a saved stream raises ParamsIOError.
+
+        Edits: reorder, drop or duplicate entries (the payload relaid to
+        match); change one entry's name, shape or offset; truncate or extend
+        the payload; change the header's version or manifest length.  Raw
+        payload byte flips are out of scope: the stream carries no checksum,
+        so a flip that leaves a finite value loads as that value.
+        """
+        cfg = small_cfg()
+        manifest, payload, chunks = saved_stream(cfg, 5)
+        tensors = manifest["tensors"]
+        n = len(tensors)
+        edit = data.draw(st.sampled_from(STREAM_EDITS), label="edit")
+        i = data.draw(st.integers(0, n - 1), label="entry")
+        version, length_delta = PARAMS_FORMAT_VERSION, 0
+        if edit == "reorder":
+            order = data.draw(st.permutations(range(n)).filter(lambda p: list(p) != list(range(n))))
+            tensors[:] = [tensors[j] for j in order]
+            payload = relaid(tensors, chunks)
+        elif edit == "drop":
+            del tensors[i]
+            payload = relaid(tensors, chunks)
+        elif edit == "duplicate":
+            tensors.insert(i, dict(tensors[i]))
+            payload = relaid(tensors, chunks)
+        elif edit == "name":
+            tensors[i]["name"] = data.draw(st.text(max_size=30).filter(lambda s: s != tensors[i]["name"]))
+        elif edit == "shape":
+            old = tensors[i]["shape"]
+            tensors[i]["shape"] = data.draw(st.lists(st.integers(0, 20), max_size=5).filter(lambda s: s != old))
+        elif edit == "offset":
+            tensors[i]["offset"] += data.draw(st.integers(-len(payload), len(payload)).filter(bool))
+        elif edit == "truncate":
+            payload = payload[:-data.draw(st.integers(1, len(payload)))]
+        elif edit == "extend":
+            payload += data.draw(st.binary(min_size=1, max_size=64))
+        elif edit == "version":
+            version = data.draw(st.integers(-10, 10**6).filter(lambda v: v != PARAMS_FORMAT_VERSION))
+        else:
+            length_delta = data.draw(st.integers(-200, 200).filter(bool))
+        with pytest.raises(ParamsIOError):
+            load_params(pack_stream(manifest, payload, version, length_delta), cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_tensor_named(self, bad):
