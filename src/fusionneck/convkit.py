@@ -3,20 +3,22 @@
 Convolution here means cross-correlation (no kernel flip), the deep-learning
 convention.  The fast paths are lowered to BLAS matrix products (the GEMM
 lowering of Chellapilla et al., 2006).  ``conv2d`` reads the padded input
-through a read-only strided (B, C, kh, kw, H_out, W_out) window view, copies
-the columns of all kh·kw taps for a band of output rows in one go, and
-multiplies them by the weight read as an (O, C·kh·kw) matrix; each band
-writes its output rows directly.  The weight gradient sums g @ columnsᵀ over
-the same bands.  The input gradient is the same lowering run on g, padded
-by d·(k−1) − pad (cropped where that is negative), with the kernel flipped
-and its channel axes swapped.  A pointwise conv is one product with the
-input as it is.  Its tape entry holds no padded input and no columns: the
-backward builds them again.  ``deconv2x`` is a single (O·4, C) @ (B, C, H·W)
-product followed by a transpose that interleaves the 2x2 blocks.  The
-``naive_*`` functions re-derive the same definitions with explicit loops and
-serve as ground truth in equivalence tests.  ``ConvKernel`` and
-``DeconvKernel`` hold the weight and bias arrays they are given and check
-their shapes; ``neck.init_params`` draws the neck's.
+through a read-only strided (B, C, kh, kw, H_out, W_out) window view and runs
+a plain loop over bands of output rows: each band's columns, all kh·kw taps
+of its rows, are copied by one reshape and multiplied by the weight read as
+an (O, C·kh·kw) matrix, and the product lands in the band's output rows.  A
+map that fits ``_COLUMN_BYTES`` is one band and one product.  The weight
+gradient sums g @ columnsᵀ over the same bands.  The input gradient is the
+same lowering run on g, padded by d·(k−1) − pad (cropped where that is
+negative), with the kernel flipped and its channel axes swapped.  Its tape
+entry holds no padded input and no columns: the backward builds them again.
+``pointwise_conv`` is its own primitive: one (O, C) @ (B, C, H·W) product,
+with a backward rule of three products of the same shapes.  ``deconv2x`` is
+a single (O·4, C) @ (B, C, H·W) product followed by a transpose that
+interleaves the 2x2 blocks.  The ``naive_*`` functions re-derive the same
+definitions with explicit loops and serve as ground truth in equivalence
+tests.  ``ConvKernel`` and ``DeconvKernel`` hold the weight and bias arrays
+they are given and check their shapes; ``neck.init_params`` draws the neck's.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .tensor import Tape, Tensor4, Value, _accum
 
-# conv2d gathers the columns of as many output rows at once as fit in this
+# conv2d copies the columns of as many output rows at once as fit in this
 # many bytes (at least one row): a small map is one band, and the default
 # config's finest level (64 channels, 32x32, batch 2) takes bands of 3 rows,
-# so the buffer stays below the size of the input there.  The backward uses
-# the same bands for both gradients.
+# so a band's columns stay below the size of the input there.  The backward
+# uses the same bands for both gradients.
 _COLUMN_BYTES = 1 << 20
 
 
@@ -146,22 +148,19 @@ def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return out
 
 
-def _column_bands(a: np.ndarray, kh: int, kw: int, d: int, ph: int, pw: int):
-    """Yield (s, cols) for each band of output rows of a kh x kw, dilation-d conv of ``a``.
+def _tap_window(a: np.ndarray, kh: int, kw: int, d: int, ph: int, pw: int) -> tuple[np.ndarray, int]:
+    """The taps of a kh x kw, dilation-d conv of ``a``, and the output rows per band.
 
     ``a`` is read as if zero-padded by ``ph`` rows and ``pw`` columns on each
-    side; a negative amount crops instead.  ``cols`` is (B, C·kh·kw, n), rows
-    ordered (channel, tap row, tap column) as in the weight's own layout, and
-    ``s`` slices the band's n positions out of the flattened output plane.
-    All taps of a band are gathered by one copy from a strided window view,
-    and the bands are as many output rows as fit ``_COLUMN_BYTES``.
+    side; a negative amount crops instead.  The window is a read-only
+    (B, C, kh, kw, H_out, W_out) view: reshaping a band of its output rows to
+    (B, C·kh·kw, rows·W_out) copies the columns of all taps at once, rows
+    ordered (channel, tap row, tap column) as in the weight's own layout.  A
+    band is as many output rows as fit ``_COLUMN_BYTES``.
     """
     b, c, h, w = a.shape
     h_out = h + 2 * ph - d * (kh - 1)
     w_out = w + 2 * pw - d * (kw - 1)
-    if kh == kw == 1 and ph == pw == 0:  # a pointwise conv reads its input as it is
-        yield slice(None), a.reshape(b, c, h * w)
-        return
     ap = np.ascontiguousarray(_pad(a, max(ph, 0), max(pw, 0)))
     sb, sc, sh, sw = ap.strides
     window = np.ndarray(
@@ -170,25 +169,19 @@ def _column_bands(a: np.ndarray, kh: int, kw: int, d: int, ph: int, pw: int):
         strides=(sb, sc, d * sh, d * sw, sh, sw),
     )
     window.flags.writeable = False
-    k = c * kh * kw
-    rows = min(h_out, max(1, _COLUMN_BYTES // (b * k * w_out * ap.itemsize)))
-    buf = np.empty(b * k * rows * w_out)
-    for r0 in range(0, h_out, rows):
-        r = min(rows, h_out - r0)
-        cols = buf[: b * k * r * w_out].reshape(b, c, kh, kw, r, w_out)
-        cols[...] = window[..., r0 : r0 + r, :]
-        yield slice(r0 * w_out, (r0 + r) * w_out), cols.reshape(b, k, r * w_out)
+    rows = min(h_out, max(1, _COLUMN_BYTES // (b * c * kh * kw * w_out * ap.itemsize)))
+    return window, rows
 
 
 def _lowered(a: np.ndarray, wmat: np.ndarray, kh: int, kw: int, d: int, ph: int, pw: int) -> np.ndarray:
     """``wmat`` (O, C·kh·kw) times the columns of ``a``, band by band, as (B, O, H_out·W_out)."""
-    b, c, h, w = a.shape
-    if kh == kw == 1 and not (ph or pw):  # pointwise: the input is its own column matrix
-        return np.matmul(wmat, a.reshape(b, c, h * w))
-    hw = (h + 2 * ph - d * (kh - 1)) * (w + 2 * pw - d * (kw - 1))
-    out = np.empty((b, wmat.shape[0], hw))
-    for s, cols in _column_bands(a, kh, kw, d, ph, pw):
-        np.matmul(wmat, cols, out=out[:, :, s])
+    window, rows = _tap_window(a, kh, kw, d, ph, pw)
+    b, _, _, _, h_out, w_out = window.shape
+    o, k = wmat.shape
+    out = np.empty((b, o, h_out * w_out))
+    for r0 in range(0, h_out, rows):
+        cols = window[..., r0 : r0 + rows, :].reshape(b, k, -1)
+        np.matmul(wmat, cols, out=out[:, :, r0 * w_out : (r0 + rows) * w_out])
     return out
 
 
@@ -219,9 +212,11 @@ def conv2d(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tensor4:
             return
         g = g.reshape(b, o, h_out * w_out)
         # the input is padded again here, so that the tape holds no padded copy
+        window, rows = _tap_window(x.data, kh, kw, d, p, p)
         gw = np.zeros((o, c * kh * kw))
-        for s, cols in _column_bands(x.data, kh, kw, d, p, p):
-            for gi, ci in zip(g[:, :, s], cols):
+        for r0 in range(0, h_out, rows):
+            cols = window[..., r0 : r0 + rows, :].reshape(b, c * kh * kw, -1)
+            for gi, ci in zip(g[:, :, r0 * w_out : (r0 + rows) * w_out], cols):
                 gw += gi @ ci.T
         _accum(k.weight, gw.reshape(o, c, kh, kw))
         _accum(k.bias, g.sum(axis=(0, 2)))
@@ -237,12 +232,41 @@ def conv2d(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tensor4:
 
 
 def pointwise_conv(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tensor4:
-    """1x1 convolution: per-pixel linear map across channels plus bias."""
-    if k.k_h != 1 or k.k_w != 1:
-        raise ContractError(f"pointwise_conv: kernel is {k.k_h}x{k.k_w}, expected 1x1")
+    """1x1 convolution: per-pixel linear map across channels plus bias.
+
+    One product W (O, C) @ x (B, C, H·W); the backward is gW = Σ_b g_b x_bᵀ,
+    gb = Σ g and gx = Wᵀ g.
+    """
+    o, c, kh, kw = k.weight.data.shape
+    if kh != 1 or kw != 1:
+        raise ContractError(f"pointwise_conv: kernel is {kh}x{kw}, expected 1x1")
     if k.padding != 0:
         raise ContractError("pointwise_conv: padding must be 0")
-    return conv2d(x, k, tape)
+    b, xc, h, w = x.data.shape
+    if xc != c:
+        raise ShapeError(f"pointwise_conv: input has {xc} channels, kernel expects {c}")
+    wmat = k.weight.data.reshape(o, c)
+    xm = x.data.reshape(b, c, h * w)
+    out_data = np.matmul(wmat, xm)
+    out_data += k.bias.data[:, None]
+    out = Tensor4(out_data.reshape(b, o, h, w))
+    if tape is None:
+        return out
+
+    def backward() -> None:
+        g = out.grad
+        if g is None:
+            return
+        g = g.reshape(b, o, h * w)
+        gw = np.zeros((o, c))
+        for gi, xi in zip(g, xm):
+            gw += gi @ xi.T
+        _accum(k.weight, gw.reshape(o, c, 1, 1))
+        _accum(k.bias, g.sum(axis=(0, 2)))
+        _accum(x, np.matmul(wmat.T, g).reshape(b, c, h, w))
+
+    tape.record(backward)
+    return out
 
 
 def naive_conv2d(x: Tensor4, k: ConvKernel) -> Tensor4:

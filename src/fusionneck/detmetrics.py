@@ -518,7 +518,13 @@ def _parse_line(path: str, lineno: int, line: str, with_score: bool) -> Detectio
 
 
 def _iter_records(path: str):
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode, so their line count numbers its line
+        lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise FileFormatError(f"{path}:{lineno}: byte {exc.start} is not UTF-8 text") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:

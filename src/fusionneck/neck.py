@@ -181,7 +181,7 @@ class PyramidIn:
                 )
 
     def level(self, n: int) -> Tensor4:
-        return {3: self.c3, 4: self.c4, 5: self.c5}[n]
+        return getattr(self, f"c{n}")
 
 
 @dataclass

@@ -72,7 +72,9 @@ class Tensor4(Value):
     """(batch, channel, height, width) tensor, row-major float64."""
 
     def __init__(self, data) -> None:
-        super().__init__(data)
+        # Value.__init__ inlined: every primitive builds its output here
+        self.data = np.asarray(data, dtype=np.float64, order="C")
+        self.grad = None
         if self.data.ndim != 4:
             raise ShapeError(f"Tensor4 requires 4 axes, got shape {self.data.shape}")
 
@@ -166,10 +168,10 @@ def _reduce_to(shape: tuple[int, ...], grad: np.ndarray) -> np.ndarray:
 
 
 def _check_binary(op: str, a: Value, b: Value) -> None:
+    if type(a) is type(b) and a.data.shape == b.data.shape:
+        return
     if type(a) is not type(b):
         raise ShapeError(f"{op}: mixed operand types {type(a).__name__}/{type(b).__name__}")
-    if a.shape == b.shape:
-        return
     if isinstance(a, Tensor4) and _gate_broadcastable(a.shape, b.shape):
         return
     raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not compatible")
@@ -242,7 +244,8 @@ def logistic(v: Value, tape: Tape | None = None) -> Value:
     """Numerically stable logistic squashing into (0, 1)."""
     x = v.data
     e = np.exp(-np.abs(x))  # never overflows; equals exp(-x) for x >= 0 and exp(x) below
-    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = np.where(x >= 0, 1.0, e)  # 1/(1+e) for x >= 0, e/(1+e) below
+    y /= 1.0 + e
     out = type(v)(y)
     if tape is not None:
         def backward() -> None:
@@ -255,7 +258,9 @@ def logistic(v: Value, tape: Tape | None = None) -> Value:
 def global_avg_pool(x: Tensor4, tape: Tape | None = None) -> Tensor4:
     """Mean over the spatial plane per (batch, channel) -> (B, C, 1, 1)."""
     b, c, h, w = x.dims
-    out = Tensor4(x.data.mean(axis=(2, 3), keepdims=True))
+    pooled = x.data.sum(axis=(2, 3), keepdims=True)
+    pooled /= h * w  # what np.mean computes, without its Python wrapper
+    out = Tensor4(pooled)
     if tape is not None:
         def backward() -> None:
             g = out.grad

@@ -449,6 +449,17 @@ class TestEval:
         assert code == EXIT_INPUT
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_flag", ["--detections", "--ground-truth"])
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys, bad_flag):
+        files = {"--detections": tmp_path / "det.txt", "--ground-truth": tmp_path / "gt.txt"}
+        files["--detections"].write_text("img0 0 0 0 10 10 0.9\n")
+        files["--ground-truth"].write_text("img0 0 0 0 10 10\n")
+        files[bad_flag].write_bytes(b"img0 0 0 0 10 10\xff\n")
+        code = main(["eval", *(str(part) for pair in files.items() for part in pair)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {files[bad_flag]}:1: byte 16 is not UTF-8 text"]
+
     def test_custom_thresholds(self, tmp_path):
         report = tmp_path / "r.json"
         code = main([

@@ -87,16 +87,19 @@ class TestConv2d:
         scaled = naive_conv2d(Tensor4(3.0 * x.data), k).data
         np.testing.assert_allclose(scaled, 3.0 * naive_conv2d(x, k).data, atol=1e-12)
 
-    def test_conv2d_tape_retains_only_the_output(self):
-        """A taped p3 branch conv keeps its output alive, and no padded input or columns."""
+    @pytest.mark.parametrize("op, ksize, dilation, pad", [
+        (conv2d, 3, 2, 2), (pointwise_conv, 1, 1, 0),
+    ], ids=["conv2d", "pointwise_conv"])
+    def test_conv2d_tape_retains_only_the_output(self, op, ksize, dilation, pad):
+        """A taped p3 branch or lateral conv keeps its output alive, and no padded input or columns."""
         rng = Rng(103)
         x = Tensor4(rng.normal((2, 64, 32, 32)))
-        k = ConvKernel(rng.normal((64, 64, 3, 3)), np.zeros(64), dilation=2, padding=2)
+        k = ConvKernel(rng.normal((64, 64, ksize, ksize)), np.zeros(64), dilation=dilation, padding=pad)
         tape = Tape()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = conv2d(x, k, tape)
+            out = op(x, k, tape)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -278,7 +281,8 @@ class TestConvGradients:
         k = ConvKernel(rng.normal((2, 3, 3, 3), 0.7), rng.normal((2,), 0.3), dilation=2, padding=2)
         row_bytes = 2 * 3 * 9 * 7 * x.data.itemsize  # B · C·kh·kw · W_out columns per output row
         monkeypatch.setattr(convkit, "_COLUMN_BYTES", band_rows * row_bytes)
-        bands = [cols.shape[2] // 7 for _, cols in convkit._column_bands(x.data, 3, 3, 2, 2, 2)]
+        window, rows = convkit._tap_window(x.data, 3, 3, 2, 2, 2)
+        bands = [window[..., r0 : r0 + rows, :].shape[4] for r0 in range(0, window.shape[4], rows)]
         assert bands == expected
         w = rng.normal((2, 2, 5, 7))
 
@@ -290,9 +294,10 @@ class TestConvGradients:
 
     # the input gradient pads g by q = d·(k−1) − pad per axis, and crops it
     # where q < 0, once the padding exceeds d·(k−1); a 3x1 or 1x3 kernel pads
-    # one axis and crops the other (padding 0, q = 2d, is in the general-shapes test)
+    # one axis and crops the other (padding 0, q = 2d, is in the general-shapes test);
+    # a 1x1 kernel at padding 0 runs through the same window as any other
     @pytest.mark.parametrize("kh, kw, dilation, pad", [
-        (3, 3, 1, 3), (3, 3, 2, 5), (3, 1, 1, 1), (1, 3, 2, 3), (1, 1, 1, 2),
+        (3, 3, 1, 3), (3, 3, 2, 5), (3, 1, 1, 1), (1, 3, 2, 3), (1, 1, 1, 2), (1, 1, 1, 0),
     ])
     def test_input_gradient_pad_and_crop(self, kh, kw, dilation, pad):
         rng = Rng(140 + 10 * kh + kw + dilation + pad)

@@ -1,5 +1,6 @@
 """IoU, 11-point interpolated AP vs. the cutoff oracle, mAP, and file I/O."""
 
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -270,6 +271,58 @@ class TestEvaluateRecords:
         assert res.per_class[0]["ap"] == 0.0
 
 
+# Tokens a malformed interchange field may hold: non-finite and out-of-range
+# numbers, huge and underscored integers, other spellings of numbers, words.
+_odd_token = st.one_of(
+    st.sampled_from([
+        "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "9" * 5000,
+        "1_000", "1__0", "_1", "1_", "0x1f", "1.5e", "--1", "+2", "1.0.0",
+    ]),
+    st.integers(-10**30, 10**30).map(str),
+    st.floats(-2.0, 2.0).map(repr),
+    st.text(st.sampled_from("abcxyz019._-+"), min_size=1, max_size=6),
+)
+_axis = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(0, 4))
+
+
+@st.composite
+def _interchange_line(draw, with_score: bool) -> str:
+    """A record (mostly well formed, corners inverted one time in five) with
+    some fields replaced by odd tokens, one dropped or one added; or a
+    comment or a blank line."""
+    kind = draw(st.sampled_from(["record", "record", "record", "comment", "blank"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["# header", "   # indented", "#"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    (x0, x1, kx), (y0, y1, ky) = draw(_axis), draw(_axis)
+    x0, x1 = sorted((x0, x1)) if kx else (max(x0, x1), min(x0, x1))
+    y0, y1 = sorted((y0, y1)) if ky else (max(y0, y1), min(y0, y1))
+    fields = [draw(st.sampled_from(["img", "a.png", "0"])), str(draw(st.integers(-3, 3))),
+              repr(x0), repr(y0), repr(x1), repr(y1)]
+    if with_score:
+        fields.append(draw(st.floats(-0.25, 1.25).map(repr) | st.sampled_from(["0", "1", "0.5"])))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(_odd_token)
+    edit = draw(st.sampled_from(["none", "none", "none", "drop", "add"]))
+    if edit == "drop":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    elif edit == "add":
+        fields.insert(draw(st.integers(0, len(fields))), draw(_odd_token))
+    return " ".join(fields) + draw(st.sampled_from(["", "", "  # trailing"]))
+
+
+def _as_line(record) -> str:
+    b = record.box
+    line = f"{record.image_id} {record.class_id} {b.x_min!r} {b.y_min!r} {b.x_max!r} {b.y_max!r}"
+    return f"{line} {record.score!r}" if isinstance(record, Detection) else line
+
+
+@pytest.fixture(scope="module")
+def lines_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("interchange") / "lines.txt"
+
+
 class TestInterchangeFiles:
     def test_round_trip_counts(self):
         dets = load_detections(str(DATA / "dets_4class.txt"))
@@ -306,6 +359,40 @@ class TestInterchangeFiles:
         bad = tmp_path / "bad.txt"
         bad.write_text("img 0 0 0 1 1 1.5\n")
         with pytest.raises(FileFormatError, match=":1:"):
+            load_detections(str(bad))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.booleans().flatmap(
+        lambda with_score: st.tuples(st.just(with_score), st.lists(_interchange_line(with_score), max_size=6))
+    ))
+    def test_each_line_loads_or_names_itself(self, lines_path, case):
+        """A file loads the records its lines load one by one, or fails at the
+        first line that fails alone, naming path:lineno; valid records
+        written back as lines load as equal records."""
+        with_score, lines = case
+        load = load_detections if with_score else load_ground_truths
+        records, first_bad = [], None
+        for lineno, line in enumerate(lines, start=1):
+            lines_path.write_text(line + "\n")
+            try:
+                records += load(str(lines_path))
+            except FileFormatError as exc:
+                assert str(exc).startswith(f"{lines_path}:1: "), str(exc)
+                first_bad = first_bad or lineno
+        lines_path.write_text("".join(line + "\n" for line in lines))
+        if first_bad is not None:
+            with pytest.raises(FileFormatError) as info:
+                load(str(lines_path))
+            assert str(info.value).startswith(f"{lines_path}:{first_bad}: "), str(info.value)
+            return
+        assert load(str(lines_path)) == records
+        lines_path.write_text("".join(_as_line(r) + "\n" for r in records))
+        assert load(str(lines_path)) == records
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"img 0 0 0 1 1 0.5\r\nimg 0 0 0 1 1 0.\xff5\n")
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(bad))}:2: byte 35 is not UTF-8"):
             load_detections(str(bad))
 
 
