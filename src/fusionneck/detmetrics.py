@@ -32,15 +32,24 @@ Interchange files are line-oriented text, one box per line:
     detections:    image_id class_id x_min y_min x_max y_max score
     ground truth:  image_id class_id x_min y_min x_max y_max
 
-Fields are whitespace-separated; blank lines and ``#`` comments are skipped.
-Box coordinates must be finite.  The loaders return ``Detection`` and
-``GroundTruth`` records, the one record pair that every function here takes:
-each carries its image id, class id and box, and a detection its score.
+A line ends at a line feed (a carriage return before it is dropped); fields
+are separated by whitespace, which includes every other line separator.
+Blank lines and ``#`` comments are skipped.  Box coordinates must be finite.
+The loaders return ``Detection`` and ``GroundTruth`` records, the one record
+pair that every function here takes: each carries its image id, class id and
+box, and a detection its score.  ``Box``, ``Detection`` and ``GroundTruth``
+are immutable named tuples, checked on every construction, ``_make`` and
+``_replace`` included; like any tuple, a ``Box`` equals the plain 4-tuple of
+its corners.  ``evaluate_records`` reads only the ``image_id``, ``class_id``,
+``box`` and ``score`` attributes, and a box as its four corners in order.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -59,47 +68,51 @@ SIZE_BUCKETS = {
     "large": (LARGE_AREA, _INF),
 }
 _PAIR_BLOCK = 512  # detections whose pairs evaluate_records builds at once
+_box, _class_id, _image_id, _score = map(attrgetter, ("box", "class_id", "image_id", "score"))
 
 
-@dataclass(frozen=True)
-class Box:
+class _Checked:
+    """Mixin for the record tuples: ``_make``, and with it ``_replace``, go
+    through the checking ``__new__`` instead of ``tuple.__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Box(_Checked, namedtuple("Box", "x_min y_min x_max y_max")):
     """Axis-aligned box in continuous pixel coordinates."""
 
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, x_min: float, y_min: float, x_max: float, y_max: float) -> Box:
+        self = tuple.__new__(cls, (x_min, y_min, x_max, y_max))
         # one chained comparison: false for NaN, infinities and inverted corners
-        if not (-_INF < self.x_min <= self.x_max < _INF and -_INF < self.y_min <= self.y_max < _INF):
+        if not (-_INF < x_min <= x_max < _INF and -_INF < y_min <= y_max < _INF):
             raise ContractError(f"box needs finite coordinates with min <= max: {self}")
+        return self
 
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(_Checked, namedtuple("Detection", "image_id class_id box score")):
     """Scored class-labelled box in one image; the score lies in [0, 1]."""
 
-    image_id: str
-    class_id: int
-    box: Box
-    score: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:  # false for NaN too
-            raise ContractError(f"score {self.score} outside [0, 1]")
+    def __new__(cls, image_id: str, class_id: int, box: Box, score: float) -> Detection:
+        if not 0.0 <= score <= 1.0:  # false for NaN too
+            raise ContractError(f"score {score} outside [0, 1]")
+        return tuple.__new__(cls, (image_id, class_id, box, score))
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(namedtuple("GroundTruth", "image_id class_id box")):
     """Reference class-labelled box in one image."""
 
-    image_id: str
-    class_id: int
-    box: Box
+    __slots__ = ()
 
 
 def iou(a: Box, b: Box) -> float:
@@ -285,15 +298,17 @@ def _class_ap(
     return _interpolated_ap(_pr_points(dets, _gts_by_image(gts), iou_thresh))
 
 
-def _indices(keys: Iterable, table: dict) -> np.ndarray:
-    """Dense index of each key in ``table``, adding unseen keys in order."""
-    return np.fromiter((table.setdefault(k, len(table)) for k in keys), dtype=np.intp)
+def _indices(*columns: Sequence) -> tuple[dict, list[np.ndarray]]:
+    """Keys numbered in order of first appearance across the columns, and
+    each column as an array of those numbers."""
+    table = {k: i for i, k in enumerate(dict.fromkeys(chain(*columns)))}
+    return table, [np.fromiter(map(table.__getitem__, c), dtype=np.intp, count=len(c)) for c in columns]
 
 
 def _boxes(records: Sequence) -> np.ndarray:
     """(4, n) array of x_min, y_min, x_max, y_max rows, in record order."""
-    corners = ((r.box.x_min, r.box.y_min, r.box.x_max, r.box.y_max) for r in records)
-    return np.fromiter(corners, dtype=np.dtype((np.float64, 4)), count=len(records)).T
+    corners = chain.from_iterable(map(_box, records))
+    return np.fromiter(corners, dtype=np.float64, count=4 * len(records)).reshape(len(records), 4).T
 
 
 def _size_buckets(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -441,14 +456,12 @@ def evaluate_records(
         raise ContractError("evaluate_records: need at least one threshold")
     if not all(0.0 < t <= 1.0 for t in thresholds):
         raise ContractError(f"evaluate_records: thresholds must lie in (0, 1], got {list(thresholds)}")
-    class_ids: dict = {}
-    images: dict = {}
-    d_cls, g_cls = _indices((d.class_id for d in dets), class_ids), _indices((g.class_id for g in gts), class_ids)
-    d_img, g_img = _indices((d.image_id for d in dets), images), _indices((g.image_id for g in gts), images)
+    class_ids, (d_cls, g_cls) = _indices(list(map(_class_id, dets)), list(map(_class_id, gts)))
+    images, (d_img, g_img) = _indices(list(map(_image_id, dets)), list(map(_image_id, gts)))
     classes = sorted(class_ids)
     if not classes:
         raise ContractError("evaluate_records: no classes present")
-    d_score = np.fromiter((d.score for d in dets), dtype=np.float64, count=len(dets))
+    d_score = np.fromiter(map(_score, dets), dtype=np.float64, count=len(dets))
     if not np.all((0.0 <= d_score) & (d_score <= 1.0)):  # NaN would rank unlike sorted()
         raise ContractError("evaluate_records: detection scores must lie in [0, 1]")
     rank = np.argsort(-d_score, kind="stable")
@@ -499,43 +512,43 @@ def evaluate_records(
     )
 
 
-def _parse_line(path: str, lineno: int, line: str, with_score: bool) -> Detection | GroundTruth:
-    fields = line.split()
-    expected = 7 if with_score else 6
-    if len(fields) != expected:
-        raise FileFormatError(f"{path}:{lineno}: expected {expected} fields, got {len(fields)}")
-    try:
-        class_id = int(fields[1])
-        coords = [float(v) for v in fields[2:6]]
-        score = float(fields[6]) if with_score else None
-    except ValueError as exc:
-        raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    try:  # Box checks the coordinates and Detection the score
-        box = Box(*coords)
-        return Detection(fields[0], class_id, box, score) if with_score else GroundTruth(fields[0], class_id, box)
-    except ContractError as exc:
-        raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+def _load(path: str, with_score: bool) -> list:
+    """Records of an interchange file; a malformed row raises naming ``path:lineno``.
 
-
-def _iter_records(path: str):
+    A line ends at a line feed; a carriage return before it, and any other
+    line separator, is whitespace within the line.
+    """
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the bytes before the bad one decode, so their line count numbers its line
-        lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        lineno = data.count(b"\n", 0, exc.start) + 1
         raise FileFormatError(f"{path}:{lineno}: byte {exc.start} is not UTF-8 text") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+    expected = 7 if with_score else 6
+    records = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = line.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) != expected:
+            raise FileFormatError(f"{path}:{lineno}: expected {expected} fields, got {len(fields)}")
+        try:  # all fields parse before Box checks the coordinates and Detection the score
+            class_id = int(fields[1])
+            corners = float(fields[2]), float(fields[3]), float(fields[4]), float(fields[5])
+            score = float(fields[6]) if with_score else None
+            box = Box(*corners)
+            records.append(Detection(fields[0], class_id, box, score) if with_score
+                           else GroundTruth(fields[0], class_id, box))
+        except (ValueError, ContractError) as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+    return records
 
 
 def load_detections(path: str) -> list[Detection]:
     """Read a detection interchange file; malformed rows name their line."""
-    return [_parse_line(path, lineno, line, with_score=True) for lineno, line in _iter_records(path)]
+    return _load(path, with_score=True)
 
 
 def load_ground_truths(path: str) -> list[GroundTruth]:
     """Read a ground-truth interchange file; malformed rows name their line."""
-    return [_parse_line(path, lineno, line, with_score=False) for lineno, line in _iter_records(path)]
+    return _load(path, with_score=False)

@@ -460,6 +460,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {files[bad_flag]}:1: byte 16 is not UTF-8 text"]
 
+    def test_only_a_line_feed_ends_a_line(self, tmp_path, capsys):
+        # the form feed is whitespace, so line 1 holds two records' fields
+        gt = tmp_path / "gt.txt"
+        det = tmp_path / "det.txt"
+        gt.write_text("img 0 0 0 1 1\n")
+        det.write_bytes(b"img 0 0 0 1 1 0.5\x0cimg 0 0 0 1 1 0.5\nimg 0 x 0 1 1 0.5\n")
+        code = main(["eval", "--detections", str(det), "--ground-truth", str(gt)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.splitlines() == [f"error: {det}:1: expected 7 fields, got 14"]
+
     def test_custom_thresholds(self, tmp_path):
         report = tmp_path / "r.json"
         code = main([

@@ -1,5 +1,6 @@
 """IoU, 11-point interpolated AP vs. the cutoff oracle, mAP, and file I/O."""
 
+import pickle
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionneck.detmetrics import (
+    DEFAULT_THRESHOLDS,
     SIZE_BUCKETS,
     ApResult,
     Box,
@@ -144,6 +146,37 @@ class TestRecords:
         ]
         assert load_ground_truths(str(gt_file)) == [GroundTruth("img2", 3, Box(1, 1, 2, 2))]
 
+    @pytest.mark.parametrize("build", [
+        lambda: unit_box()._replace(x_max=float("nan")),
+        lambda: unit_box()._replace(y_min=float("-inf")),
+        lambda: unit_box()._replace(x_min=2.0),
+        lambda: Box._make([2, 0, 1, 1]),
+        lambda: Box._make([0, 0, 1, float("inf")]),
+        lambda: Detection("img", 0, unit_box(), 0.5)._replace(score=1.5),
+        lambda: Detection._make(["img", 0, unit_box(), 1.5]),
+    ], ids=["replace-nan", "replace-inf", "replace-inverted", "make-inverted", "make-inf",
+            "replace-score", "make-score"])
+    def test_replace_and_make_are_checked(self, build):
+        with pytest.raises(ContractError):
+            build()
+
+    def test_records_are_immutable(self):
+        det = Detection("img", 0, unit_box(), 0.5)
+        for record, field in ((det.box, "x_max"), (det, "score"), (GroundTruth("img", 0, unit_box()), "box")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0.0)
+            with pytest.raises(AttributeError):
+                record.extra = 0.0
+
+    def test_records_hash_and_pickle_equal(self):
+        box = Box(0.0, 1.0, 2.0, 3.0)
+        for record in (box, Detection("img", 2, box, 0.25), GroundTruth("img", 2, box)):
+            again = pickle.loads(pickle.dumps(record))
+            assert again == record and type(again) is type(record)
+            assert hash(again) == hash(record)
+        assert box == (0.0, 1.0, 2.0, 3.0)
+        assert repr(box) == "Box(x_min=0.0, y_min=1.0, x_max=2.0, y_max=3.0)"
+
 
 class TestImageConfinedMatching:
     """Two images hold the same boxes, so only the image id keeps matches apart."""
@@ -263,6 +296,18 @@ class TestEvaluateRecords:
         with pytest.raises(ContractError, match="scores"):
             evaluate_records(dets, [GroundTruth("img", 0, unit_box())])
 
+    def test_duck_typed_records_and_empty_lists(self):
+        dets = load_detections(str(DATA / "dets_4class.txt"))
+        gts = load_ground_truths(str(DATA / "gts_4class.txt"))
+        duck_dets = [SimpleNamespace(image_id=d.image_id, class_id=d.class_id, box=d.box, score=d.score)
+                     for d in dets]
+        duck_gts = [SimpleNamespace(image_id=g.image_id, class_id=g.class_id, box=g.box) for g in gts]
+        result = evaluate_records(dets, gts)
+        assert result == scalar_evaluate(dets, gts, DEFAULT_THRESHOLDS)
+        assert evaluate_records(duck_dets, duck_gts) == result
+        for scene in ((dets, []), ([], gts), (duck_dets, []), ([], duck_gts)):
+            assert evaluate_records(*scene) == scalar_evaluate(*scene, DEFAULT_THRESHOLDS)
+
     def test_matching_respects_image_ids(self):
         gt_records = [GroundTruth("a", 0, unit_box())]
         # same coordinates but the wrong image: must not match
@@ -283,18 +328,22 @@ _odd_token = st.one_of(
     st.text(st.sampled_from("abcxyz019._-+"), min_size=1, max_size=6),
 )
 _axis = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(0, 4))
+# Separators other than a line feed are whitespace within a line.
+_separator = st.sampled_from([" ", " ", " ", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r"])
 
 
 @st.composite
 def _interchange_line(draw, with_score: bool) -> str:
     """A record (mostly well formed, corners inverted one time in five) with
-    some fields replaced by odd tokens, one dropped or one added; or a
-    comment or a blank line."""
+    some fields replaced by odd tokens, one dropped or one added, its fields
+    joined by spaces or other separators; or a comment or a blank line.  One
+    line in three ends in a carriage return, which a line feed follows."""
     kind = draw(st.sampled_from(["record", "record", "record", "comment", "blank"]))
+    end = draw(st.sampled_from(["", "", "\r"]))
     if kind == "comment":
-        return draw(st.sampled_from(["# header", "   # indented", "#"]))
+        return draw(st.sampled_from(["# header", "   # indented", "#", "#\x0cpage"])) + end
     if kind == "blank":
-        return draw(st.sampled_from(["", "   ", "\t"]))
+        return draw(st.sampled_from(["", "   ", "\t", "\x0c", "\u2028"])) + end
     (x0, x1, kx), (y0, y1, ky) = draw(_axis), draw(_axis)
     x0, x1 = sorted((x0, x1)) if kx else (max(x0, x1), min(x0, x1))
     y0, y1 = sorted((y0, y1)) if ky else (max(y0, y1), min(y0, y1))
@@ -309,7 +358,7 @@ def _interchange_line(draw, with_score: bool) -> str:
         del fields[draw(st.integers(0, len(fields) - 1))]
     elif edit == "add":
         fields.insert(draw(st.integers(0, len(fields))), draw(_odd_token))
-    return " ".join(fields) + draw(st.sampled_from(["", "", "  # trailing"]))
+    return draw(_separator).join(fields) + draw(st.sampled_from(["", "", "  # trailing"])) + end
 
 
 def _as_line(record) -> str:
