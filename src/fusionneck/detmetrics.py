@@ -39,13 +39,15 @@ The loaders return ``Detection`` and ``GroundTruth`` records, the one record
 pair that every function here takes: each carries its image id, class id and
 box, and a detection its score.  ``Box``, ``Detection`` and ``GroundTruth``
 are immutable named tuples, checked on every construction, ``_make`` and
-``_replace`` included; like any tuple, a ``Box`` equals the plain 4-tuple of
-its corners.  ``evaluate_records`` reads only the ``image_id``, ``class_id``,
-``box`` and ``score`` attributes, and a box as its four corners in order.
+``_replace`` included (a record's box must be a ``Box``); like any tuple, a
+``Box`` equals the plain 4-tuple of its corners.  ``evaluate_records`` reads
+only the ``image_id``, ``class_id``, ``box`` and ``score`` attributes, and a
+box as its four corners in order.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
@@ -62,6 +64,7 @@ DEFAULT_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))  # 0.50 
 SMALL_AREA = 32.0 ** 2
 LARGE_AREA = 96.0 ** 2
 _INF = float("inf")
+_MAX = sys.float_info.max
 SIZE_BUCKETS = {
     "small": (0.0, SMALL_AREA),
     "medium": (SMALL_AREA, LARGE_AREA),
@@ -89,8 +92,9 @@ class Box(_Checked, namedtuple("Box", "x_min y_min x_max y_max")):
 
     def __new__(cls, x_min: float, y_min: float, x_max: float, y_max: float) -> Box:
         self = tuple.__new__(cls, (x_min, y_min, x_max, y_max))
-        # one chained comparison: false for NaN, infinities and inverted corners
-        if not (-_INF < x_min <= x_max < _INF and -_INF < y_min <= y_max < _INF):
+        # one chained comparison: false for NaN, infinities, ints beyond the
+        # float range and inverted corners
+        if not (-_MAX <= x_min <= x_max <= _MAX and -_MAX <= y_min <= y_max <= _MAX):
             raise ContractError(f"box needs finite coordinates with min <= max: {self}")
         return self
 
@@ -104,15 +108,22 @@ class Detection(_Checked, namedtuple("Detection", "image_id class_id box score")
     __slots__ = ()
 
     def __new__(cls, image_id: str, class_id: int, box: Box, score: float) -> Detection:
+        if not isinstance(box, Box):
+            raise ContractError(f"box must be a Box, got {box!r}")
         if not 0.0 <= score <= 1.0:  # false for NaN too
             raise ContractError(f"score {score} outside [0, 1]")
         return tuple.__new__(cls, (image_id, class_id, box, score))
 
 
-class GroundTruth(namedtuple("GroundTruth", "image_id class_id box")):
+class GroundTruth(_Checked, namedtuple("GroundTruth", "image_id class_id box")):
     """Reference class-labelled box in one image."""
 
     __slots__ = ()
+
+    def __new__(cls, image_id: str, class_id: int, box: Box) -> GroundTruth:
+        if not isinstance(box, Box):
+            raise ContractError(f"box must be a Box, got {box!r}")
+        return tuple.__new__(cls, (image_id, class_id, box))
 
 
 def iou(a: Box, b: Box) -> float:

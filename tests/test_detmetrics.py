@@ -2,6 +2,7 @@
 
 import pickle
 import re
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -73,10 +74,18 @@ class TestIou:
         (0.0, 0.0, 1.0, float("nan")),
         (float("-inf"), 0.0, 1.0, 1.0),
         (0.0, 0.0, 1.0, float("inf")),
+        # ints compare exactly with floats, so these passed a bound of ±inf
+        (0, 0, 10 ** 400, 1),
+        (-(10 ** 400), 0, 1, 1),
+        (0, 0, 1, 2 ** 1024),
     ])
     def test_non_finite_box_rejected(self, coords):
         with pytest.raises(ContractError, match="finite"):
             Box(*coords)
+
+    def test_float_max_corners_accepted(self):
+        top = sys.float_info.max
+        assert Box(-top, -top, top, top).x_max == top
 
 
 class TestAveragePrecision:
@@ -136,6 +145,12 @@ class TestRecords:
         with pytest.raises(ContractError, match="score"):
             Detection("img", 0, unit_box(), score)
 
+    @pytest.mark.parametrize("record", [Detection, GroundTruth])
+    @pytest.mark.parametrize("box", [(0, 0, 1), (0, 0, 1, 1), None])
+    def test_record_box_must_be_a_box(self, record, box):
+        with pytest.raises(ContractError, match="must be a Box"):
+            record("a", 0, box, *([0.5] if record is Detection else []))
+
     def test_loaders_return_records_with_image_ids(self, tmp_path):
         det_file, gt_file = tmp_path / "dets.txt", tmp_path / "gts.txt"
         det_file.write_text("img1 2 0 0 1 1 0.5\nimg2 3 1 1 2 2 0.25\n")
@@ -154,8 +169,11 @@ class TestRecords:
         lambda: Box._make([0, 0, 1, float("inf")]),
         lambda: Detection("img", 0, unit_box(), 0.5)._replace(score=1.5),
         lambda: Detection._make(["img", 0, unit_box(), 1.5]),
+        lambda: Detection("img", 0, unit_box(), 0.5)._replace(box=(0, 0, 1)),
+        lambda: GroundTruth("img", 0, unit_box())._replace(box=(0, 0, 1)),
+        lambda: GroundTruth._make(["img", 0, (0, 0, 1, 1)]),
     ], ids=["replace-nan", "replace-inf", "replace-inverted", "make-inverted", "make-inf",
-            "replace-score", "make-score"])
+            "replace-score", "make-score", "replace-det-box", "replace-gt-box", "make-gt-box"])
     def test_replace_and_make_are_checked(self, build):
         with pytest.raises(ContractError):
             build()

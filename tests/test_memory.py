@@ -1,0 +1,71 @@
+"""glibc heap policy set when ``fusionneck.tensor`` is imported, and what it must not change.
+
+Freed blocks now stay in the process and are handed out again, so reused heap
+memory holds whatever was last written there instead of fresh zeroed pages.
+The poison test reruns the neck and the detection metrics, which fill
+``np.empty`` buffers (``convkit._lowered``, ``detmetrics._greedy_hits``),
+after leaving NaN in freed memory: a read before a write would show.
+(``grad_check``'s buffer is written element by element in the loop that
+fills it, and a NaN there would be lost in its ``err > worst`` test.)
+"""
+
+import platform
+import resource
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fusionneck.detmetrics import evaluate_records, load_detections, load_ground_truths
+from fusionneck.neck import NeckConfig, neck_forward, synthetic_pyramid
+from fusionneck.tensor import Rng, Tape, add, sum_all
+from fusionneck.verify import random_neck_params
+
+DATA = Path(__file__).parent / "data"
+BLOCK = (16 << 20) // 8  # float64 elements in 16 MiB
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set for glibc's malloc only")
+def test_freed_block_is_reused_without_faults():
+    np.empty(BLOCK).fill(1.0)
+    before = _minor_faults()
+    again = np.empty(BLOCK)
+    again.fill(1.0)
+    faults = _minor_faults() - before
+    assert faults < 16, f"{faults} minor faults writing a reused 16 MiB block"
+
+
+def _tiny_run() -> dict:
+    """Every output, gradient and AP result at a tiny config, as exact bytes or reprs."""
+    cfg = NeckConfig(pyramid_width=4, head_count=2, scse_reduction=2, in_channels=(3, 4, 5),
+                     base_height=8, base_width=8)
+    rng = Rng(21)
+    params = random_neck_params(cfg, rng.split(2), sigma=0.5)
+    pin = synthetic_pyramid(cfg, 2, rng.split(1))
+    run = {}
+    out = neck_forward(pin, params, cfg)
+    run["forward"] = [level.data.tobytes() for level in (out.p3, out.p4, out.p5)]
+
+    tape = Tape()
+    out = neck_forward(pin, params, cfg, tape)
+    loss = add(add(sum_all(out.p3, tape), sum_all(out.p4, tape), tape), sum_all(out.p5, tape), tape)
+    loss.grad = np.ones_like(loss.data)
+    tape.backward()
+    run["taped"] = [level.data.tobytes() for level in (out.p3, out.p4, out.p5)]
+    run["grads"] = [v.grad.tobytes() for v in params.values() + [pin.c3, pin.c4, pin.c5]]
+
+    dets = load_detections(str(DATA / "dets_4class.txt"))
+    gts = load_ground_truths(str(DATA / "gts_4class.txt"))
+    run["ap"] = repr(evaluate_records(dets, gts))
+    return run
+
+
+def test_results_do_not_depend_on_reused_memory():
+    first = _tiny_run()
+    poison = np.full(BLOCK, np.nan)
+    del poison
+    assert _tiny_run() == first
