@@ -64,7 +64,6 @@ from .neck import (
     synthetic_pyramid,
 )
 from .tensor import (
-    Matrix,
     Rng,
     Tape,
     Tensor4,
@@ -74,9 +73,7 @@ from .tensor import (
     global_avg_pool,
     grad_check,
     logistic,
-    matmul,
     mul,
-    softmax_rows,
     sum_all,
     weighted_sum,
 )

@@ -25,7 +25,6 @@ import numpy as np
 from .convkit import ConvKernel, pointwise_conv
 from .errors import ContractError, ShapeError
 from .tensor import (
-    Matrix,
     Tape,
     Tensor4,
     Value,
@@ -183,7 +182,7 @@ def mhsa_forward(
 
 def attention_mass(a) -> np.ndarray:
     """Column sums of a row-stochastic attention matrix: incoming mass per token."""
-    data = a.data if isinstance(a, Matrix) else np.asarray(a, dtype=np.float64)
+    data = np.asarray(a, dtype=np.float64)
     if data.ndim != 2:
         raise ShapeError(f"attention_mass: expected a matrix, got shape {data.shape}")
     rows = data.sum(axis=1)

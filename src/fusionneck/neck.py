@@ -167,19 +167,6 @@ class PyramidIn:
     c4: Tensor4
     c5: Tensor4
 
-    def validate(self) -> None:
-        b3, _, h, w = self.c3.dims
-        if h % 4 or w % 4:
-            raise ShapeError(f"c3: spatial dims ({h}, {w}) must be divisible by 4")
-        for name, t, div in (("c4", self.c4, 2), ("c5", self.c5, 4)):
-            tb, _, th, tw = t.dims
-            if tb != b3:
-                raise ShapeError(f"{name}: batch {tb} differs from c3 batch {b3}")
-            if (th, tw) != (h // div, w // div):
-                raise ShapeError(
-                    f"{name}: expected spatial ({h // div}, {w // div}), got ({th}, {tw})"
-                )
-
     def level(self, n: int) -> Tensor4:
         return getattr(self, f"c{n}")
 
@@ -363,19 +350,16 @@ def attention_upsample(
 
 
 def _validate_input(pin: PyramidIn, cfg: NeckConfig) -> None:
-    pin.validate()
-    _, _, h, w = pin.c3.dims
-    if (h, w) != (cfg.base_height, cfg.base_width):
-        raise ShapeError(
-            f"c3: spatial ({h}, {w}) does not match configured base "
-            f"({cfg.base_height}, {cfg.base_width})"
-        )
-    for n, expected in zip(LEVELS, cfg.in_channels):
-        _, c, _, _ = pin.level(n).dims
-        if c != expected:
-            raise ShapeError(f"c{n}: expected {expected} channels, got {c}")
-        if not np.isfinite(pin.level(n).data).all():
-            raise ContractError(f"c{n}: input holds non-finite values")
+    """Check each level's (B, C, H, W) against the config, B from c3, then its finiteness."""
+    batch, h, w = pin.c3.data.shape[0], cfg.base_height, cfg.base_width
+    levels = (("c3", pin.c3, 1), ("c4", pin.c4, 2), ("c5", pin.c5, 4))
+    for (name, t, div), c in zip(levels, cfg.in_channels):
+        expected = (batch, c, h // div, w // div)
+        if t.data.shape != expected:
+            raise ShapeError(f"{name}: expected shape {expected}, got {t.data.shape}")
+    for name, t, _ in levels:
+        if not np.isfinite(t.data).all():
+            raise ContractError(f"{name}: input holds non-finite values")
 
 
 def neck_forward(

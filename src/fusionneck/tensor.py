@@ -1,4 +1,4 @@
-"""Rank-4 tensors, matrices, and differentiable primitives on a recorded tape.
+"""Rank-4 tensors and differentiable primitives on a recorded tape.
 
 Every operation is a pure function: it reads its inputs, allocates a fresh
 output, and — when handed a ``Tape`` — records a closure that propagates
@@ -33,6 +33,7 @@ own.  Under any other C library, or if glibc refuses the first setting,
 from __future__ import annotations
 
 import ctypes
+import math
 import platform
 from typing import Callable, Sequence
 
@@ -119,27 +120,6 @@ class Tensor4(Value):
     @classmethod
     def zeros(cls, b: int, c: int, h: int, w: int) -> "Tensor4":
         return cls(np.zeros((b, c, h, w)))
-
-
-class Matrix(Value):
-    """Row-major 2-D float64 matrix."""
-
-    def __init__(self, data) -> None:
-        super().__init__(data)
-        if self.data.ndim != 2:
-            raise ShapeError(f"Matrix requires 2 axes, got shape {self.data.shape}")
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(np.zeros((rows, cols)))
 
 
 class Rng:
@@ -240,39 +220,6 @@ def mul(a: Value, b: Value, tape: Tape | None = None) -> Value:
     return out
 
 
-def matmul(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
-    """Standard matrix product; backward is dA = g Bᵀ, dB = Aᵀ g."""
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: inner dims differ ({a.shape} x {b.shape})")
-    out = Matrix(a.data @ b.data)
-    if tape is not None:
-        def backward() -> None:
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-        tape.record(backward)
-    return out
-
-
-def softmax_rows(m: Matrix, tape: Tape | None = None) -> Matrix:
-    """Row softmax with per-row max subtraction for stability."""
-    z = m.data - m.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Matrix(y)
-    if tape is not None:
-        def backward() -> None:
-            g = out.grad
-            if g is None:
-                return
-            dot = (g * y).sum(axis=1, keepdims=True)
-            _accum(m, (g - dot) * y)
-        tape.record(backward)
-    return out
-
-
 def logistic(v: Value, tape: Tape | None = None) -> Value:
     """Numerically stable logistic squashing into (0, 1)."""
     x = v.data
@@ -368,9 +315,10 @@ def grad_check(
     (f(p+ε) − f(p−ε)) / 2ε.  The error for a parameter tensor is the relative
     L2 norm ‖analytic − numeric‖ / ‖analytic‖, falling back to the absolute
     norm difference when the analytic gradient norm is below 1e-8 (e.g. for
-    constant functions); the maximum over parameters is returned.  Parameter
-    data is perturbed in place and restored, so the caller's values are
-    unchanged on return.
+    constant functions); the maximum over parameters is returned.  A NaN
+    error (a NaN in either gradient) is kept as the maximum, so it fails any
+    tolerance.  Parameter data is perturbed in place and restored, so the
+    caller's values are unchanged on return.
     """
     if epsilon <= 0:
         raise ContractError("grad_check: epsilon must be positive")
@@ -407,6 +355,10 @@ def grad_check(
         diff = float(np.linalg.norm(grads.reshape(-1) - numeric))
         norm = float(np.linalg.norm(grads))
         err = diff / norm if norm >= 1e-8 else diff
-        if err > worst:
-            worst = err
+        worst = _worse(worst, err)
     return worst
+
+
+def _worse(worst: float, err: float) -> float:
+    """``max(worst, err)`` that keeps a NaN on either side (``max(0.0, nan)`` is 0.0)."""
+    return err if err > worst or math.isnan(err) else worst

@@ -357,10 +357,21 @@ class TestVerify:
         assert "conv2d_vs_naive" in proc.stdout
 
     def test_corrupted_backward_rule_exits_1(self, capsys):
-        code = main(["verify", "--scope", "grad", "--seeds", "2", "--corrupt", "matmul"])
+        code = main(["verify", "--scope", "grad", "--seeds", "2", "--corrupt", "conv2d"])
         assert code == EXIT_VERIFY_FAILED
         out = capsys.readouterr().out
-        assert "FAILED: matmul" in out
+        assert "FAILED: conv2d" in out
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["--scope", "grad", "--corrupt", "nosuchcase"], "not a gradient case (elementwise, logistic,"),
+        (["--scope", "oracle", "--corrupt", "conv2d"], "in scope oracle"),
+    ])
+    def test_corrupt_that_injects_nothing_exits_2(self, capsys, argv, reason):
+        # a fault in a case that does not run would report a vacuous pass
+        assert main(["verify", "--seeds", "1", *argv]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "within tolerance" not in captured.out
+        assert "cannot corrupt" in captured.err and reason in captured.err
 
 
 def module_env(unbuffered: bool) -> dict:

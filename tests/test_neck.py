@@ -126,23 +126,28 @@ class TestConfig:
 
 
 class TestPyramidIn:
+    """neck_forward derives each level's (B, C, H, W) from the config and c3's batch."""
+
+    def forward(self, c3, c4, c5):
+        cfg = small_cfg()
+        return neck_forward(PyramidIn(c3, c4, c5), init_params(cfg, Rng(0)), cfg)
+
     def test_halving_enforced(self):
-        bad = PyramidIn(
-            c3=Tensor4.zeros(1, 3, 8, 8),
-            c4=Tensor4.zeros(1, 4, 4, 4),
-            c5=Tensor4.zeros(1, 5, 3, 2),
-        )
         with pytest.raises(ShapeError, match="c5"):
-            bad.validate()
+            self.forward(Tensor4.zeros(1, 3, 8, 8), Tensor4.zeros(1, 4, 4, 4), Tensor4.zeros(1, 5, 3, 2))
 
     def test_divisibility_enforced(self):
-        bad = PyramidIn(
-            c3=Tensor4.zeros(1, 3, 6, 6),
-            c4=Tensor4.zeros(1, 4, 3, 3),
-            c5=Tensor4.zeros(1, 5, 1, 1),
-        )
         with pytest.raises(ShapeError, match="c3"):
-            bad.validate()
+            self.forward(Tensor4.zeros(1, 3, 6, 6), Tensor4.zeros(1, 4, 3, 3), Tensor4.zeros(1, 5, 1, 1))
+
+    def test_batch_taken_from_c3(self):
+        with pytest.raises(ShapeError, match=r"c4: expected shape \(2, 4, 4, 4\), got \(1, 4, 4, 4\)"):
+            self.forward(Tensor4.zeros(2, 3, 8, 8), Tensor4.zeros(1, 4, 4, 4), Tensor4.zeros(2, 5, 2, 2))
+
+    def test_shape_checked_before_finiteness(self):
+        c3 = Tensor4(np.full((1, 3, 8, 8), np.nan))
+        with pytest.raises(ShapeError, match="c4"):
+            self.forward(c3, Tensor4.zeros(1, 9, 4, 4), Tensor4.zeros(1, 5, 2, 2))
 
     def test_channel_mismatch_names_level(self):
         cfg = small_cfg()

@@ -1,13 +1,13 @@
-"""Tensor, matrix, RNG, and primitive-op tests with gradient checks."""
+"""Tensor, RNG, and primitive-op tests with gradient checks."""
 
 import math
 
 import numpy as np
 import pytest
 
+from fusionneck.attention import MhsaParams, mhsa_forward
 from fusionneck.errors import ContractError, EvaluationError, ShapeError
 from fusionneck.tensor import (
-    Matrix,
     Rng,
     Tape,
     Tensor4,
@@ -18,35 +18,16 @@ from fusionneck.tensor import (
     global_avg_pool,
     grad_check,
     logistic,
-    matmul,
     mul,
-    softmax_rows,
     sum_all,
     weighted_sum,
 )
-
-
-def naive_matmul(a, b):
-    """Triple-loop matrix product oracle."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            for t in range(k):
-                out[i, j] += a[i, t] * b[t, j]
-    return out
 
 
 class TestValues:
     def test_tensor4_requires_four_axes(self):
         with pytest.raises(ShapeError):
             Tensor4(np.zeros((2, 3)))
-
-    def test_matrix_requires_two_axes(self):
-        with pytest.raises(ShapeError):
-            Matrix(np.zeros(4))
 
     def test_data_is_row_major_float64(self):
         t = Tensor4(np.arange(24).reshape(1, 2, 3, 4))
@@ -90,66 +71,6 @@ class TestElementwise:
             add(Tensor4.zeros(1, 2, 2, 2), Tensor4.zeros(1, 3, 2, 2))
         with pytest.raises(ShapeError):
             mul(Tensor4.zeros(1, 2, 2, 2), Tensor4.zeros(2, 2, 2, 2))
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(3)
-        m = Matrix(rng.standard_normal((3, 3)))
-        out = matmul(Matrix(np.eye(3)), m)
-        np.testing.assert_allclose(out.data, m.data, atol=1e-15)
-
-    def test_hand_case_vs_triple_loop(self):
-        a = Matrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        b = Matrix(np.array([[5.0], [6.0]]))
-        out = matmul(a, b)
-        assert np.array_equal(out.data, [[17.0], [39.0]])
-        np.testing.assert_array_equal(out.data, naive_matmul(a.data, b.data))
-
-    def test_ones_dot(self):
-        k = 7
-        out = matmul(Matrix(np.ones((1, k))), Matrix(np.ones((k, 1))))
-        assert out.data[0, 0] == float(k)
-
-    def test_random_vs_triple_loop(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            a = rng.standard_normal((rng.integers(1, 5), rng.integers(1, 5)))
-            b = rng.standard_normal((a.shape[1], rng.integers(1, 5)))
-            np.testing.assert_allclose(
-                matmul(Matrix(a), Matrix(b)).data, naive_matmul(a, b), atol=1e-12
-            )
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(Matrix.zeros(2, 3), Matrix.zeros(4, 2))
-
-
-class TestSoftmax:
-    def test_equal_logits(self):
-        out = softmax_rows(Matrix(np.full((2, 3), 1.7)))
-        np.testing.assert_allclose(out.data, np.full((2, 3), 1 / 3), atol=1e-15)
-
-    def test_closed_form(self):
-        out = softmax_rows(Matrix(np.array([[0.0, math.log(2.0)]])))
-        np.testing.assert_allclose(out.data, [[1 / 3, 2 / 3]], atol=1e-12)
-
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((4, 6))
-        shifted = m + rng.standard_normal((4, 1))
-        a = softmax_rows(Matrix(m)).data
-        b = softmax_rows(Matrix(shifted)).data
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_rows_sum_to_one_property(self):
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            scale_f = rng.choice([0.1, 1.0, 50.0, 1e3])
-            m = Matrix(rng.standard_normal((5, 7)) * scale_f)
-            out = softmax_rows(m)
-            np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-            assert np.all(np.isfinite(out.data))
 
 
 class TestGlobalAvgPool:
@@ -199,8 +120,6 @@ class TestDeterminism:
         first = mul(a, b).data
         second = mul(a, b).data
         assert np.array_equal(first, second)
-        m = Matrix(rng.standard_normal((6, 6)))
-        assert np.array_equal(softmax_rows(m).data, softmax_rows(m).data)
 
 
 class TestRng:
@@ -246,15 +165,33 @@ class TestGradCheck:
         assert grad_check(loss, [x]) == 0.0
 
     def test_softmax_sum_has_zero_gradient(self):
+        """(logistic(x), logistic(−x)) is the two-class softmax of (x, 0); its sum is constant."""
         rng = np.random.default_rng(10)
-        m = Matrix(rng.standard_normal((1, 5)))
+        x = Tensor4(rng.standard_normal((1, 1, 1, 5)))
+        minus_one = Tensor4(np.full((1, 1, 1, 5), -1.0))
 
         def loss(tape):
-            return sum_all(softmax_rows(m, tape), tape)
+            return sum_all(add(logistic(x, tape), logistic(mul(x, minus_one, tape), tape), tape), tape)
 
-        err = grad_check(loss, [m], epsilon=1e-6)
+        # a gradient norm below 1e-8 takes grad_check's absolute-error fallback, not a 0/0
+        err = grad_check(loss, [x], epsilon=1e-6)
         assert err < 1e-8
-        np.testing.assert_allclose(m.grad, 0.0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_nan_gradient_fails(self, nan_first):
+        """A NaN in one tensor's taped gradient makes the result NaN, whichever tensor it is."""
+        rng = np.random.default_rng(12)
+        a, b = Value(rng.standard_normal(3)), Value(rng.standard_normal(4))
+        bad = a if nan_first else b
+
+        def loss(tape):
+            out = add(sum_all(mul(a, a, tape), tape), sum_all(mul(b, b, tape), tape), tape)
+            if tape is not None:
+                tape.record(lambda: _accum(bad, np.full(bad.shape, np.nan)))
+            return out
+
+        assert math.isnan(grad_check(loss, [a, b], epsilon=1e-6))
 
     def test_nonfinite_loss_raises(self):
         x = Value(np.array([1.0]))
@@ -275,15 +212,16 @@ class TestGradCheck:
         rng = Rng(100 + seed)
         x = Tensor4(rng.normal((1, 2, 3, 3)))
         g = Tensor4(rng.normal((1, 2, 1, 1)))
-        m = Matrix(rng.normal((4, 4)))
+        m = Tensor4(rng.normal((1, 3, 2, 2)))
         w_t = rng.normal((1, 2, 1, 1))
-        w_m = rng.normal((4, 4))
+        w_m = rng.normal((1, 6, 2, 2))
 
         def loss(tape):
             gated = mul(logistic(x, tape), g, tape)
             pooled = global_avg_pool(add(gated, g, tape), tape)
             s1 = weighted_sum(pooled, w_t, tape)
-            s2 = weighted_sum(softmax_rows(matmul(m, m, tape), tape), w_m, tape)
+            swish = mul(m, logistic(m, tape), tape)  # m reaches each product along two paths
+            s2 = weighted_sum(concat_channels([swish, mul(m, m, tape)], tape), w_m, tape)
             return add(s1, s2, tape)
 
         assert grad_check(loss, [x, g, m], epsilon=1e-6) < 1e-5
@@ -323,8 +261,12 @@ class TestFiniteness:
             x = Tensor4(rng.normal((1, 3, 3, 3), 100.0))
             assert np.all(np.isfinite(logistic(x).data))
             assert np.all(np.isfinite(global_avg_pool(x).data))
-            m = Matrix(rng.normal((4, 4), 500.0))
-            assert np.all(np.isfinite(softmax_rows(m).data))
+            # logits of order 1e5: the attention softmax must subtract each row's max
+            big = Tensor4(rng.normal((2, 4, 2, 2), 500.0))
+            out, attn = mhsa_forward(big, MhsaParams(rng.normal((3, 4, 4)), 2), return_attention=True)
+            assert np.all(np.isfinite(out.data))
+            for a in attn:
+                np.testing.assert_allclose(a.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestLogistic:
