@@ -9,6 +9,11 @@ of the incoming array, later ones are added into that copy.  Passing
 ``tape=None`` runs the forward math alone, which is what the
 finite-difference side of ``grad_check`` uses.
 
+``grad_check`` splits its finite-difference sweep across forked worker
+processes on a Linux host with more than one usable CPU, so the function it
+checks must be a pure function of its params: side effects of a worker's
+evaluations, such as call counters or tracer spans, do not reach the caller.
+
 Values are float64 throughout and treated as immutable once created;
 operations never write to their inputs.  Broadcasting is deliberately narrow:
 the second operand of ``add`` or ``mul`` may have any axis collapsed to 1
@@ -34,7 +39,12 @@ from __future__ import annotations
 
 import ctypes
 import math
+import os
+import pickle
 import platform
+import signal
+import sys
+import time
 from typing import Callable, Sequence
 
 import numpy as np
@@ -148,7 +158,9 @@ class Rng:
         return Rng(self.seed, self._path + (index,))
 
     def normal(self, shape, sigma: float = 1.0) -> np.ndarray:
-        return float(sigma) * self._gen.standard_normal(shape)
+        draw = self._gen.standard_normal(shape)
+        draw *= float(sigma)  # in place: no second array the size of every parameter tensor
+        return draw
 
     def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
         return self._gen.uniform(low, high, shape)
@@ -317,11 +329,25 @@ def grad_check(
     norm difference when the analytic gradient norm is below 1e-8 (e.g. for
     constant functions); the maximum over parameters is returned.  A NaN
     error (a NaN in either gradient) is kept as the maximum, so it fails any
-    tolerance.  Parameter data is perturbed in place and restored, so the
-    caller's values are unchanged on return.
+    tolerance.  Params holding no elements would compare nothing and are
+    refused.  Parameter data is perturbed in place and restored, also when
+    ``f`` raises, so the caller's values are unchanged on return.
+
+    ``f`` must be a pure function of ``params``: the finite-difference sweep
+    may be split across forked worker processes (see ``_sweep_processes``),
+    and side effects of a worker's evaluations, such as call counters or
+    tracer spans, do not reach the caller.  The result is bit-identical to a
+    sweep in one process.  The first failure in sweep order is raised: an
+    exception from ``f`` in a worker arrives with its type and message, and a
+    worker that dies without a result raises ``EvaluationError``.
     """
     if epsilon <= 0:
         raise ContractError("grad_check: epsilon must be positive")
+    flats = [p.data.reshape(-1) for p in params]  # views: Value data is C-contiguous
+    sizes = [flat.size for flat in flats]
+    total = sum(sizes)
+    if total == 0:
+        raise ContractError("grad_check: params hold no elements, so nothing would be compared")
     for p in params:
         p.zero_grad()
     tape = Tape()
@@ -340,23 +366,144 @@ def grad_check(
             raise EvaluationError("grad_check: non-finite loss during finite differencing")
         return float(value.data)
 
-    worst = 0.0
-    for p, grads in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        numeric = np.empty(flat.size)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + epsilon
-            f_plus = evaluate()
-            flat[i] = saved - epsilon
-            f_minus = evaluate()
-            flat[i] = saved
-            numeric[i] = (f_plus - f_minus) / (2.0 * epsilon)
-        diff = float(np.linalg.norm(grads.reshape(-1) - numeric))
+    def sweep(lo: int, hi: int) -> np.ndarray:
+        """Central differences of elements lo..hi-1 of all params, flattened in order."""
+        numeric = np.empty(hi - lo)
+        j, start = 0, 0
+        for flat in flats:
+            for i in range(max(lo - start, 0), min(hi - start, flat.size)):
+                saved = flat[i]
+                try:
+                    flat[i] = saved + epsilon
+                    f_plus = evaluate()
+                    flat[i] = saved - epsilon
+                    f_minus = evaluate()
+                finally:
+                    flat[i] = saved
+                numeric[j] = (f_plus - f_minus) / (2.0 * epsilon)
+                j += 1
+            start += flat.size
+        return numeric
+
+    begin = time.perf_counter()
+    first = sweep(0, 1)  # its time predicts the rest of the sweep
+    processes = _sweep_processes((time.perf_counter() - begin) * (total - 1))
+    numeric = np.concatenate([first, _split_sweep(sweep, 1, total, processes)])
+
+    worst, start = 0.0, 0
+    for grads, size in zip(analytic, sizes):
+        diff = float(np.linalg.norm(grads.reshape(-1) - numeric[start:start + size]))
         norm = float(np.linalg.norm(grads))
         err = diff / norm if norm >= 1e-8 else diff
         worst = _worse(worst, err)
+        start += size
     return worst
+
+
+# A sweep predicted to take less than this runs in the calling process: a
+# fork, its copy-on-write faults and the reaping cost 5-10 ms on a 2-CPU VM.
+_SPLIT_MIN_S = 0.1
+
+
+def _sweep_processes(predicted_s: float) -> int:
+    """Processes to share a finite-difference sweep predicted to take ``predicted_s``.
+
+    Every CPU this process may run on, on Linux only: macOS's Accelerate and
+    libdispatch are not fork-safe.  One for a short sweep.
+    """
+    if predicted_s < _SPLIT_MIN_S or not sys.platform.startswith("linux"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _split_sweep(sweep: Callable[[int, int], np.ndarray], lo: int, hi: int, processes: int) -> np.ndarray:
+    """``sweep(lo, hi)``, split into contiguous shares over ``processes`` processes.
+
+    The caller sweeps the first share while each other share runs in a forked
+    worker, which writes its values, or its pickled exception, to a pipe.
+    Every pipe is read to the end and every worker reaped before the shares
+    are joined in order; on any exception or interrupt, the workers still
+    running are killed and reaped.
+    """
+    processes = min(processes, hi - lo)
+    if processes <= 1:
+        return sweep(lo, hi)
+    bounds = [lo + (hi - lo) * k // processes for k in range(processes + 1)]
+    workers: dict[int, int] = {}  # pid -> read end of its pipe
+    try:
+        for a, b in zip(bounds[1:-1], bounds[2:]):
+            pid, read_fd = _fork_share(sweep, a, b)
+            workers[pid] = read_fd
+        shares = [sweep(bounds[0], bounds[1])]
+        payloads = []
+        for read_fd in workers.values():
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+        statuses = []
+        for pid in list(workers):
+            statuses.append(os.waitpid(pid, 0)[1])
+            os.close(workers.pop(pid))
+    finally:
+        for pid, read_fd in workers.items():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for payload, status, a, b in zip(payloads, statuses, bounds[1:-1], bounds[2:]):
+        shares.append(_share_values(payload, status, a, b))
+    return np.concatenate(shares)
+
+
+def _fork_share(sweep: Callable[[int, int], np.ndarray], lo: int, hi: int) -> tuple[int, int]:
+    """Fork a worker that writes ``sweep(lo, hi)`` to a pipe; return its pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # e.g. EAGAIN at the process limit
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the worker leaves by os._exit and never returns into the caller's stack
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = b"V" + sweep(lo, hi).tobytes()
+            except BaseException as exc:  # sent to the caller, which raises it
+                payload = b"E" + _pickled(exc)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _pickled(exc: BaseException) -> bytes:
+    """``exc`` pickled, or an ``EvaluationError`` naming it when it does not survive a round trip."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(EvaluationError(f"grad_check worker raised {type(exc).__name__}: {exc}"))
+
+
+def _share_values(payload: bytes, status: int, lo: int, hi: int) -> np.ndarray:
+    """A worker's values for elements lo..hi-1, or the exception its payload or exit status carries."""
+    if payload[:1] == b"V" and len(payload) == 1 + 8 * (hi - lo):
+        return np.frombuffer(payload[1:], dtype=np.float64)
+    if payload[:1] == b"E":
+        raise pickle.loads(payload[1:])  # written by our own worker, so safe to unpickle
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        try:
+            how = f"was killed by {signal.Signals(-code).name}"
+        except ValueError:  # a real-time signal has no name
+            how = f"was killed by signal {-code}"
+    else:
+        how = f"exited with status {code}"
+    raise EvaluationError(f"grad_check: the worker sweeping elements {lo}..{hi - 1} {how} without a result")
 
 
 def _worse(worst: float, err: float) -> float:

@@ -6,9 +6,11 @@ neck is checked against central finite differences at fixed seeds (tolerance
 vectorized convolutions against their loop oracles, average precision against
 the explicit-cutoff oracle, and the receptive-field recurrence against its
 closed form.  A row's metric is its worst error, and a NaN error is kept as
-the worst, so it fails the row.  ``corrupt`` adds a bogus gradient record to
-one named gradient case; naming no gradient case, or asking for it in the
-oracle scope, is refused rather than run as a vacuous pass.  The CLI
+the worst, so it fails the row.  A suite given no seeds, scenes or cases to
+compare is refused with ``ContractError``, as is a ``grad_check`` of params
+holding no elements.  ``corrupt`` adds a bogus gradient record to one named
+gradient case; naming no gradient case, or asking for it in the oracle
+scope, is refused rather than run as a vacuous pass.  The CLI
 ``verify`` command runs these and maps failures to a nonzero exit code.
 
 Inputs and test parameters are drawn at O(1) scale so the finite-difference
@@ -276,6 +278,8 @@ GRADIENT_CASES: list[tuple[str, Callable, float, float]] = [
 
 def gradient_suite(corrupt: str | None = None, seeds: int = GRAD_SEEDS) -> list[SuiteCase]:
     """Run all gradient checks; ``corrupt`` injects a fault into the named case."""
+    if seeds < 1:  # zero seeds would run no gradient case and pass vacuously
+        raise ContractError(f"verify needs at least 1 seed per gradient case, got {seeds}")
     results = []
     for name, builder, tol, eps in GRADIENT_CASES:
         start = time.perf_counter()
@@ -310,6 +314,8 @@ def _fast_vs_naive(name: str, fast, naive, cases) -> SuiteCase:
     worst, count = 0.0, 0
     for count, (x, k) in enumerate(cases, 1):
         worst = _worse(worst, float(np.max(np.abs(fast(x, k).data - naive(x, k).data))))
+    if count == 0:
+        raise ContractError(f"{name}: no cases to compare")
     return SuiteCase("oracle", name, worst, CONV_ORACLE_TOL, f"{count} cases")
 
 
@@ -367,6 +373,8 @@ def random_scene(rng: Rng, max_boxes: int = 6):
 
 
 def ap_oracle_suite(rng: Rng | None = None, scenes: int = AP_ORACLE_SCENES) -> SuiteCase:
+    if scenes < 1:
+        raise ContractError(f"ap_vs_bruteforce needs at least 1 scene, got {scenes}")
     rng = rng or Rng(780)
     worst = 0.0
     for i in range(scenes):
@@ -406,8 +414,6 @@ def run(scope: str = "all", corrupt: str | None = None, seeds: int = GRAD_SEEDS)
     """Run the requested suites; scope is one of grad, oracle, all."""
     if scope not in ("grad", "oracle", "all"):
         raise ContractError(f"verify scope must be grad|oracle|all, got {scope!r}")
-    if seeds < 1:  # zero seeds would run no gradient case and pass vacuously
-        raise ContractError(f"verify needs at least 1 seed per gradient case, got {seeds}")
     if corrupt is not None:  # a fault injected into nothing that runs would pass vacuously
         names = [name for name, *_ in GRADIENT_CASES]
         if corrupt not in names:

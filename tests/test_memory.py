@@ -6,7 +6,8 @@ The poison test reruns the neck and the detection metrics, which fill
 ``np.empty`` buffers (``convkit._lowered``, ``detmetrics._greedy_hits``),
 after leaving NaN in freed memory: a read before a write would show.
 (``grad_check``'s buffer is written element by element in the loop that
-fills it, and a NaN there would be lost in its ``err > worst`` test.)
+fills it, and a NaN left there would make its result NaN, which fails any
+tolerance.)
 """
 
 import platform

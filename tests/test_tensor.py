@@ -1,10 +1,15 @@
 """Tensor, RNG, and primitive-op tests with gradient checks."""
 
+import dataclasses
 import math
+import os
+import signal
+import sys
 
 import numpy as np
 import pytest
 
+from fusionneck import neck, tensor, verify
 from fusionneck.attention import MhsaParams, mhsa_forward
 from fusionneck.errors import ContractError, EvaluationError, ShapeError
 from fusionneck.tensor import (
@@ -136,6 +141,14 @@ class TestRng:
         assert not np.array_equal(a, b)
         assert np.array_equal(a, Rng(5).split(0).normal((8,)))
 
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 1, 1, 5), ()])
+    @pytest.mark.parametrize("sigma", [1.0, 0.45, 2, 0.01])
+    def test_normal_scales_in_place_bit_identically(self, shape, sigma):
+        """The in-place scaling gives the bits of ``float(sigma) * standard_normal(shape)``."""
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(13, spawn_key=(2,))))
+        expected = float(sigma) * gen.standard_normal(shape)
+        assert np.asarray(Rng(13).split(2).normal(shape, sigma)).tobytes() == np.asarray(expected).tobytes()
+
     def test_negative_seed_or_split_index_refused(self):
         with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
             Rng(-1)
@@ -205,6 +218,12 @@ class TestGradCheck:
     def test_bad_epsilon(self):
         with pytest.raises(ContractError):
             grad_check(lambda tape: sum_all(Value(np.zeros(())), tape), [], epsilon=0.0)
+
+    @pytest.mark.parametrize("params", [[], [Value(np.zeros(0)), Value(np.zeros((2, 0)))]], ids=["none", "empty"])
+    def test_no_elements_refused(self, params):
+        """Params holding no elements would compare nothing and return 0.0."""
+        with pytest.raises(ContractError, match="no elements"):
+            grad_check(lambda tape: sum_all(Value(np.zeros(())), tape), params)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_primitive_compositions(self, seed):
@@ -279,3 +298,167 @@ class TestLogistic:
         expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         expected[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
         assert logistic(Tensor4(x)).data.tobytes() == expected.tobytes()
+
+
+TEST_PID = os.getpid()
+
+
+def _force_processes(monkeypatch, n: int) -> None:
+    """Share every finite-difference sweep among ``n`` processes, however short it is."""
+    monkeypatch.setattr(tensor, "_sweep_processes", lambda predicted_s: n)
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _in_worker() -> bool:
+    return os.getpid() != TEST_PID
+
+
+def _square_loss(x: Value, fault):
+    """sum(x * x); a plain evaluation first calls ``fault(x)``, which may raise or return a loss."""
+
+    def loss(tape):
+        bad = fault(x) if tape is None else None
+        return sum_all(mul(x, x, tape), tape) if bad is None else bad
+
+    return loss
+
+
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: its ``args`` hold one value, ``__init__`` needs two."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the sweep is split on Linux only")
+class TestSplitSweep:
+    @pytest.mark.parametrize("gating_mode", ["raw", "logistic"])
+    def test_tiny_neck_same_error_with_and_without_workers(self, monkeypatch, gating_mode):
+        """verify's tiny neck (``_case_neck`` shapes) gives the same float split or not."""
+        cfg = dataclasses.replace(verify._neck_test_config(1), gating_mode=gating_mode)
+        rng = Rng(31)
+        pin = neck.synthetic_pyramid(cfg, batch=1, rng=rng.split(1))
+        params = verify.random_neck_params(cfg, rng.split(2), sigma=0.45)
+
+        def loss(tape):
+            out = neck.neck_forward(pin, params, cfg, tape)
+            return add(add(sum_all(out.p3, tape), sum_all(out.p4, tape), tape), sum_all(out.p5, tape), tape)
+
+        errors = []
+        for n in (1, 2):
+            _force_processes(monkeypatch, n)
+            errors.append(grad_check(loss, params.values(), verify.NECK_EPS))
+        assert errors[0] == errors[1] and errors[0] < verify.NECK_TOL
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("processes", [2, 3, 12])
+    def test_shares_join_in_order(self, monkeypatch, processes):
+        """More processes than CPUs, or than elements to share, give the one-process result."""
+        rng = np.random.default_rng(14)
+        a, b = Value(rng.standard_normal((2, 3))), Value(rng.standard_normal(4))
+        w = rng.standard_normal(4)
+
+        def loss(tape):
+            return add(sum_all(mul(a, logistic(a, tape), tape), tape), weighted_sum(mul(b, b, tape), w, tape), tape)
+
+        _force_processes(monkeypatch, 1)
+        expected = grad_check(loss, [a, b])
+        before = a.data.tobytes() + b.data.tobytes()
+        _force_processes(monkeypatch, processes)
+        assert grad_check(loss, [a, b]) == expected
+        assert a.data.tobytes() + b.data.tobytes() == before
+        assert _no_child_left()
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        def fault(x):
+            if _in_worker():
+                raise KeyError("raised in a worker's share")
+
+        _force_processes(monkeypatch, 2)
+        x = Value(np.arange(6.0))
+        before = x.data.tobytes()
+        with pytest.raises(KeyError, match="raised in a worker's share"):
+            grad_check(_square_loss(x, fault), [x])
+        assert x.data.tobytes() == before
+        assert _no_child_left()
+
+    def test_exception_that_does_not_unpickle_is_named(self, monkeypatch):
+        def fault(x):
+            if _in_worker():
+                raise TwoArgError("a", "b")
+
+        _force_processes(monkeypatch, 2)
+        x = Value(np.arange(6.0))
+        with pytest.raises(EvaluationError, match="grad_check worker raised TwoArgError: a/b"):
+            grad_check(_square_loss(x, fault), [x])
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_nan_loss_in_last_share_raises_same_error(self, monkeypatch, processes):
+        """A NaN loss at the last element raises what it raises in one process."""
+        x = Value(np.arange(1.0, 7.0))
+
+        def fault(x):
+            if x.data[-1] != 6.0:
+                return Value(np.array(np.nan))
+
+        _force_processes(monkeypatch, processes)
+        with pytest.raises(EvaluationError) as info:
+            grad_check(_square_loss(x, fault), [x])
+        assert str(info.value) == "grad_check: non-finite loss during finite differencing"
+        assert np.array_equal(x.data, np.arange(1.0, 7.0))
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("caller_fails", [False, True])
+    def test_first_failure_in_sweep_order_is_raised(self, monkeypatch, caller_fails):
+        """Shares 1..2 | 3..4 | 5..6 all fail: the caller's error wins, else the first worker's."""
+        original = np.arange(7.0)
+
+        def fault(x):
+            perturbed = int(np.flatnonzero(x.data != original)[0])
+            if perturbed > 0 and (caller_fails or _in_worker()):
+                raise KeyError(f"element {perturbed}")
+
+        _force_processes(monkeypatch, 3)
+        x = Value(original.copy())
+        with pytest.raises(KeyError, match=f"element {1 if caller_fails else 3}"):
+            grad_check(_square_loss(x, fault), [x])
+        assert _no_child_left()
+
+    def test_interrupt_kills_and_reaps_workers(self, monkeypatch):
+        """An interrupt in the caller's share kills a worker that would otherwise never finish."""
+        def fault(x):
+            if _in_worker():
+                signal.pause()  # waits until it is killed
+            elif x.data[1] != 1.0:
+                raise KeyboardInterrupt
+
+        _force_processes(monkeypatch, 2)
+        x = Value(np.arange(4.0))
+        before = x.data.tobytes()
+        with pytest.raises(KeyboardInterrupt):
+            grad_check(_square_loss(x, fault), [x])
+        assert x.data.tobytes() == before
+        assert _no_child_left()
+
+    def test_worker_killed_by_signal(self, monkeypatch):
+        def fault(x):
+            if _in_worker():
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        _force_processes(monkeypatch, 2)
+        x = Value(np.arange(6.0))
+        with pytest.raises(EvaluationError, match=r"elements 3\.\.5 was killed by SIGKILL without a result"):
+            grad_check(_square_loss(x, fault), [x])
+        assert _no_child_left()
+
+    def test_short_sweep_stays_in_process(self):
+        assert tensor._sweep_processes(0.0) == 1
+        assert tensor._sweep_processes(60.0) == len(os.sched_getaffinity(0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fusionneck import convkit, detmetrics, verify
+from fusionneck.errors import ContractError
 from fusionneck.tensor import Value, _accum, mul, sum_all
 
 
@@ -58,6 +59,21 @@ def test_nan_ap_fails_row(monkeypatch):
     monkeypatch.setattr(detmetrics, "brute_force_ap", lambda *args: math.nan)
     row = verify.ap_oracle_suite(scenes=3)
     assert math.isnan(row.metric) and not row.passed
+
+
+def test_ap_oracle_with_no_scenes_refused():
+    with pytest.raises(ContractError, match="at least 1 scene, got 0"):
+        verify.ap_oracle_suite(scenes=0)
+
+
+def test_fast_vs_naive_with_no_cases_refused():
+    with pytest.raises(ContractError, match="conv2d_vs_naive: no cases to compare"):
+        verify._fast_vs_naive("conv2d_vs_naive", convkit.conv2d, convkit.naive_conv2d, [])
+
+
+def test_gradient_suite_with_no_seeds_refused():
+    with pytest.raises(ContractError, match="at least 1 seed per gradient case, got 0"):
+        verify.gradient_suite(seeds=0)
 
 
 def test_eleven_gradient_cases_and_five_oracle_rows():
