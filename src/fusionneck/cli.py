@@ -196,7 +196,7 @@ def _forward(args: argparse.Namespace) -> int:
 
 
 def _verify(args: argparse.Namespace) -> int:
-    results = verify.run(scope=args.scope, corrupt=args.corrupt, seeds=args.seeds)
+    results = verify.run(scope=args.scope, seeds=args.seeds)
     width = max(len(r.name) for r in results)
     failed = []
     for r in results:
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run gradient and oracle suites")
     p_ver.add_argument("--scope", choices=("grad", "oracle", "all"), default="all")
     p_ver.add_argument("--seeds", type=int, default=verify.GRAD_SEEDS, help="seeds per gradient case")
-    p_ver.add_argument("--corrupt", help=argparse.SUPPRESS)  # fault injection for self-tests
     p_ver.set_defaults(func=_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate detection metrics from interchange files")
@@ -313,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SHAPE
     except (FusionNeckError, OSError) as exc:  # every other package error is an input problem
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # a config too large to allocate is bad input too
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

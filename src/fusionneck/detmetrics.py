@@ -494,7 +494,6 @@ def evaluate_records(
     bucket_hits = _greedy_hits(group, pair_det[same], pair_gt[same], pair_iou[same], n_gt, np.array(matched))
 
     per_class: dict[int, dict] = {}
-    bucket_totals = {name: [] for name in SIZE_BUCKETS}
     for cid in classes:
         d_in, g_in = d_cls == class_ids[cid], g_cls == class_ids[cid]
         ap_by_thresh = dict(zip(matched, _ranked_aps(d_score[d_in], hits[:, d_in], int(g_in.sum()))))
@@ -507,20 +506,10 @@ def evaluate_records(
         for b, name in enumerate(SIZE_BUCKETS):
             d_b, g_b = d_in & (d_bucket == b), g_in & (g_bucket == b)
             bucket_aps = dict(zip(matched, _ranked_aps(d_score[d_b], bucket_hits[:, d_b], int(g_b.sum()))))
-            bucket_ap = sum(bucket_aps[t] for t in thresholds) / len(thresholds)
-            entry[f"ap_{name}"] = bucket_ap
-            bucket_totals[name].append(bucket_ap)
+            entry[f"ap_{name}"] = sum(bucket_aps[t] for t in thresholds) / len(thresholds)
         per_class[cid] = entry
-    n = len(classes)
-    return ApResult(
-        per_class=per_class,
-        mean=mean_ap([per_class[c]["ap"] for c in classes]),
-        ap50=sum(per_class[c]["ap50"] for c in classes) / n,
-        ap75=sum(per_class[c]["ap75"] for c in classes) / n,
-        ap_small=sum(bucket_totals["small"]) / n,
-        ap_medium=sum(bucket_totals["medium"]) / n,
-        ap_large=sum(bucket_totals["large"]) / n,
-    )
+    keys = ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large")  # ApResult's field order
+    return ApResult(per_class, *(mean_ap([per_class[c][key] for c in classes]) for key in keys))
 
 
 def _load(path: str, with_score: bool) -> list:

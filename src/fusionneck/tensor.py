@@ -168,9 +168,6 @@ class Rng:
     def integers(self, low: int, high: int) -> int:
         return int(self._gen.integers(low, high))
 
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
 
 def _accum(value: Value, grad: np.ndarray) -> None:
     if value.grad is None:

@@ -3,15 +3,15 @@
 Gradient suite (11 rows): every differentiable primitive plus the composed
 neck is checked against central finite differences at fixed seeds (tolerance
 1e-5 for primitives, 1e-4 for the neck).  Oracle suite (5 rows): the
-vectorized convolutions against their loop oracles, average precision against
-the explicit-cutoff oracle, and the receptive-field recurrence against its
-closed form.  A row's metric is its worst error, and a NaN error is kept as
-the worst, so it fails the row.  A suite given no seeds, scenes or cases to
-compare is refused with ``ContractError``, as is a ``grad_check`` of params
-holding no elements.  ``corrupt`` adds a bogus gradient record to one named
-gradient case; naming no gradient case, or asking for it in the oracle
-scope, is refused rather than run as a vacuous pass.  The CLI
-``verify`` command runs these and maps failures to a nonzero exit code.
+vectorized convolutions against their loop oracles (one ``CONV_ORACLES``
+table), average precision against the explicit-cutoff oracle, and the
+receptive-field recurrence against its closed form.  Every suite runs fixed
+inputs; a caller chooses only the scope and the number of gradient seeds.  A
+row's metric is its worst error, and a NaN error is kept as the worst, so it
+fails the row.  Zero gradient seeds, an empty conv case list, and a
+``grad_check`` of params holding no elements are refused with
+``ContractError`` rather than run as a vacuous pass.  The CLI ``verify``
+command runs these and maps failures to a nonzero exit code.
 
 Inputs and test parameters are drawn at O(1) scale so the finite-difference
 quotients are well-conditioned; the production sigma=0.01 init would push
@@ -23,7 +23,8 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .errors import ContractError
 from .tensor import (
     Rng,
     Tensor4,
-    Value,
     _worse,
     add,
     concat_channels,
@@ -45,7 +45,6 @@ from .tensor import (
     mul,
     sum_all,
     weighted_sum,
-    _accum,
 )
 
 GRAD_SEEDS = 20
@@ -73,32 +72,13 @@ class SuiteCase:
         return self.metric < self.tolerance
 
 
-def _corrupt_tape(tape, param: Value) -> None:
-    """Simulated backward-rule bug: an extra bogus gradient record."""
-    if tape is not None:
-        tape.record(lambda: _accum(param, np.full_like(param.data, 1e-2)))
-
-
-def _grad_case(name: str, build: Callable[[Rng], tuple], seeds: int, epsilon: float, corrupt: bool) -> float:
+def _grad_case(name: str, build: Callable[[Rng], tuple], seeds: int, epsilon: float) -> float:
     worst = 0.0
     for seed in range(seeds):
         rng = Rng(9000 + seed).split(zlib.crc32(name.encode()) % (2 ** 31))
         loss_fn, params = build(rng)
-        if corrupt:
-            target = params[0]
-            original = loss_fn
-
-            def loss_fn(tape, _orig=original, _target=target):
-                out = _orig(tape)
-                _corrupt_tape(tape, _target)
-                return out
-
         worst = _worse(worst, grad_check(loss_fn, params, epsilon))
     return worst
-
-
-def _loss_weights(rng: Rng, shape) -> np.ndarray:
-    return rng.normal(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +90,8 @@ def _case_elementwise(rng: Rng):
     gate_c = Tensor4(rng.normal((2, 3, 1, 1)))
     gate_s = Tensor4(rng.normal((2, 1, 4, 4)))
     b = Tensor4(rng.normal((2, 3, 4, 4)))
-    w1 = _loss_weights(rng, (2, 3, 4, 4))
-    w2 = _loss_weights(rng, (2, 3, 4, 4))
+    w1 = rng.normal((2, 3, 4, 4))
+    w2 = rng.normal((2, 3, 4, 4))
 
     def loss(tape):
         u = mul(add(a, gate_c, tape), gate_s, tape)
@@ -125,7 +105,7 @@ def _case_elementwise(rng: Rng):
 
 def _case_logistic(rng: Rng):
     x = Tensor4(rng.normal((1, 2, 3, 3), 2.0))
-    w = _loss_weights(rng, (1, 2, 3, 3))
+    w = rng.normal((1, 2, 3, 3))
 
     def loss(tape):
         return weighted_sum(logistic(x, tape), w, tape)
@@ -135,7 +115,7 @@ def _case_logistic(rng: Rng):
 
 def _case_gap(rng: Rng):
     x = Tensor4(rng.normal((2, 3, 4, 5)))
-    w = _loss_weights(rng, (2, 3, 1, 1))
+    w = rng.normal((2, 3, 1, 1))
 
     def loss(tape):
         return weighted_sum(global_avg_pool(x, tape), w, tape)
@@ -145,7 +125,7 @@ def _case_gap(rng: Rng):
 
 def _case_concat(rng: Rng):
     parts = [Tensor4(rng.normal((1, c, 3, 3))) for c in (1, 2, 3)]
-    w = _loss_weights(rng, (1, 6, 3, 3))
+    w = rng.normal((1, 6, 3, 3))
 
     def loss(tape):
         return weighted_sum(concat_channels(parts, tape), w, tape)
@@ -157,7 +137,7 @@ def _case_conv2d(rng: Rng):
     d = 1 + rng.integers(0, 3)
     x = Tensor4(rng.normal((1, 2, 5, 5)))
     k = ConvKernel(rng.normal((2, 2, 3, 3), 0.7), rng.normal((2,), 0.3), dilation=d, padding=d)
-    w = _loss_weights(rng, (1, 2, 5, 5))
+    w = rng.normal((1, 2, 5, 5))
 
     def loss(tape):
         return weighted_sum(convkit.conv2d(x, k, tape), w, tape)
@@ -168,7 +148,7 @@ def _case_conv2d(rng: Rng):
 def _case_pointwise(rng: Rng):
     x = Tensor4(rng.normal((2, 3, 4, 4)))
     k = ConvKernel(rng.normal((2, 3, 1, 1), 0.7), rng.normal((2,), 0.3))
-    w = _loss_weights(rng, (2, 2, 4, 4))
+    w = rng.normal((2, 2, 4, 4))
 
     def loss(tape):
         return weighted_sum(convkit.pointwise_conv(x, k, tape), w, tape)
@@ -179,7 +159,7 @@ def _case_pointwise(rng: Rng):
 def _case_deconv(rng: Rng):
     x = Tensor4(rng.normal((2, 2, 3, 3)))
     k = DeconvKernel(rng.normal((2, 2, 2, 2), 0.7), rng.normal((2,), 0.3))
-    w = _loss_weights(rng, (2, 2, 6, 6))
+    w = rng.normal((2, 2, 6, 6))
 
     def loss(tape):
         return weighted_sum(convkit.deconv2x(x, k, tape), w, tape)
@@ -191,7 +171,7 @@ def _case_scse(rng: Rng):
     x = Tensor4(rng.normal((2, 4, 3, 3)))
     r = rng.split(1)  # reduce 4 -> 2, expand 2 -> 4, spatial 4 -> 1
     p = ScseParams(*(ConvKernel(r.normal((o, i, 1, 1), 0.6), np.zeros(o)) for o, i in ((2, 4), (4, 2), (1, 4))))
-    w = _loss_weights(rng, (2, 4, 3, 3))
+    w = rng.normal((2, 4, 3, 3))
 
     def loss(tape):
         return weighted_sum(scse_recalibrate(x, p, tape), w, tape)
@@ -206,21 +186,13 @@ def _mhsa_fixture(rng: Rng, with_registers: bool):
     if with_registers:  # one (HW, HW) score and one (d_head, HW) value register per head
         r = rng.split(2)
         reg = RegisterTokens(r.normal((2, 4, 4), 0.5), r.normal((2, 2, 4), 0.5))
-    w = _loss_weights(rng, (2, 4, 2, 2))
+    w = rng.normal((2, 4, 2, 2))
     params = [x, *p.values()] + (reg.values() if reg is not None else [])
 
     def loss(tape):
         return weighted_sum(mhsa_forward(x, p, reg, tape), w, tape)
 
     return loss, params
-
-
-def _case_mhsa(rng: Rng):
-    return _mhsa_fixture(rng, with_registers=False)
-
-
-def _case_mhsa_registers(rng: Rng):
-    return _mhsa_fixture(rng, with_registers=True)
 
 
 def _neck_test_config(seed: int) -> neck.NeckConfig:
@@ -270,20 +242,20 @@ GRADIENT_CASES: list[tuple[str, Callable, float, float]] = [
     ("pointwise_conv", _case_pointwise, PRIMITIVE_TOL, PRIMITIVE_EPS),
     ("deconv2x", _case_deconv, PRIMITIVE_TOL, PRIMITIVE_EPS),
     ("scse_recalibrate", _case_scse, PRIMITIVE_TOL, PRIMITIVE_EPS),
-    ("mhsa", _case_mhsa, PRIMITIVE_TOL, PRIMITIVE_EPS),
-    ("mhsa_registers", _case_mhsa_registers, PRIMITIVE_TOL, PRIMITIVE_EPS),
+    ("mhsa", partial(_mhsa_fixture, with_registers=False), PRIMITIVE_TOL, PRIMITIVE_EPS),
+    ("mhsa_registers", partial(_mhsa_fixture, with_registers=True), PRIMITIVE_TOL, PRIMITIVE_EPS),
     ("neck_forward", _case_neck, NECK_TOL, NECK_EPS),
 ]
 
 
-def gradient_suite(corrupt: str | None = None, seeds: int = GRAD_SEEDS) -> list[SuiteCase]:
-    """Run all gradient checks; ``corrupt`` injects a fault into the named case."""
+def gradient_suite(seeds: int = GRAD_SEEDS) -> list[SuiteCase]:
+    """Run every gradient case at ``seeds`` seeds each."""
     if seeds < 1:  # zero seeds would run no gradient case and pass vacuously
         raise ContractError(f"verify needs at least 1 seed per gradient case, got {seeds}")
     results = []
     for name, builder, tol, eps in GRADIENT_CASES:
         start = time.perf_counter()
-        metric = _grad_case(name, builder, seeds, eps, corrupt == name)
+        metric = _grad_case(name, builder, seeds, eps)
         elapsed = time.perf_counter() - start
         results.append(
             SuiteCase("grad", name, metric, tol, detail=f"{seeds} seeds, {elapsed:.2f}s")
@@ -319,22 +291,12 @@ def _fast_vs_naive(name: str, fast, naive, cases) -> SuiteCase:
     return SuiteCase("oracle", name, worst, CONV_ORACLE_TOL, f"{count} cases")
 
 
-def conv_oracle_suite(rng: Rng | None = None) -> SuiteCase:
-    cases = conv_oracle_cases(rng or Rng(777))
-    return _fast_vs_naive("conv2d_vs_naive", convkit.conv2d, convkit.naive_conv2d, cases)
-
-
 def _deconv_oracle_cases(rng: Rng):
     for _ in range(20):
         ci = 1 + rng.integers(0, 3)
         co = 1 + rng.integers(0, 3)
         x = Tensor4(rng.normal((1 + rng.integers(0, 2), ci, 1 + rng.integers(0, 4), 1 + rng.integers(0, 4))))
         yield x, DeconvKernel(rng.normal((ci, co, 2, 2)), rng.normal((co,)))
-
-
-def deconv_oracle_suite(rng: Rng | None = None) -> SuiteCase:
-    cases = _deconv_oracle_cases(rng or Rng(778))
-    return _fast_vs_naive("deconv2x_vs_naive", convkit.deconv2x, convkit.naive_deconv2x, cases)
 
 
 def _pointwise_oracle_cases(rng: Rng):
@@ -345,15 +307,18 @@ def _pointwise_oracle_cases(rng: Rng):
         yield x, ConvKernel(rng.normal((co, ci, 1, 1)), rng.normal((co,)))
 
 
-def pointwise_oracle_suite(rng: Rng | None = None) -> SuiteCase:
-    cases = _pointwise_oracle_cases(rng or Rng(779))
-    return _fast_vs_naive("pointwise_vs_naive", convkit.pointwise_conv, convkit.naive_conv2d, cases)
+CONV_ORACLES: list[tuple[str, Callable, Callable, Callable[[Rng], Iterable], int]] = [
+    # (row name, fast op, naive oracle, case generator, seed)
+    ("conv2d_vs_naive", convkit.conv2d, convkit.naive_conv2d, conv_oracle_cases, 777),
+    ("pointwise_vs_naive", convkit.pointwise_conv, convkit.naive_conv2d, _pointwise_oracle_cases, 779),
+    ("deconv2x_vs_naive", convkit.deconv2x, convkit.naive_deconv2x, _deconv_oracle_cases, 778),
+]
 
 
-def random_scene(rng: Rng, max_boxes: int = 6):
+def random_scene(rng: Rng):
     """A random single-class, single-image scene of jittered unit boxes for AP testing."""
-    n_gt = rng.integers(1, max_boxes + 1)
-    n_det = rng.integers(1, max_boxes + 1)
+    n_gt = rng.integers(1, 7)
+    n_det = rng.integers(1, 7)
     gts = []
     for _ in range(n_gt):
         x = rng.uniform(0.0, 20.0)
@@ -372,22 +337,20 @@ def random_scene(rng: Rng, max_boxes: int = 6):
     return dets, gts
 
 
-def ap_oracle_suite(rng: Rng | None = None, scenes: int = AP_ORACLE_SCENES) -> SuiteCase:
-    if scenes < 1:
-        raise ContractError(f"ap_vs_bruteforce needs at least 1 scene, got {scenes}")
-    rng = rng or Rng(780)
+def ap_oracle_suite() -> SuiteCase:
+    rng = Rng(780)
     worst = 0.0
-    for i in range(scenes):
+    for i in range(AP_ORACLE_SCENES):
         dets, gts = random_scene(rng.split(i))
         thresh = (0.3, 0.5, 0.75)[i % 3]
         fast = detmetrics.average_precision(dets, gts, thresh)
         slow = detmetrics.brute_force_ap(dets, gts, thresh)
         worst = _worse(worst, abs(fast - slow))
-    return SuiteCase("oracle", "ap_vs_bruteforce", worst, 1e-15, f"{scenes} scenes (exact)")
+    return SuiteCase("oracle", "ap_vs_bruteforce", worst, 1e-15, f"{AP_ORACLE_SCENES} scenes (exact)")
 
 
-def receptive_field_suite(rng: Rng | None = None) -> SuiteCase:
-    rng = rng or Rng(781)
+def receptive_field_suite() -> SuiteCase:
+    rng = Rng(781)
     worst = 0.0
     for _ in range(100):
         r0 = 1 + rng.integers(0, 8)
@@ -401,28 +364,17 @@ def receptive_field_suite(rng: Rng | None = None) -> SuiteCase:
 
 
 def oracle_suite() -> list[SuiteCase]:
-    return [
-        conv_oracle_suite(),
-        pointwise_oracle_suite(),
-        deconv_oracle_suite(),
-        ap_oracle_suite(),
-        receptive_field_suite(),
-    ]
+    rows = [_fast_vs_naive(name, fast, naive, cases(Rng(seed))) for name, fast, naive, cases, seed in CONV_ORACLES]
+    return rows + [ap_oracle_suite(), receptive_field_suite()]
 
 
-def run(scope: str = "all", corrupt: str | None = None, seeds: int = GRAD_SEEDS) -> list[SuiteCase]:
+def run(scope: str = "all", seeds: int = GRAD_SEEDS) -> list[SuiteCase]:
     """Run the requested suites; scope is one of grad, oracle, all."""
     if scope not in ("grad", "oracle", "all"):
         raise ContractError(f"verify scope must be grad|oracle|all, got {scope!r}")
-    if corrupt is not None:  # a fault injected into nothing that runs would pass vacuously
-        names = [name for name, *_ in GRADIENT_CASES]
-        if corrupt not in names:
-            raise ContractError(f"verify cannot corrupt {corrupt!r}: not a gradient case ({', '.join(names)})")
-        if scope == "oracle":
-            raise ContractError(f"verify cannot corrupt {corrupt!r} in scope oracle, which runs no gradient case")
     results: list[SuiteCase] = []
     if scope in ("grad", "all"):
-        results.extend(gradient_suite(corrupt=corrupt, seeds=seeds))
+        results.extend(gradient_suite(seeds))
     if scope in ("oracle", "all"):
         results.extend(oracle_suite())
     return results

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from faults import corrupted
+from fusionneck import verify
 from fusionneck.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INPUT,
@@ -317,6 +319,15 @@ class TestParams:
         assert "level5.lateral.weight" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_out_of_memory_exits_2(self, tmp_path, capsys):
+        # the (4, 4194304, 4194304) register tensor r_qk would take 512 TiB,
+        # beyond any user address space, so the allocation fails at once
+        code = main(["params", "init", "--height", "8192", "--width", "8192", "--out", str(tmp_path / "w.bin")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not (tmp_path / "w.bin").exists()
+
     def test_corrupt_file_exits_2(self, tmp_path):
         pfile = tmp_path / "p.bin"
         pfile.write_bytes(b"garbage")
@@ -356,22 +367,14 @@ class TestVerify:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "conv2d_vs_naive" in proc.stdout
 
-    def test_corrupted_backward_rule_exits_1(self, capsys):
-        code = main(["verify", "--scope", "grad", "--seeds", "2", "--corrupt", "conv2d"])
+    def test_corrupted_backward_rule_exits_1(self, monkeypatch, capsys):
+        cases = [(name, corrupted(build) if name == "conv2d" else build, tol, eps)
+                 for name, build, tol, eps in verify.GRADIENT_CASES]
+        monkeypatch.setattr(verify, "GRADIENT_CASES", cases)
+        code = main(["verify", "--scope", "grad", "--seeds", "2"])
         assert code == EXIT_VERIFY_FAILED
         out = capsys.readouterr().out
         assert "FAILED: conv2d" in out
-
-    @pytest.mark.parametrize("argv, reason", [
-        (["--scope", "grad", "--corrupt", "nosuchcase"], "not a gradient case (elementwise, logistic,"),
-        (["--scope", "oracle", "--corrupt", "conv2d"], "in scope oracle"),
-    ])
-    def test_corrupt_that_injects_nothing_exits_2(self, capsys, argv, reason):
-        # a fault in a case that does not run would report a vacuous pass
-        assert main(["verify", "--seeds", "1", *argv]) == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert "within tolerance" not in captured.out
-        assert "cannot corrupt" in captured.err and reason in captured.err
 
 
 def module_env(unbuffered: bool) -> dict:

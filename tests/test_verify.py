@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from faults import corrupted
 from fusionneck import convkit, detmetrics, verify
 from fusionneck.errors import ContractError
 from fusionneck.tensor import Value, _accum, mul, sum_all
@@ -12,7 +13,7 @@ from fusionneck.tensor import Value, _accum, mul, sum_all
 
 @pytest.mark.parametrize("name, builder, tol, eps", verify.GRADIENT_CASES, ids=[c[0] for c in verify.GRADIENT_CASES])
 def test_every_gradient_case_fails_when_corrupted(name, builder, tol, eps):
-    assert verify._grad_case(name, builder, 1, eps, corrupt=True) >= tol
+    assert verify._grad_case(name, corrupted(builder), 1, eps) >= tol
 
 
 def test_nan_on_first_seed_is_kept():
@@ -32,7 +33,7 @@ def test_nan_on_first_seed_is_kept():
 
         return loss, [x]
 
-    assert math.isnan(verify._grad_case("nan_first", build, 2, 1e-6, corrupt=False))
+    assert math.isnan(verify._grad_case("nan_first", build, 2, 1e-6))
     assert calls == [True, False]
 
 
@@ -44,26 +45,20 @@ def all_nan(fn):
     return patched
 
 
-@pytest.mark.parametrize("oracle, suite", [
-    ("naive_conv2d", verify.conv_oracle_suite),
-    ("naive_conv2d", verify.pointwise_oracle_suite),
-    ("naive_deconv2x", verify.deconv_oracle_suite),
-])
-def test_nan_oracle_output_fails_row(monkeypatch, oracle, suite):
-    monkeypatch.setattr(convkit, oracle, all_nan(getattr(convkit, oracle)))
-    row = suite()
-    assert math.isnan(row.metric) and not row.passed
+@pytest.mark.parametrize("index", range(len(verify.CONV_ORACLES)), ids=[row[0] for row in verify.CONV_ORACLES])
+def test_nan_oracle_output_fails_row(monkeypatch, index):
+    table = list(verify.CONV_ORACLES)
+    name, fast, naive, cases, seed = table[index]
+    table[index] = (name, fast, all_nan(naive), cases, seed)
+    monkeypatch.setattr(verify, "CONV_ORACLES", table)
+    row = verify.oracle_suite()[index]
+    assert row.name == name and math.isnan(row.metric) and not row.passed
 
 
 def test_nan_ap_fails_row(monkeypatch):
     monkeypatch.setattr(detmetrics, "brute_force_ap", lambda *args: math.nan)
-    row = verify.ap_oracle_suite(scenes=3)
+    row = verify.ap_oracle_suite()
     assert math.isnan(row.metric) and not row.passed
-
-
-def test_ap_oracle_with_no_scenes_refused():
-    with pytest.raises(ContractError, match="at least 1 scene, got 0"):
-        verify.ap_oracle_suite(scenes=0)
 
 
 def test_fast_vs_naive_with_no_cases_refused():
