@@ -32,7 +32,7 @@ CASE = "neck_forward"
 
 def timed_check(case_seed: int, processes: int) -> tuple[float, float]:
     """(error, wall seconds) of one grad_check of the case, swept by ``processes`` processes."""
-    rng = tensor.Rng(9000 + case_seed).split(zlib.crc32(CASE.encode()) % (2 ** 31))  # as verify._grad_case
+    rng = tensor.Rng(9000 + case_seed).split(zlib.crc32(CASE.encode()) % (2 ** 31))  # as verify._grad_errors
     loss, params = verify._case_neck(rng)
     tensor._sweep_processes = lambda predicted_s: processes
     start = time.perf_counter()

@@ -31,6 +31,7 @@ from .diagnostics import artifact_report, level_stats
 from .detmetrics import evaluate_records, load_detections, load_ground_truths
 from .errors import ConfigError, EvaluationError, FusionNeckError, ShapeError
 from .neck import (
+    LEVELS,
     NeckConfig,
     init_params,
     load_params,
@@ -153,22 +154,13 @@ def cmd_forward(cfg: RunConfig) -> dict:
     trace: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names the level instead
         out = neck_forward(pin, params, cfg.neck, trace=trace if cfg.neck.use_mhsa else None)
-    for name, level in (("p3", out.p3), ("p4", out.p4), ("p5", out.p5)):
+    report = {"format_version": REPORT_FORMAT_VERSION, "config": cfg.echo(), "levels": {}, "checksums": {}}
+    for n in LEVELS:
+        name, level = f"p{n}", out.level(n)
         if not np.isfinite(level.data).all():  # NaN or inf would make the report invalid JSON
             raise EvaluationError(f"forward output {name} is not finite")
-    report = {
-        "format_version": REPORT_FORMAT_VERSION,
-        "config": cfg.echo(),
-        "levels": {
-            name: level_stats(out.level(n), level=name).to_dict()
-            for name, n in (("p3", 3), ("p4", 4), ("p5", 5))
-        },
-        "checksums": {
-            "p3": _checksum(out.p3.data),
-            "p4": _checksum(out.p4.data),
-            "p5": _checksum(out.p5.data),
-        },
-    }
+        report["levels"][name] = level_stats(level, level=name).to_dict()
+        report["checksums"][name] = _checksum(level.data)
     if cfg.neck.use_mhsa:
         report["attention"] = {
             step: artifact_report(entry["attention"], entry["mhsa_output"]).to_dict()

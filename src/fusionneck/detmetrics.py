@@ -14,9 +14,12 @@ scratch at every cutoff.
 Matching is greedy: in rank order (descending score, ties in input order),
 each detection takes the unmatched ground truth of its image with the
 highest IoU at or above the threshold, IoU ties keeping the first ground
-truth in input order.  ``iou``, ``_match_flags``, ``_pr_points`` and
-``_class_ap`` implement this one box at a time; they are the reference, and
-``average_precision`` and ``brute_force_ap`` use them.  ``evaluate_records``
+truth in input order.  ``iou``, ``_match_flags`` and ``_pr_points``
+implement this one box at a time; they are the reference, which
+``average_precision`` uses.  ``brute_force_ap`` shares only
+``_gts_by_image`` and ``_match_flags`` and builds its own PR curve, one
+cutoff at a time.  Every entry point takes an IoU threshold in
+(0, 1] and refuses any other with ``ContractError``.  ``evaluate_records``
 computes the same values with array operations.  It ranks all detections
 once (a stable sort), computes the IoU of every same-class, same-image
 (detection, ground truth) pair once, with ``iou``'s operations in ``iou``'s
@@ -211,9 +214,10 @@ def _interpolated_ap(points: Sequence[tuple[float, float]]) -> float:
     return total / len(RECALL_GRID)
 
 
-def _check_thresh(iou_thresh: float) -> None:
-    if not 0.0 < iou_thresh < 1.0:
-        raise ContractError(f"iou_thresh must lie in (0, 1), got {iou_thresh}")
+def _check_thresh(*thresholds: float) -> None:
+    """The one IoU-threshold rule: each lies in (0, 1]; a NaN fails it."""
+    if not all(0.0 < t <= 1.0 for t in thresholds):
+        raise ContractError(f"IoU thresholds must lie in (0, 1], got {list(thresholds)}")
 
 
 def average_precision(
@@ -229,7 +233,9 @@ def average_precision(
     No ground truths, or no detections, yields 0.
     """
     _check_thresh(iou_thresh)
-    return _class_ap(dets, gts, iou_thresh)
+    if not gts or not dets:
+        return 0.0
+    return _interpolated_ap(_pr_points(dets, _gts_by_image(gts), iou_thresh))
 
 
 def brute_force_ap(
@@ -297,16 +303,6 @@ class ApResult:
             "ap_medium": self.ap_medium,
             "ap_large": self.ap_large,
         }
-
-
-def _class_ap(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruth],
-    iou_thresh: float,
-) -> float:
-    if not gts or not dets:
-        return 0.0
-    return _interpolated_ap(_pr_points(dets, _gts_by_image(gts), iou_thresh))
 
 
 def _indices(*columns: Sequence) -> tuple[dict, list[np.ndarray]]:
@@ -461,12 +457,11 @@ def evaluate_records(
     large ≥ 96²).  Classes are those the records name, so each has a
     detection or a ground truth and its ``"defined"`` flag is always true; the
     key stays so that results keep one shape.  Every AP equals the one
-    ``_class_ap`` gives.
+    ``average_precision`` gives.
     """
     if not thresholds:
         raise ContractError("evaluate_records: need at least one threshold")
-    if not all(0.0 < t <= 1.0 for t in thresholds):
-        raise ContractError(f"evaluate_records: thresholds must lie in (0, 1], got {list(thresholds)}")
+    _check_thresh(*thresholds)
     class_ids, (d_cls, g_cls) = _indices(list(map(_class_id, dets)), list(map(_class_id, gts)))
     images, (d_img, g_img) = _indices(list(map(_image_id, dets)), list(map(_image_id, gts)))
     classes = sorted(class_ids)

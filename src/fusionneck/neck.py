@@ -119,13 +119,15 @@ class NeckConfig:
                 f"base size {self.base_height}x{self.base_width} must be divisible by 4"
             )
 
+    def level_hw(self, n: int) -> tuple[int, int]:
+        """Spatial size of pyramid level n: the base size halved n - 3 times."""
+        return self.base_height >> (n - 3), self.base_width >> (n - 3)
+
     def step_hw(self, step: str) -> tuple[int, int]:
         """Spatial size of the map entering the given top-down step."""
-        if step == "to4":
-            return self.base_height // 4, self.base_width // 4
-        if step == "to3":
-            return self.base_height // 2, self.base_width // 2
-        raise ConfigError(f"unknown top-down step {step!r}")
+        if step not in STEPS:
+            raise ConfigError(f"unknown top-down step {step!r}")
+        return self.level_hw(int(step[-1]) + 1)  # "to4" upsamples p5, "to3" upsamples p4
 
     def to_dict(self) -> dict:
         """Every field as a JSON value, tuples as lists: the config echo."""
@@ -351,15 +353,14 @@ def attention_upsample(
 
 def _validate_input(pin: PyramidIn, cfg: NeckConfig) -> None:
     """Check each level's (B, C, H, W) against the config, B from c3, then its finiteness."""
-    batch, h, w = pin.c3.data.shape[0], cfg.base_height, cfg.base_width
-    levels = (("c3", pin.c3, 1), ("c4", pin.c4, 2), ("c5", pin.c5, 4))
-    for (name, t, div), c in zip(levels, cfg.in_channels):
-        expected = (batch, c, h // div, w // div)
-        if t.data.shape != expected:
-            raise ShapeError(f"{name}: expected shape {expected}, got {t.data.shape}")
-    for name, t, _ in levels:
-        if not np.isfinite(t.data).all():
-            raise ContractError(f"{name}: input holds non-finite values")
+    batch = pin.c3.data.shape[0]
+    for n, c in zip(LEVELS, cfg.in_channels):
+        shape, expected = pin.level(n).data.shape, (batch, c, *cfg.level_hw(n))
+        if shape != expected:
+            raise ShapeError(f"c{n}: expected shape {expected}, got {shape}")
+    for n in LEVELS:
+        if not np.isfinite(pin.level(n).data).all():
+            raise ContractError(f"c{n}: input holds non-finite values")
 
 
 def neck_forward(
@@ -392,13 +393,7 @@ def neck_forward(
 
 def synthetic_pyramid(cfg: NeckConfig, batch: int, rng: Rng) -> PyramidIn:
     """Standard-normal backbone stand-in at the configured shapes."""
-    h, w = cfg.base_height, cfg.base_width
-    c3, c4, c5 = cfg.in_channels
-    return PyramidIn(
-        c3=Tensor4(rng.normal((batch, c3, h, w))),
-        c4=Tensor4(rng.normal((batch, c4, h // 2, w // 2))),
-        c5=Tensor4(rng.normal((batch, c5, h // 4, w // 4))),
-    )
+    return PyramidIn(*(Tensor4(rng.normal((batch, c, *cfg.level_hw(n)))) for n, c in zip(LEVELS, cfg.in_channels)))
 
 
 def _tensor_index(cfg: NeckConfig) -> list[dict]:

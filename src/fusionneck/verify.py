@@ -2,16 +2,19 @@
 
 Gradient suite (11 rows): every differentiable primitive plus the composed
 neck is checked against central finite differences at fixed seeds (tolerance
-1e-5 for primitives, 1e-4 for the neck).  Oracle suite (5 rows): the
-vectorized convolutions against their loop oracles (one ``CONV_ORACLES``
-table), average precision against the explicit-cutoff oracle, and the
+1e-5 for primitives, 1e-4 for the neck).  Oracle suite (5 rows, one
+``ORACLES`` table): the vectorized convolutions against their loop oracles,
+average precision against the explicit-cutoff oracle, and the
 receptive-field recurrence against its closed form.  Every suite runs fixed
-inputs; a caller chooses only the scope and the number of gradient seeds.  A
-row's metric is its worst error, and a NaN error is kept as the worst, so it
-fails the row.  Zero gradient seeds, an empty conv case list, and a
-``grad_check`` of params holding no elements are refused with
-``ContractError`` rather than run as a vacuous pass.  The CLI ``verify``
-command runs these and maps failures to a nonzero exit code.
+inputs; a caller chooses only the scope and the number of gradient seeds.
+
+Each row is a stream of errors (one per seed, case, scene or chain) folded
+by ``_row``, the one rule for all 16: the metric is the worst error, a NaN
+error is kept as the worst so it fails the row, a row whose stream is empty
+is refused with ``ContractError`` rather than run as a vacuous pass, and the
+detail reads ``"<count> <unit>, <seconds>s"``.  A ``grad_check`` of params
+holding no elements is refused the same way.  The CLI ``verify`` command
+runs these and maps failures to a nonzero exit code.
 
 Inputs and test parameters are drawn at O(1) scale so the finite-difference
 quotients are well-conditioned; the production sigma=0.01 init would push
@@ -24,7 +27,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -34,17 +37,7 @@ from .convkit import ConvKernel, DeconvKernel, ReceptiveFieldState, receptive_fi
 from .detmetrics import Box, Detection, GroundTruth
 from .errors import ContractError
 from .tensor import (
-    Rng,
-    Tensor4,
-    _worse,
-    add,
-    concat_channels,
-    global_avg_pool,
-    grad_check,
-    logistic,
-    mul,
-    sum_all,
-    weighted_sum,
+    Rng, Tensor4, _worse, add, concat_channels, global_avg_pool, grad_check, logistic, mul, sum_all, weighted_sum,
 )
 
 GRAD_SEEDS = 20
@@ -72,18 +65,37 @@ class SuiteCase:
         return self.metric < self.tolerance
 
 
-def _grad_case(name: str, build: Callable[[Rng], tuple], seeds: int, epsilon: float) -> float:
-    worst = 0.0
+def _row(suite: str, name: str, errors: Iterable[float], tolerance: float, unit: str) -> SuiteCase:
+    """Fold a row's error stream into its worst error; an empty stream is refused."""
+    start = time.perf_counter()
+    worst, count = 0.0, 0
+    for count, err in enumerate(errors, 1):
+        worst = _worse(worst, err)
+    if count == 0:  # a row that checked nothing would pass vacuously
+        raise ContractError(f"{name}: no {unit} to check")
+    return SuiteCase(suite, name, worst, tolerance, f"{count} {unit}, {time.perf_counter() - start:.2f}s")
+
+
+def _grad_errors(name: str, build: Callable[[Rng], tuple], seeds: int, epsilon: float) -> Iterator[float]:
+    """The ``grad_check`` error of the case ``build`` makes at each seed."""
     for seed in range(seeds):
         rng = Rng(9000 + seed).split(zlib.crc32(name.encode()) % (2 ** 31))
-        loss_fn, params = build(rng)
-        worst = _worse(worst, grad_check(loss_fn, params, epsilon))
-    return worst
+        yield grad_check(*build(rng), epsilon)
 
 
 # ---------------------------------------------------------------------------
 # gradient case builders: each returns (loss_fn(tape) -> scalar Value, params)
 # ---------------------------------------------------------------------------
+
+def _op_case(rng: Rng, params: list, op: Callable, *args) -> tuple:
+    """The case for ``op(*args, tape)``: its weighted sum, weights drawn last in the output's shape."""
+    w = rng.normal(op(*args, None).shape)
+
+    def loss(tape):
+        return weighted_sum(op(*args, tape), w, tape)
+
+    return loss, params
+
 
 def _case_elementwise(rng: Rng):
     a = Tensor4(rng.normal((2, 3, 4, 4)))
@@ -105,78 +117,43 @@ def _case_elementwise(rng: Rng):
 
 def _case_logistic(rng: Rng):
     x = Tensor4(rng.normal((1, 2, 3, 3), 2.0))
-    w = rng.normal((1, 2, 3, 3))
-
-    def loss(tape):
-        return weighted_sum(logistic(x, tape), w, tape)
-
-    return loss, [x]
+    return _op_case(rng, [x], logistic, x)
 
 
 def _case_gap(rng: Rng):
     x = Tensor4(rng.normal((2, 3, 4, 5)))
-    w = rng.normal((2, 3, 1, 1))
-
-    def loss(tape):
-        return weighted_sum(global_avg_pool(x, tape), w, tape)
-
-    return loss, [x]
+    return _op_case(rng, [x], global_avg_pool, x)
 
 
 def _case_concat(rng: Rng):
     parts = [Tensor4(rng.normal((1, c, 3, 3))) for c in (1, 2, 3)]
-    w = rng.normal((1, 6, 3, 3))
-
-    def loss(tape):
-        return weighted_sum(concat_channels(parts, tape), w, tape)
-
-    return loss, list(parts)
+    return _op_case(rng, parts, concat_channels, parts)
 
 
 def _case_conv2d(rng: Rng):
     d = 1 + rng.integers(0, 3)
     x = Tensor4(rng.normal((1, 2, 5, 5)))
     k = ConvKernel(rng.normal((2, 2, 3, 3), 0.7), rng.normal((2,), 0.3), dilation=d, padding=d)
-    w = rng.normal((1, 2, 5, 5))
-
-    def loss(tape):
-        return weighted_sum(convkit.conv2d(x, k, tape), w, tape)
-
-    return loss, [x, k.weight, k.bias]
+    return _op_case(rng, [x, *k.values()], convkit.conv2d, x, k)
 
 
 def _case_pointwise(rng: Rng):
     x = Tensor4(rng.normal((2, 3, 4, 4)))
     k = ConvKernel(rng.normal((2, 3, 1, 1), 0.7), rng.normal((2,), 0.3))
-    w = rng.normal((2, 2, 4, 4))
-
-    def loss(tape):
-        return weighted_sum(convkit.pointwise_conv(x, k, tape), w, tape)
-
-    return loss, [x, k.weight, k.bias]
+    return _op_case(rng, [x, *k.values()], convkit.pointwise_conv, x, k)
 
 
 def _case_deconv(rng: Rng):
     x = Tensor4(rng.normal((2, 2, 3, 3)))
     k = DeconvKernel(rng.normal((2, 2, 2, 2), 0.7), rng.normal((2,), 0.3))
-    w = rng.normal((2, 2, 6, 6))
-
-    def loss(tape):
-        return weighted_sum(convkit.deconv2x(x, k, tape), w, tape)
-
-    return loss, [x, k.weight, k.bias]
+    return _op_case(rng, [x, *k.values()], convkit.deconv2x, x, k)
 
 
 def _case_scse(rng: Rng):
     x = Tensor4(rng.normal((2, 4, 3, 3)))
     r = rng.split(1)  # reduce 4 -> 2, expand 2 -> 4, spatial 4 -> 1
     p = ScseParams(*(ConvKernel(r.normal((o, i, 1, 1), 0.6), np.zeros(o)) for o, i in ((2, 4), (4, 2), (1, 4))))
-    w = rng.normal((2, 4, 3, 3))
-
-    def loss(tape):
-        return weighted_sum(scse_recalibrate(x, p, tape), w, tape)
-
-    return loss, [x, *p.values()]
+    return _op_case(rng, [x, *p.values()], scse_recalibrate, x, p)
 
 
 def _mhsa_fixture(rng: Rng, with_registers: bool):
@@ -186,13 +163,7 @@ def _mhsa_fixture(rng: Rng, with_registers: bool):
     if with_registers:  # one (HW, HW) score and one (d_head, HW) value register per head
         r = rng.split(2)
         reg = RegisterTokens(r.normal((2, 4, 4), 0.5), r.normal((2, 2, 4), 0.5))
-    w = rng.normal((2, 4, 2, 2))
-    params = [x, *p.values()] + (reg.values() if reg is not None else [])
-
-    def loss(tape):
-        return weighted_sum(mhsa_forward(x, p, reg, tape), w, tape)
-
-    return loss, params
+    return _op_case(rng, [x, *p.values(), *(reg.values() if reg is not None else [])], mhsa_forward, x, p, reg)
 
 
 def _neck_test_config(seed: int) -> neck.NeckConfig:
@@ -250,17 +221,8 @@ GRADIENT_CASES: list[tuple[str, Callable, float, float]] = [
 
 def gradient_suite(seeds: int = GRAD_SEEDS) -> list[SuiteCase]:
     """Run every gradient case at ``seeds`` seeds each."""
-    if seeds < 1:  # zero seeds would run no gradient case and pass vacuously
-        raise ContractError(f"verify needs at least 1 seed per gradient case, got {seeds}")
-    results = []
-    for name, builder, tol, eps in GRADIENT_CASES:
-        start = time.perf_counter()
-        metric = _grad_case(name, builder, seeds, eps)
-        elapsed = time.perf_counter() - start
-        results.append(
-            SuiteCase("grad", name, metric, tol, detail=f"{seeds} seeds, {elapsed:.2f}s")
-        )
-    return results
+    return [_row("grad", name, _grad_errors(name, build, seeds, eps), tol, "seeds")
+            for name, build, tol, eps in GRADIENT_CASES]
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +243,10 @@ def conv_oracle_cases(rng: Rng):
         yield x, k
 
 
-def _fast_vs_naive(name: str, fast, naive, cases) -> SuiteCase:
-    """Worst |fast − naive| over (input, kernel) cases; a NaN anywhere fails the row."""
-    worst, count = 0.0, 0
-    for count, (x, k) in enumerate(cases, 1):
-        worst = _worse(worst, float(np.max(np.abs(fast(x, k).data - naive(x, k).data))))
-    if count == 0:
-        raise ContractError(f"{name}: no cases to compare")
-    return SuiteCase("oracle", name, worst, CONV_ORACLE_TOL, f"{count} cases")
+def _fast_vs_naive(fast, naive, cases: Callable[[Rng], Iterable], seed: int) -> Iterator[float]:
+    """|fast − naive| at each (input, kernel) case that ``cases`` draws from ``Rng(seed)``."""
+    for x, k in cases(Rng(seed)):
+        yield float(np.max(np.abs(fast(x, k).data - naive(x, k).data)))
 
 
 def _deconv_oracle_cases(rng: Rng):
@@ -305,14 +263,6 @@ def _pointwise_oracle_cases(rng: Rng):
         co = 1 + rng.integers(0, 4)
         x = Tensor4(rng.normal((2, ci, 3, 3)))
         yield x, ConvKernel(rng.normal((co, ci, 1, 1)), rng.normal((co,)))
-
-
-CONV_ORACLES: list[tuple[str, Callable, Callable, Callable[[Rng], Iterable], int]] = [
-    # (row name, fast op, naive oracle, case generator, seed)
-    ("conv2d_vs_naive", convkit.conv2d, convkit.naive_conv2d, conv_oracle_cases, 777),
-    ("pointwise_vs_naive", convkit.pointwise_conv, convkit.naive_conv2d, _pointwise_oracle_cases, 779),
-    ("deconv2x_vs_naive", convkit.deconv2x, convkit.naive_deconv2x, _deconv_oracle_cases, 778),
-]
 
 
 def random_scene(rng: Rng):
@@ -337,35 +287,43 @@ def random_scene(rng: Rng):
     return dets, gts
 
 
-def ap_oracle_suite() -> SuiteCase:
+def _ap_errors() -> Iterator[float]:
+    """|fast − brute-force AP| on each random scene, thresholds cycling 0.3, 0.5, 0.75."""
     rng = Rng(780)
-    worst = 0.0
     for i in range(AP_ORACLE_SCENES):
         dets, gts = random_scene(rng.split(i))
         thresh = (0.3, 0.5, 0.75)[i % 3]
-        fast = detmetrics.average_precision(dets, gts, thresh)
-        slow = detmetrics.brute_force_ap(dets, gts, thresh)
-        worst = _worse(worst, abs(fast - slow))
-    return SuiteCase("oracle", "ap_vs_bruteforce", worst, 1e-15, f"{AP_ORACLE_SCENES} scenes (exact)")
+        yield abs(detmetrics.average_precision(dets, gts, thresh) - detmetrics.brute_force_ap(dets, gts, thresh))
 
 
-def receptive_field_suite() -> SuiteCase:
+def _receptive_field_errors() -> Iterator[float]:
+    """|recurrence − closed form| of the receptive field of each random dilation chain."""
     rng = Rng(781)
-    worst = 0.0
     for _ in range(100):
         r0 = 1 + rng.integers(0, 8)
         chain = [1 + rng.integers(0, 3) for _ in range(rng.integers(1, 8))]
         state = ReceptiveFieldState(r0)
         for d in chain:
             state = receptive_field_step(state, 3, d)
-        closed_form = r0 + 2 * sum(chain)
-        worst = _worse(worst, abs(state.r - closed_form))
-    return SuiteCase("oracle", "receptive_field_closed_form", worst, 1e-15, "100 chains")
+        yield abs(state.r - (r0 + 2 * sum(chain)))
+
+
+ORACLES: list[tuple[str, Callable[[], Iterable[float]], float, str]] = [
+    # (row name, error stream, tolerance, unit)
+    ("conv2d_vs_naive", partial(_fast_vs_naive, convkit.conv2d, convkit.naive_conv2d, conv_oracle_cases, 777),
+     CONV_ORACLE_TOL, "cases"),
+    ("pointwise_vs_naive",
+     partial(_fast_vs_naive, convkit.pointwise_conv, convkit.naive_conv2d, _pointwise_oracle_cases, 779),
+     CONV_ORACLE_TOL, "cases"),
+    ("deconv2x_vs_naive", partial(_fast_vs_naive, convkit.deconv2x, convkit.naive_deconv2x, _deconv_oracle_cases, 778),
+     CONV_ORACLE_TOL, "cases"),
+    ("ap_vs_bruteforce", _ap_errors, 1e-15, "scenes"),
+    ("receptive_field_closed_form", _receptive_field_errors, 1e-15, "chains"),
+]
 
 
 def oracle_suite() -> list[SuiteCase]:
-    rows = [_fast_vs_naive(name, fast, naive, cases(Rng(seed))) for name, fast, naive, cases, seed in CONV_ORACLES]
-    return rows + [ap_oracle_suite(), receptive_field_suite()]
+    return [_row("oracle", name, errors(), tol, unit) for name, errors, tol, unit in ORACLES]
 
 
 def run(scope: str = "all", seeds: int = GRAD_SEEDS) -> list[SuiteCase]:

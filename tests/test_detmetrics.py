@@ -18,7 +18,6 @@ from fusionneck.detmetrics import (
     Box,
     Detection,
     GroundTruth,
-    _class_ap,
     average_precision,
     brute_force_ap,
     evaluate_records,
@@ -120,10 +119,17 @@ class TestAveragePrecision:
         assert average_precision([], [], 0.5) == 0.0
 
     def test_threshold_contract(self):
-        with pytest.raises(ContractError):
-            average_precision([], [], 0.0)
-        with pytest.raises(ContractError):
-            average_precision([], [], 1.0)
+        """One rule for every entry point: an IoU threshold lies in (0, 1]."""
+        det = [Detection("img", 0, unit_box(), 0.9)]
+        gt = [GroundTruth("img", 0, unit_box())]
+        assert average_precision(det, gt, 1.0) == brute_force_ap(det, gt, 1.0) == 1.0
+        assert evaluate_records(det, gt, (1.0,)).mean == 1.0
+        for bad in (0.0, 1.5):
+            for call in (average_precision, brute_force_ap):
+                with pytest.raises(ContractError, match=r"\(0, 1\]"):
+                    call(det, gt, bad)
+            with pytest.raises(ContractError, match=r"\(0, 1\]"):
+                evaluate_records(det, gt, (bad,))
 
     def test_ap_bounded(self):
         for seed in range(50):
@@ -464,23 +470,23 @@ class TestInterchangeFiles:
 
 
 def scalar_evaluate(dets, gts, thresholds) -> ApResult:
-    """``evaluate_records`` recomputed with the scalar ``_class_ap``, one class,
-    threshold and size bucket at a time."""
+    """``evaluate_records`` recomputed with the scalar ``average_precision``,
+    one class, threshold and size bucket at a time."""
     classes = sorted({d.class_id for d in dets} | {g.class_id for g in gts})
     per_class = {}
     for cid in classes:
         cdets = [d for d in dets if d.class_id == cid]
         cgts = [g for g in gts if g.class_id == cid]
         entry = {
-            "ap": sum(_class_ap(cdets, cgts, t) for t in thresholds) / len(thresholds),
-            "ap50": _class_ap(cdets, cgts, 0.50),
-            "ap75": _class_ap(cdets, cgts, 0.75),
+            "ap": sum(average_precision(cdets, cgts, t) for t in thresholds) / len(thresholds),
+            "ap50": average_precision(cdets, cgts, 0.50),
+            "ap75": average_precision(cdets, cgts, 0.75),
             "defined": True,
         }
         for name, (lo, hi) in SIZE_BUCKETS.items():
             bdets = [d for d in cdets if lo <= d.box.area() < hi]
             bgts = [g for g in cgts if lo <= g.box.area() < hi]
-            entry[f"ap_{name}"] = sum(_class_ap(bdets, bgts, t) for t in thresholds) / len(thresholds)
+            entry[f"ap_{name}"] = sum(average_precision(bdets, bgts, t) for t in thresholds) / len(thresholds)
         per_class[cid] = entry
     n = len(classes)
     return ApResult(
