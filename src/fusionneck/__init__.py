@@ -19,13 +19,11 @@ from .attention import (
 from .convkit import (
     ConvKernel,
     DeconvKernel,
-    ReceptiveFieldState,
     conv2d,
     deconv2x,
     naive_conv2d,
     naive_deconv2x,
     pointwise_conv,
-    receptive_field_step,
 )
 from .detmetrics import (
     ApResult,

@@ -153,7 +153,7 @@ def cmd_forward(cfg: RunConfig) -> dict:
         Path(cfg.params_out).write_bytes(save_params(params))
     trace: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names the level instead
-        out = neck_forward(pin, params, cfg.neck, trace=trace if cfg.neck.use_mhsa else None)
+        out = neck_forward(pin, params, cfg.neck, trace=trace)
     report = {"format_version": REPORT_FORMAT_VERSION, "config": cfg.echo(), "levels": {}, "checksums": {}}
     for n in LEVELS:
         name, level = f"p{n}", out.level(n)
@@ -161,7 +161,7 @@ def cmd_forward(cfg: RunConfig) -> dict:
             raise EvaluationError(f"forward output {name} is not finite")
         report["levels"][name] = level_stats(level, level=name).to_dict()
         report["checksums"][name] = _checksum(level.data)
-    if cfg.neck.use_mhsa:
+    if trace:  # empty when the params hold no attention gate
         report["attention"] = {
             step: artifact_report(entry["attention"], entry["mhsa_output"]).to_dict()
             for step, entry in sorted(trace.items())

@@ -23,8 +23,6 @@ they are given and check their shapes; ``neck.init_params`` draws the neck's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, ShapeError
@@ -112,27 +110,6 @@ class DeconvKernel:
 
     def values(self) -> list[Value]:
         return [self.weight, self.bias]
-
-
-@dataclass(frozen=True)
-class ReceptiveFieldState:
-    """Receptive-field extent (in input pixels) after ``layer`` stacked convs."""
-
-    r: int
-    layer: int = 0
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ContractError(f"receptive field must be >= 1, got {self.r}")
-
-
-def receptive_field_step(state: ReceptiveFieldState, k: int, dilation: int) -> ReceptiveFieldState:
-    """Grow the receptive field by one conv layer: r' = r + (k − 1) · dilation."""
-    if k < 1:
-        raise ContractError(f"kernel size must be >= 1, got {k}")
-    if dilation < 1:
-        raise ContractError(f"dilation must be >= 1, got {dilation}")
-    return ReceptiveFieldState(state.r + (k - 1) * dilation, state.layer + 1)
 
 
 def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:

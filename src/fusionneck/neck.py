@@ -12,14 +12,17 @@ pre-upsample map, then adds the lateral branch:
     p4 = block(project(c4)) + gate(p5) ⊙ upsample(p5)
     p3 = block(project(c3)) + gate(p4) ⊙ upsample(p4)
 
-Ablation switches select plain (single dilation-1) convolution, skip the
-gate recalibration, drop the attention gate, or zero out the registers.
-
-``parameter_spec`` names every learnable tensor once, with its shape: per
-level the conv kernels, per top-down step ``mhsa.w_qkv`` (3, C, C),
-``registers.r_qk`` (heads, HW, HW), ``registers.r_v`` (heads, d_head, HW) and
-the deconv kernel.  ``NeckParams`` holds one ``Value`` per name, and the
-kernels are built on those same values.
+``parameter_spec`` names every learnable tensor of the configured arm once,
+with its shape, and is the one place that reads the ablation switches.  Per
+level every arm owns ``lateral``; ``attention_atrous`` (the full path) adds
+one ``branch_d{d}`` per dilation, ``post`` and the three ``scse`` gate
+kernels; ``atrous`` drops the ``scse`` kernels; ``standard`` owns a single
+``conv`` (c, c, 3, 3) run at dilation 1 instead.  Per top-down step every
+arm owns ``deconv``; ``use_mhsa`` adds ``mhsa.w_qkv`` (3, C, C), and
+``use_registers`` with it ``registers.r_qk`` (heads, HW, HW) and
+``registers.r_v`` (heads, d_head, HW).  ``NeckParams`` holds one ``Value``
+per name, the kernels are built on those same values, and the forward runs
+exactly the kernels the params hold.
 """
 
 from __future__ import annotations
@@ -187,20 +190,28 @@ class PyramidOut:
 
 @dataclass
 class LevelParams:
-    """Lateral projection, dilated branch bank, fusion, and gates for one level."""
+    """Lateral projection, dilated branch bank, fusion, and gates for one level.
+
+    ``post`` is None in the ``standard`` arm, whose ``branches`` is its one
+    dilation-1 conv; ``scse`` is None in the ``standard`` and ``atrous`` arms.
+    """
 
     lateral: ConvKernel
     branches: list[ConvKernel]
-    post: ConvKernel
-    scse: ScseParams
+    post: ConvKernel | None
+    scse: ScseParams | None
 
 
 @dataclass
 class StepParams:
-    """Attention gate and learned upsampler for one top-down step."""
+    """Attention gate and learned upsampler for one top-down step.
 
-    mhsa: MhsaParams
-    registers: RegisterTokens
+    ``mhsa`` is None without ``use_mhsa``; ``registers`` is None without
+    ``use_mhsa`` or without ``use_registers``.
+    """
+
+    mhsa: MhsaParams | None
+    registers: RegisterTokens | None
     deconv: DeconvKernel
 
 
@@ -209,6 +220,8 @@ class NeckParams:
 
     ``tensors`` maps each ``parameter_spec`` name, in spec order, to the very
     ``Value`` that ``levels`` and ``steps`` hold, so updating one updates both.
+    Only the arm's own tensors exist: the ``LevelParams`` and ``StepParams``
+    fields of kernels it does not run are None.
     """
 
     def __init__(
@@ -236,32 +249,35 @@ class NeckParams:
 
 
 def parameter_spec(cfg: NeckConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Canonical (name, shape) list; the single source of truth for layout."""
+    """Canonical (name, shape) list of the arm's own tensors; the single source of truth for layout."""
     c = cfg.pyramid_width
     spec: list[tuple[str, tuple[int, ...]]] = []
+
+    def conv(prefix: str, shape: tuple[int, ...]) -> None:
+        spec.extend([(f"{prefix}.weight", shape), (f"{prefix}.bias", (shape[0],))])
+
     for n, ci in zip(LEVELS, cfg.in_channels):
-        spec.append((f"level{n}.lateral.weight", (c, ci, 1, 1)))
-        spec.append((f"level{n}.lateral.bias", (c,)))
+        conv(f"level{n}.lateral", (c, ci, 1, 1))
+        if cfg.atrous_mode == "standard":
+            conv(f"level{n}.conv", (c, c, 3, 3))
+            continue
         for d in cfg.dilations:
-            spec.append((f"level{n}.branch_d{d}.weight", (c, c, 3, 3)))
-            spec.append((f"level{n}.branch_d{d}.bias", (c,)))
-        spec.append((f"level{n}.post.weight", (c, len(cfg.dilations) * c, 1, 1)))
-        spec.append((f"level{n}.post.bias", (c,)))
-        hidden = c // cfg.scse_reduction
-        spec.append((f"level{n}.scse.reduce.weight", (hidden, c, 1, 1)))
-        spec.append((f"level{n}.scse.reduce.bias", (hidden,)))
-        spec.append((f"level{n}.scse.expand.weight", (c, hidden, 1, 1)))
-        spec.append((f"level{n}.scse.expand.bias", (c,)))
-        spec.append((f"level{n}.scse.spatial.weight", (1, c, 1, 1)))
-        spec.append((f"level{n}.scse.spatial.bias", (1,)))
+            conv(f"level{n}.branch_d{d}", (c, c, 3, 3))
+        conv(f"level{n}.post", (c, len(cfg.dilations) * c, 1, 1))
+        if cfg.atrous_mode == "attention_atrous":
+            hidden = c // cfg.scse_reduction
+            conv(f"level{n}.scse.reduce", (hidden, c, 1, 1))
+            conv(f"level{n}.scse.expand", (c, hidden, 1, 1))
+            conv(f"level{n}.scse.spatial", (1, c, 1, 1))
     heads = cfg.head_count
     for s in STEPS:
         h, w = cfg.step_hw(s)
-        spec.append((f"step_{s}.mhsa.w_qkv", (3, c, c)))
-        spec.append((f"step_{s}.registers.r_qk", (heads, h * w, h * w)))
-        spec.append((f"step_{s}.registers.r_v", (heads, c // heads, h * w)))
-        spec.append((f"step_{s}.deconv.weight", (c, c, 2, 2)))
-        spec.append((f"step_{s}.deconv.bias", (c,)))
+        if cfg.use_mhsa:
+            spec.append((f"step_{s}.mhsa.w_qkv", (3, c, c)))
+            if cfg.use_registers:
+                spec.append((f"step_{s}.registers.r_qk", (heads, h * w, h * w)))
+                spec.append((f"step_{s}.registers.r_v", (heads, c // heads, h * w)))
+        conv(f"step_{s}.deconv", (c, c, 2, 2))
     return spec
 
 
@@ -269,25 +285,31 @@ def _params_from_arrays(cfg: NeckConfig, arrays: dict[str, np.ndarray]) -> NeckP
     """Assemble structured params from a name->array mapping (canonical names).
 
     One ``Value`` per spec entry; the kernels are built from those same values.
+    A kernel the spec does not name is None, so the params alone say what runs.
     """
     t = {name: Value(arrays[name]) for name, _ in parameter_spec(cfg)}
 
-    def conv(prefix: str, dilation: int = 1, padding: int = 0) -> ConvKernel:
+    def conv(prefix: str, dilation: int = 1, padding: int = 0) -> ConvKernel | None:
+        if f"{prefix}.weight" not in t:
+            return None
         return ConvKernel(t[f"{prefix}.weight"], t[f"{prefix}.bias"], dilation=dilation, padding=padding)
 
     levels: dict[int, LevelParams] = {}
     for n in LEVELS:
+        kernels = [conv(f"level{n}.conv", 1, 1), *(conv(f"level{n}.branch_d{d}", d, d) for d in cfg.dilations)]
+        scse = [conv(f"level{n}.scse.{part}") for part in ("reduce", "expand", "spatial")]
         levels[n] = LevelParams(
             lateral=conv(f"level{n}.lateral"),
-            branches=[conv(f"level{n}.branch_d{d}", d, d) for d in cfg.dilations],
+            branches=[k for k in kernels if k is not None],
             post=conv(f"level{n}.post"),
-            scse=ScseParams(*(conv(f"level{n}.scse.{part}") for part in ("reduce", "expand", "spatial"))),
+            scse=None if scse[0] is None else ScseParams(*scse),
         )
     steps: dict[str, StepParams] = {}
     for s in STEPS:
+        w_qkv, r_qk = t.get(f"step_{s}.mhsa.w_qkv"), t.get(f"step_{s}.registers.r_qk")
         steps[s] = StepParams(
-            mhsa=MhsaParams(t[f"step_{s}.mhsa.w_qkv"], head_count=cfg.head_count),
-            registers=RegisterTokens(t[f"step_{s}.registers.r_qk"], t[f"step_{s}.registers.r_v"]),
+            mhsa=None if w_qkv is None else MhsaParams(w_qkv, head_count=cfg.head_count),
+            registers=None if r_qk is None else RegisterTokens(r_qk, t[f"step_{s}.registers.r_v"]),
             deconv=DeconvKernel(t[f"step_{s}.deconv.weight"], t[f"step_{s}.deconv.bias"]),
         )
     return NeckParams(t, levels, steps, cfg)
@@ -304,19 +326,19 @@ def init_params(cfg: NeckConfig, rng: Rng) -> NeckParams:
     return _params_from_arrays(cfg, arrays)
 
 
-def parallel_atrous_block(x: Tensor4, level: LevelParams, cfg: NeckConfig, tape: Tape | None = None) -> Tensor4:
+def parallel_atrous_block(x: Tensor4, level: LevelParams, tape: Tape | None = None) -> Tensor4:
     """Multi-dilation branch bank with fusion and gate recalibration.
 
-    atrous_mode selects the path: "standard" runs the first branch kernel as
-    a plain dilation-1 conv (no concat, no gates); "atrous" keeps the branch
-    bank and fusion but skips the gates; "attention_atrous" is the full path.
+    Runs what ``level`` holds: every branch conv, then the ``post`` fusion
+    and the ``scse`` gates where present.  The ``standard`` arm's single
+    branch has no ``post`` and is returned as is; the ``atrous`` arm has no
+    ``scse`` and returns the fused map.
     """
-    if cfg.atrous_mode == "standard":
-        first = level.branches[0]
-        return conv2d(x, ConvKernel(first.weight, first.bias, dilation=1, padding=1), tape)
     branches = [conv2d(x, k, tape) for k in level.branches]
+    if level.post is None:
+        return branches[0]
     fused = pointwise_conv(concat_channels(branches, tape), level.post, tape)
-    if cfg.atrous_mode == "atrous":
+    if level.scse is None:
         return fused
     return scse_recalibrate(fused, level.scse, tape)
 
@@ -331,20 +353,20 @@ def attention_upsample(
 ) -> Tensor4:
     """Dual-path 2x upsampling: learned deconvolution gated by pooled attention.
 
-    Path A runs self-attention (with registers unless ablated) on the input
-    and pools it to a per-channel gate, optionally squashed by the logistic;
-    path B applies the stride-2 transposed convolution.  The output is the
-    gated product, or the raw deconvolution when the attention path is off.
+    Path A runs self-attention (with the step's registers, if it holds any)
+    on the input and pools it to a per-channel gate, squashed by the logistic
+    when ``cfg.gating_mode`` asks; path B applies the stride-2 transposed
+    convolution.  The output is the gated product, or the raw deconvolution
+    when the step holds no attention params.
     """
     up = deconv2x(top, step.deconv, tape)
-    if not cfg.use_mhsa:
+    if step.mhsa is None:
         return up
-    reg = step.registers if cfg.use_registers else None
     if trace is not None:
-        y, attn = mhsa_forward(top, step.mhsa, reg, tape, return_attention=True)
+        y, attn = mhsa_forward(top, step.mhsa, step.registers, tape, return_attention=True)
         trace[trace_key] = {"attention": attn, "mhsa_output": y}
     else:
-        y = mhsa_forward(top, step.mhsa, reg, tape)
+        y = mhsa_forward(top, step.mhsa, step.registers, tape)
     gate = global_avg_pool(y, tape)
     if cfg.gating_mode == "logistic":
         gate = logistic(gate, tape)
@@ -363,6 +385,12 @@ def _validate_input(pin: PyramidIn, cfg: NeckConfig) -> None:
             raise ContractError(f"c{n}: input holds non-finite values")
 
 
+def _differing_keys(echo: dict, cfg: NeckConfig) -> list[str]:
+    """Sorted keys on which a config echo differs from ``cfg``'s, unknown keys included."""
+    expected = cfg.to_dict()
+    return sorted({k for k in expected if echo.get(k) != expected[k]} | set(echo) - set(expected))
+
+
 def neck_forward(
     pin: PyramidIn,
     params: NeckParams,
@@ -372,20 +400,25 @@ def neck_forward(
 ) -> PyramidOut:
     """Full top-down pass producing p3/p4/p5 at the lateral resolutions.
 
-    The inputs must have the configured shapes and hold finite values only.
+    ``params`` must be built for ``cfg`` itself, since they decide which arm
+    runs.  The inputs must have the configured shapes and hold finite values
+    only.
     """
+    if params.config != cfg:
+        keys = _differing_keys(params.config.to_dict(), cfg)
+        raise ContractError(f"params were built for another config; keys differ: {keys}")
     _validate_input(pin, cfg)
     p5 = parallel_atrous_block(
-        pointwise_conv(pin.c5, params.levels[5].lateral, tape), params.levels[5], cfg, tape
+        pointwise_conv(pin.c5, params.levels[5].lateral, tape), params.levels[5], tape
     )
     t4 = attention_upsample(p5, params.steps["to4"], cfg, tape, trace, "to4")
     l4 = parallel_atrous_block(
-        pointwise_conv(pin.c4, params.levels[4].lateral, tape), params.levels[4], cfg, tape
+        pointwise_conv(pin.c4, params.levels[4].lateral, tape), params.levels[4], tape
     )
     p4 = add(l4, t4, tape)
     t3 = attention_upsample(p4, params.steps["to3"], cfg, tape, trace, "to3")
     l3 = parallel_atrous_block(
-        pointwise_conv(pin.c3, params.levels[3].lateral, tape), params.levels[3], cfg, tape
+        pointwise_conv(pin.c3, params.levels[3].lateral, tape), params.levels[3], tape
     )
     p3 = add(l3, t3, tape)
     return PyramidOut(p3, p4, p5)
@@ -484,12 +517,8 @@ def load_params(stream: bytes, cfg: NeckConfig) -> NeckParams:
     Anything else raises ``ParamsIOError`` naming the first tensor at fault.
     """
     manifest, payload = read_manifest(stream)
-    echo = manifest["config"]
-    expected_cfg = cfg.to_dict()
-    if echo != expected_cfg:
-        diffs = [k for k in expected_cfg if echo.get(k) != expected_cfg[k]]
-        diffs += [k for k in echo if k not in expected_cfg]
-        raise ParamsIOError(f"config mismatch on keys: {sorted(set(diffs))}")
+    if manifest["config"] != cfg.to_dict():
+        raise ParamsIOError(f"config mismatch on keys: {_differing_keys(manifest['config'], cfg)}")
     index, tensors = _tensor_index(cfg), manifest["tensors"]
     for i, want in enumerate(index):
         got = tensors[i] if i < len(tensors) else None

@@ -2,14 +2,14 @@
 
 Gradient suite (11 rows): every differentiable primitive plus the composed
 neck is checked against central finite differences at fixed seeds (tolerance
-1e-5 for primitives, 1e-4 for the neck).  Oracle suite (5 rows, one
+1e-5 for primitives, 1e-4 for the neck).  Oracle suite (4 rows, one
 ``ORACLES`` table): the vectorized convolutions against their loop oracles,
-average precision against the explicit-cutoff oracle, and the
-receptive-field recurrence against its closed form.  Every suite runs fixed
-inputs; a caller chooses only the scope and the number of gradient seeds.
+and average precision against the explicit-cutoff oracle.  Every suite runs
+fixed inputs; a caller chooses only the scope and the number of gradient
+seeds.
 
-Each row is a stream of errors (one per seed, case, scene or chain) folded
-by ``_row``, the one rule for all 16: the metric is the worst error, a NaN
+Each row is a stream of errors (one per seed, case or scene) folded by
+``_row``, the one rule for all 15: the metric is the worst error, a NaN
 error is kept as the worst so it fails the row, a row whose stream is empty
 is refused with ``ContractError`` rather than run as a vacuous pass, and the
 detail reads ``"<count> <unit>, <seconds>s"``.  A ``grad_check`` of params
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import convkit, detmetrics, neck
 from .attention import MhsaParams, RegisterTokens, ScseParams, mhsa_forward, scse_recalibrate
-from .convkit import ConvKernel, DeconvKernel, ReceptiveFieldState, receptive_field_step
+from .convkit import ConvKernel, DeconvKernel
 from .detmetrics import Box, Detection, GroundTruth
 from .errors import ContractError
 from .tensor import (
@@ -296,18 +296,6 @@ def _ap_errors() -> Iterator[float]:
         yield abs(detmetrics.average_precision(dets, gts, thresh) - detmetrics.brute_force_ap(dets, gts, thresh))
 
 
-def _receptive_field_errors() -> Iterator[float]:
-    """|recurrence − closed form| of the receptive field of each random dilation chain."""
-    rng = Rng(781)
-    for _ in range(100):
-        r0 = 1 + rng.integers(0, 8)
-        chain = [1 + rng.integers(0, 3) for _ in range(rng.integers(1, 8))]
-        state = ReceptiveFieldState(r0)
-        for d in chain:
-            state = receptive_field_step(state, 3, d)
-        yield abs(state.r - (r0 + 2 * sum(chain)))
-
-
 ORACLES: list[tuple[str, Callable[[], Iterable[float]], float, str]] = [
     # (row name, error stream, tolerance, unit)
     ("conv2d_vs_naive", partial(_fast_vs_naive, convkit.conv2d, convkit.naive_conv2d, conv_oracle_cases, 777),
@@ -318,7 +306,6 @@ ORACLES: list[tuple[str, Callable[[], Iterable[float]], float, str]] = [
     ("deconv2x_vs_naive", partial(_fast_vs_naive, convkit.deconv2x, convkit.naive_deconv2x, _deconv_oracle_cases, 778),
      CONV_ORACLE_TOL, "cases"),
     ("ap_vs_bruteforce", _ap_errors, 1e-15, "scenes"),
-    ("receptive_field_closed_form", _receptive_field_errors, 1e-15, "chains"),
 ]
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from fusionneck import verify
 from fusionneck.attention import MhsaParams, RegisterTokens, attention_mass, mhsa_forward
 from fusionneck.cli import EXIT_OK, main
-from fusionneck.convkit import ReceptiveFieldState, conv2d, deconv2x, naive_conv2d, receptive_field_step
+from fusionneck.convkit import conv2d, deconv2x, naive_conv2d
 from fusionneck.convkit import DeconvKernel
 from fusionneck.detmetrics import (
     Box,
@@ -147,21 +147,6 @@ def test_04_shape_contract():
             ok = False
             detail = f"deconv case {case}: {out.dims}"
     report("04 shape-contract", ok, detail or "25 neck configs + 10 deconv cases")
-
-
-def test_05_receptive_field_arithmetic():
-    """Chained K=3 steps reproduce r0 + 2*sum(d) exactly for 100 random chains."""
-    rng = Rng(5000)
-    exact = True
-    for _ in range(100):
-        r0 = 1 + rng.integers(0, 10)
-        chain = [1 + rng.integers(0, 3) for _ in range(1 + rng.integers(0, 9))]
-        state = ReceptiveFieldState(r0)
-        for d in chain:
-            state = receptive_field_step(state, 3, d)
-        if state.r != r0 + 2 * sum(chain) or state.layer != len(chain):
-            exact = False
-    report("05 receptive-field", exact, "100 chains, closed form exact")
 
 
 def test_06_ap_oracle_and_reference_values():

@@ -24,8 +24,8 @@ from fusionneck.cli import (
     main,
     resolve_run,
 )
-from fusionneck.errors import FusionNeckError, ShapeError
-from fusionneck.neck import PARAMS_FORMAT_VERSION, NeckConfig, read_manifest
+from fusionneck.errors import FusionNeckError, ParamsIOError, ShapeError
+from fusionneck.neck import PARAMS_FORMAT_VERSION, NeckConfig, load_params, read_manifest
 
 DATA = Path(__file__).parent / "data"
 
@@ -297,6 +297,23 @@ class TestParams:
         assert main(["forward", *SMALL, "--params-in", str(pfile),
                      "--report", str(tmp_path / "r.json")]) == EXIT_INPUT
         assert "belong to no tensor" in capsys.readouterr().err
+
+    def test_full_layout_under_atrous_echo_exits_2(self, tmp_path, capsys):
+        """A stream laid out for the full arm but echoing an atrous config is refused at its first extra tensor."""
+        pfile = tmp_path / "p.bin"
+        assert main(["params", "init", "--seed", "4", *SMALL, "--out", str(pfile)]) == EXIT_OK
+        manifest, payload = read_manifest(pfile.read_bytes())
+        manifest["config"]["atrous_mode"] = "atrous"
+        manifest_bytes = json.dumps(manifest, sort_keys=True).encode("ascii")
+        stream = f"fusionneck-params {PARAMS_FORMAT_VERSION} {len(manifest_bytes)}\n".encode("ascii") + manifest_bytes
+        with pytest.raises(ParamsIOError, match=r"entry 10 must be tensor level4\.lateral\.weight .*level3\.scse\.reduce"):
+            load_params(stream + payload, NeckConfig.from_dict(manifest["config"]))
+        pfile.write_bytes(stream + payload)
+        capsys.readouterr()
+        assert main(["forward", *SMALL, "--atrous-mode", "atrous", "--params-in", str(pfile),
+                     "--report", str(tmp_path / "r.json")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "level3.scse.reduce.weight" in err
 
     def test_registers_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,13 +9,11 @@ from fusionneck import convkit
 from fusionneck.convkit import (
     ConvKernel,
     DeconvKernel,
-    ReceptiveFieldState,
     conv2d,
     deconv2x,
     naive_conv2d,
     naive_deconv2x,
     pointwise_conv,
-    receptive_field_step,
 )
 from fusionneck.errors import ContractError, ShapeError
 from fusionneck.tensor import Rng, Tape, Tensor4, grad_check, weighted_sum
@@ -189,40 +187,6 @@ class TestDeconv2x:
     def test_kernel_must_be_2x2(self):
         with pytest.raises(ShapeError):
             DeconvKernel(np.zeros((1, 1, 3, 3)), np.zeros(1))
-
-
-class TestReceptiveField:
-    def test_direct_substitutions(self):
-        s = receptive_field_step(ReceptiveFieldState(1), 3, 1)
-        assert s.r == 3 and s.layer == 1
-        s = receptive_field_step(ReceptiveFieldState(3), 3, 3)
-        assert s.r == 9
-
-    def test_k1_changes_nothing(self):
-        for d in (1, 2, 5):
-            assert receptive_field_step(ReceptiveFieldState(4), 1, d).r == 4
-
-    def test_closed_form_over_branches(self):
-        for d in (1, 2, 3):
-            state = ReceptiveFieldState(5)
-            state = receptive_field_step(state, 3, d)
-            assert state.r == 5 + 2 * d
-
-    def test_contract_errors(self):
-        with pytest.raises(ContractError):
-            receptive_field_step(ReceptiveFieldState(1), 0, 1)
-        with pytest.raises(ContractError):
-            receptive_field_step(ReceptiveFieldState(1), 3, 0)
-        with pytest.raises(ContractError):
-            ReceptiveFieldState(0)
-
-    def test_monotone_growth(self):
-        rng = Rng(60)
-        state = ReceptiveFieldState(1)
-        for _ in range(20):
-            nxt = receptive_field_step(state, 3, 1 + rng.integers(0, 3))
-            assert nxt.r > state.r
-            state = nxt
 
 
 class TestConvGradients:

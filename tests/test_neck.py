@@ -1,5 +1,6 @@
 """Neck topology: shapes, ablations, directionality, init, serialization."""
 
+import dataclasses
 import json
 import re
 
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from fusionneck.attention import scse_recalibrate
 from fusionneck.convkit import ConvKernel, conv2d, pointwise_conv
-from fusionneck import attention, convkit, tensor
+from fusionneck import attention, convkit, tensor, verify
 from fusionneck.errors import ConfigError, ContractError, ParamsIOError, ShapeError
 from fusionneck.neck import (
     PARAMS_FORMAT_VERSION,
+    _params_from_arrays,
     NeckConfig,
     PyramidIn,
     init_params,
@@ -29,6 +31,15 @@ from fusionneck.neck import (
 from fusionneck.tensor import Rng, Tape, Tensor4, concat_channels, grad_check, sum_all, add, weighted_sum
 from fusionneck.verify import random_neck_params
 
+ARMS = {  # the ablation arms: config overrides, then (tensors, elements) at the default config
+    "full": ({}, (58, 739_827)),
+    "no_registers": ({"use_registers": False}, (54, 440_819)),
+    "no_mhsa": ({"use_mhsa": False}, (52, 416_243)),
+    "atrous": ({"atrous_mode": "atrous"}, (40, 733_248)),
+    "standard": ({"atrous_mode": "standard"}, (22, 474_624)),
+    "standard_no_mhsa": ({"atrous_mode": "standard", "use_mhsa": False}, (16, 151_040)),
+}
+
 
 def small_cfg(**overrides):
     base = dict(
@@ -41,6 +52,19 @@ def small_cfg(**overrides):
     )
     base.update(overrides)
     return NeckConfig(**base)
+
+
+def arm_params(params, cfg):
+    """``cfg``'s params built from the tensors of the same names in ``params``."""
+    return _params_from_arrays(cfg, {name: v.data for name, v in params.named_values()})
+
+
+def pyramid_loss(pin, params, cfg):
+    """loss(tape): the sum of every output level of ``neck_forward``."""
+    def loss(tape):
+        out = neck_forward(pin, params, cfg, tape)
+        return add(add(sum_all(out.p3, tape), sum_all(out.p4, tape), tape), sum_all(out.p5, tape), tape)
+    return loss
 
 
 class TestConfig:
@@ -204,21 +228,25 @@ class TestForward:
         params = random_neck_params(cfg, rng, sigma=0.5)
         lp = params.levels[5]
         x = Tensor4(rng.normal((1, cfg.pyramid_width, 5, 5)))
-        block_out = parallel_atrous_block(x, lp, cfg)
+        block_out = parallel_atrous_block(x, lp)
         branches = [conv2d(x, k) for k in lp.branches]
         by_hand = scse_recalibrate(pointwise_conv(concat_channels(branches), lp.post), lp.scse)
         assert np.max(np.abs(block_out.data - by_hand.data)) < 1e-12
 
     def test_standard_mode_is_single_dilation1_conv(self):
-        cfg = small_cfg(atrous_mode="standard")
+        """The standard arm runs its own level conv at dilation 1, whatever the dilation set."""
+        cfg = small_cfg(atrous_mode="standard", dilations=(2, 3))
         rng = Rng(4)
         params = random_neck_params(cfg, rng, sigma=0.5)
+        assert [name for name in params.tensors if name.startswith("level3.")] == [
+            "level3.lateral.weight", "level3.lateral.bias", "level3.conv.weight", "level3.conv.bias",
+        ]
         lp = params.levels[3]
+        assert lp.post is None and lp.scse is None
         x = Tensor4(rng.normal((1, cfg.pyramid_width, 6, 6)))
-        out = parallel_atrous_block(x, lp, cfg)
-        first = lp.branches[0]
-        by_hand = conv2d(x, ConvKernel(first.weight, first.bias, dilation=1, padding=1))
-        assert np.array_equal(out.data, by_hand.data)
+        out = parallel_atrous_block(x, lp)
+        own = ConvKernel(params.tensors["level3.conv.weight"], params.tensors["level3.conv.bias"], dilation=1, padding=1)
+        assert np.array_equal(out.data, conv2d(x, own).data)
         assert out.dims == x.dims
 
     def test_atrous_mode_equals_full_mode_with_neutral_gates(self):
@@ -231,7 +259,8 @@ class TestForward:
                 v.data[:] = 0.0
         pin = synthetic_pyramid(cfg_full, 1, rng.split(1))
         out_full = neck_forward(pin, params, cfg_full)
-        out_atrous = neck_forward(pin, params, small_cfg(atrous_mode="atrous"))
+        cfg_atrous = small_cfg(atrous_mode="atrous")
+        out_atrous = neck_forward(pin, arm_params(params, cfg_atrous), cfg_atrous)
         for n in (3, 4, 5):
             assert np.max(np.abs(out_full.level(n).data - out_atrous.level(n).data)) < 1e-12
 
@@ -254,7 +283,8 @@ class TestForward:
         assert np.max(np.abs(gated.data - unit.data)) < 1e-12
         # dropping the attention path entirely gives the same result
         cfg_off = small_cfg(gating_mode="raw", use_mhsa=False)
-        assert np.array_equal(attention_upsample(top, step, cfg_off).data, unit.data)
+        step_off = arm_params(params, cfg_off).steps["to4"]
+        assert np.array_equal(attention_upsample(top, step_off, cfg_off).data, unit.data)
 
     def test_upsample_doubles_dims(self):
         cfg = small_cfg()
@@ -270,7 +300,7 @@ class TestForward:
         cfg_off = small_cfg(use_registers=False)
         params = random_neck_params(cfg_on, rng, sigma=0.5)
         pin = synthetic_pyramid(cfg_on, 1, rng.split(1))
-        out_off = neck_forward(pin, params, cfg_off)
+        out_off = neck_forward(pin, arm_params(params, cfg_off), cfg_off)
         for step in params.steps.values():
             for v in step.registers.values():
                 v.data[:] = 0.0
@@ -316,14 +346,48 @@ class TestForward:
         rng = Rng(12)
         params = random_neck_params(cfg, rng.split(2), sigma=0.45)
         pin = synthetic_pyramid(cfg, 1, rng.split(1))
+        assert grad_check(pyramid_loss(pin, params, cfg), params.values(), epsilon=1e-5) < 1e-4
 
-        def loss(tape):
-            out = neck_forward(pin, params, cfg, tape)
-            total = sum_all(out.p3, tape)
-            total = add(total, sum_all(out.p4, tape), tape)
-            return add(total, sum_all(out.p5, tape), tape)
+    def test_params_for_another_config_refused(self):
+        """Params decide the arm, so a forward under any other config is refused, naming the keys."""
+        cfg = small_cfg()
+        rng = Rng(13)
+        pin = synthetic_pyramid(cfg, 1, rng.split(1))
+        params = init_params(cfg, rng.split(2))
+        other = small_cfg(use_registers=False, gating_mode="raw")
+        with pytest.raises(ContractError, match=re.escape("keys differ: ['gating_mode', 'use_registers']")):
+            neck_forward(pin, params, other)
 
-        assert grad_check(loss, params.values(), epsilon=1e-5) < 1e-4
+
+class TestArms:
+    """Each ablation arm owns exactly the tensors it runs."""
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_default_config_tensor_and_element_counts(self, arm):
+        overrides, counts = ARMS[arm]
+        spec = parameter_spec(NeckConfig(**overrides))
+        assert (len(spec), sum(int(np.prod(shape)) for _, shape in spec)) == counts
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_every_tensor_gets_a_finite_gradient(self, arm):
+        cfg = small_cfg(**ARMS[arm][0])
+        rng = Rng(14)
+        params = random_neck_params(cfg, rng.split(2))
+        tape = Tape()
+        loss = pyramid_loss(synthetic_pyramid(cfg, 2, rng.split(1)), params, cfg)(tape)
+        loss.grad = np.ones(())
+        tape.backward()
+        for name, v in params.named_values():
+            assert v.grad is not None and np.isfinite(v.grad).all(), name
+
+    @pytest.mark.parametrize("arm", [arm for arm in ARMS if arm != "full"])  # full: test_full_neck_gradient
+    def test_tiny_neck_grad_check(self, arm):
+        """verify's tiny neck (width 2, base 4), run in this ablated arm, passes ``grad_check``."""
+        cfg = dataclasses.replace(verify._neck_test_config(1), **ARMS[arm][0])
+        rng = Rng(15)
+        params = random_neck_params(cfg, rng.split(2), sigma=0.45)
+        pin = synthetic_pyramid(cfg, 1, rng.split(1))
+        assert grad_check(pyramid_loss(pin, params, cfg), params.values(), verify.NECK_EPS) < verify.NECK_TOL
 
 
 def _zero_buffer_accum(value, grad):
@@ -403,16 +467,16 @@ class TestInitParams:
         assert names == parameter_spec(cfg)
 
     def test_structure_holds_the_named_values(self):
-        """Every kernel, MHSA and register tensor is the named table's own Value."""
-        params = init_params(small_cfg(), Rng(6))
-        reachable = []
-        for lp in params.levels.values():
-            for kernel in (lp.lateral, *lp.branches, lp.post):
-                reachable += kernel.values()
-            reachable += lp.scse.values()
-        for sp in params.steps.values():
-            reachable += [*sp.mhsa.values(), *sp.registers.values(), *sp.deconv.values()]
-        assert sorted(map(id, reachable)) == sorted(map(id, params.values()))
+        """In every arm, every kernel, MHSA and register tensor is the named table's own Value, and nothing else is."""
+        for overrides, _ in ARMS.values():
+            params = init_params(small_cfg(**overrides), Rng(6))
+            parts = []
+            for lp in params.levels.values():
+                parts += [lp.lateral, *lp.branches, lp.post, lp.scse]
+            for sp in params.steps.values():
+                parts += [sp.mhsa, sp.registers, sp.deconv]
+            reachable = [v for part in parts if part is not None for v in part.values()]
+            assert sorted(map(id, reachable)) == sorted(map(id, params.values()))
 
 
 def pack_stream(manifest: dict, payload: bytes, version: int = PARAMS_FORMAT_VERSION, length_delta: int = 0) -> bytes:
