@@ -118,7 +118,10 @@ def mhsa_forward(
     softmaxed and the weighted value rows concatenated across heads, then
     reshaped back to (B, C, H, W).  Registers never appear in the output
     shape.  The tape gets one record whose hand-written backward accumulates
-    into x, w_qkv, r_qk and r_v.
+    into x, w_qkv, r_qk and r_v.  The backward holds the (B, heads, HW, HW)
+    attention and its gradient; the softmax row-dot (ds ⊙ attn) summed over
+    each row is taken one batch item at a time, so no third array of that
+    size is allocated (4 MiB at the default config's p4, batch 2).
 
     With ``return_attention`` the list of row-stochastic attention matrices
     (one (HW, HW) view per batch item and head, batch-major) is returned
@@ -161,7 +164,8 @@ def mhsa_forward(
             g = g.reshape(b, heads, d_head, hw).swapaxes(-1, -2)  # (B, heads, HW, d_head)
             dv = attn.swapaxes(-1, -2) @ g
             ds = g @ v.swapaxes(-1, -2)  # d attention, turned into d scores in place
-            ds -= (ds * attn).sum(axis=-1, keepdims=True)
+            for item in range(b):  # the softmax row-dot item by item: no (B, heads, HW, HW) product
+                ds[item] -= (ds[item] * attn[item]).sum(axis=-1, keepdims=True)
             ds *= attn
             ds *= inv_sqrt_dk
             dqkv = np.stack([ds @ k, ds.swapaxes(-1, -2) @ q, dv])  # (3, B, heads, HW, d_head)

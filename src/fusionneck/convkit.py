@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import Tape, Tensor4, Value, _accum
+from .tensor import Tape, Tensor4, Value, _accum, _accum_own
 
 # conv2d copies the columns of as many output rows at once as fit in this
 # many bytes (at least one row): a small map is one band, and the default
@@ -202,7 +202,7 @@ def conv2d(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tensor4:
         wflip = k.weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
         gx = _lowered(g.reshape(b, o, h_out, w_out), wflip, kh, kw, d,
                       d * (kh - 1) - p, d * (kw - 1) - p)
-        _accum(x, gx.reshape(b, c, h, w))
+        _accum_own(x, gx.reshape(b, c, h, w))
 
     tape.record(backward)
     return out
@@ -240,7 +240,7 @@ def pointwise_conv(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tenso
             gw += gi @ xi.T
         _accum(k.weight, gw.reshape(o, c, 1, 1))
         _accum(k.bias, g.sum(axis=(0, 2)))
-        _accum(x, np.matmul(wmat.T, g).reshape(b, c, h, w))
+        _accum_own(x, np.matmul(wmat.T, g).reshape(b, c, h, w))
 
     tape.record(backward)
     return out
@@ -257,9 +257,11 @@ def naive_conv2d(x: Tensor4, k: ConvKernel) -> Tensor4:
     w_out = w + 2 * p - d * (kw - 1)
     if h_out < 1 or w_out < 1:
         raise ShapeError("naive_conv2d: kernel span exceeds padded input")
-    xd = x.data
-    wd = k.weight.data
-    bd = k.bias.data
+    # Python floats: the same multiply-adds in the same order, without a
+    # NumPy scalar built for every operand
+    xd = x.data.tolist()
+    wd = k.weight.data.tolist()
+    bd = k.bias.data.tolist()
     out = np.zeros((b, k.out_channels, h_out, w_out))
     for bi in range(b):
         for o in range(k.out_channels):
@@ -272,7 +274,7 @@ def naive_conv2d(x: Tensor4, k: ConvKernel) -> Tensor4:
                                 ii = i + u * d - p
                                 jj = j + v * d - p
                                 if 0 <= ii < h and 0 <= jj < w:
-                                    acc += wd[o, ci, u, v] * xd[bi, ci, ii, jj]
+                                    acc += wd[o][ci][u][v] * xd[bi][ci][ii][jj]
                     out[bi, o, i, j] = acc
     return Tensor4(out)
 

@@ -5,9 +5,11 @@ output, and — when handed a ``Tape`` — records a closure that propagates
 gradients from the output back to the inputs.  ``Tape.backward`` replays the
 closures in reverse execution order, accumulating ``grad`` buffers on every
 value that influenced the loss: a value's first gradient is stored as a copy
-of the incoming array, later ones are added into that copy.  Passing
-``tape=None`` runs the forward math alone, which is what the
-finite-difference side of ``grad_check`` uses.
+of the incoming array (or, when the rule allocated that array for this value
+alone, as the array itself), later ones are added into it.  Each closure is
+dropped once it has run, so a tape replays once.  Passing ``tape=None`` runs
+the forward math alone, which is what the finite-difference side of
+``grad_check`` uses.
 
 ``grad_check`` splits its finite-difference sweep across forked worker
 processes on a Linux host with more than one usable CPU, so the function it
@@ -70,10 +72,14 @@ _keep_freed_memory()
 
 
 class Tape:
-    """Records backward closures in execution order."""
+    """Records backward closures in execution order, and replays them once.
+
+    ``len(tape)`` counts the closures recorded, also after ``backward``.
+    """
 
     def __init__(self) -> None:
-        self._records: list[Callable[[], None]] = []
+        self._records: list[Callable[[], None] | None] = []
+        self._replayed = False
 
     def record(self, fn: Callable[[], None]) -> None:
         self._records.append(fn)
@@ -82,8 +88,19 @@ class Tape:
         return len(self._records)
 
     def backward(self) -> None:
-        """Replay all recorded closures in reverse execution order."""
-        for fn in reversed(self._records):
+        """Replay all recorded closures in reverse execution order, dropping each once it has run.
+
+        The arrays a closure captured are freed as soon as its rule has run,
+        not when the tape is dropped, so a train step's memory falls as its
+        backward runs.  The closures are gone afterwards: a second
+        ``backward`` on the same tape raises ``ContractError``.
+        """
+        if self._replayed:
+            raise ContractError("Tape.backward: a tape replays once, and this one has already run")
+        self._replayed = True
+        records = self._records
+        for i in reversed(range(len(records))):
+            fn, records[i] = records[i], None
             fn()
 
 
@@ -170,10 +187,28 @@ class Rng:
 
 
 def _accum(value: Value, grad: np.ndarray) -> None:
+    """Add ``grad`` into ``value.grad``; the first gradient is stored as a fresh copy.
+
+    Never the passed array itself: ``add`` hands one gradient to both
+    operands, and some rules pass views of ``out.grad`` or read-only
+    broadcast views.  A rule that built the array for this value alone calls
+    ``_accum_own``.
+    """
     if value.grad is None:
-        # a fresh copy, never the passed array: ``add`` hands one gradient to
-        # both operands, and some rules pass read-only broadcast views
         value.grad = np.array(grad, dtype=np.float64, order="C")
+    else:
+        value.grad += grad
+
+
+def _accum_own(value: Value, grad: np.ndarray) -> None:
+    """``_accum`` for a gradient the calling rule allocated and hands to ``value`` alone.
+
+    ``grad`` must be a C-contiguous float64 array that no other value and no
+    ``out.grad`` shares memory with.  A first gradient is then kept as it is,
+    without ``_accum``'s copy; later ones are added in the same way.
+    """
+    if value.grad is None:
+        value.grad = grad
     else:
         value.grad += grad
 
@@ -223,7 +258,7 @@ def mul(a: Value, b: Value, tape: Tape | None = None) -> Value:
             g = out.grad
             if g is None:
                 return
-            _accum(a, g * b.data)
+            _accum_own(a, g * b.data)
             _accum(b, _reduce_to(b.shape, g * a.data))
         tape.record(backward)
     return out
@@ -239,7 +274,7 @@ def logistic(v: Value, tape: Tape | None = None) -> Value:
     if tape is not None:
         def backward() -> None:
             if out.grad is not None:
-                _accum(v, out.grad * y * (1.0 - y))
+                _accum_own(v, out.grad * y * (1.0 - y))
         tape.record(backward)
     return out
 

@@ -1,4 +1,10 @@
-"""glibc heap policy set when ``fusionneck.tensor`` is imported, and what it must not change.
+"""How long a train step holds memory, and glibc's heap policy set when ``fusionneck.tensor`` is imported.
+
+``Tape.backward`` drops each closure once it has run, so what a rule captured
+is freed while the backward still runs; the release tests check that with a
+weak reference and with the traced peak of one default-config step.
+
+glibc heap policy, and what it must not change:
 
 Freed blocks now stay in the process and are handed out again, so reused heap
 memory holds whatever was last written there instead of fresh zeroed pages.
@@ -12,14 +18,16 @@ tolerance.)
 
 import platform
 import resource
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fusionneck.detmetrics import evaluate_records, load_detections, load_ground_truths
-from fusionneck.neck import NeckConfig, neck_forward, synthetic_pyramid
-from fusionneck.tensor import Rng, Tape, add, sum_all
+from fusionneck.neck import NeckConfig, init_params, neck_forward, synthetic_pyramid
+from fusionneck.tensor import Rng, Tape, add, sum_all, weighted_sum
 from fusionneck.verify import random_neck_params
 
 DATA = Path(__file__).parent / "data"
@@ -70,3 +78,55 @@ def test_results_do_not_depend_on_reused_memory():
     poison = np.full(BLOCK, np.nan)
     del poison
     assert _tiny_run() == first
+
+
+def _reads(captured):
+    def backward():
+        captured.sum()
+    return backward
+
+
+def test_closure_capture_is_freed_during_backward():
+    captured = np.ones(1000)
+    ref = weakref.ref(captured)
+    dead = []
+    tape = Tape()
+    tape.record(lambda: dead.append(ref() is None))  # replayed last
+    tape.record(_reads(captured))  # the only holder of ``captured``
+    del captured
+    tape.backward()
+    assert dead == [True] and len(tape) == 2
+
+
+# The traced peak of one default-config, batch-2 train step (inputs and params
+# excluded): about 51 MiB while the tape held every closure until it was
+# dropped, about 30 MiB with closures dropped as they replay.
+STEP_PEAK_MIB = 40
+
+
+def test_train_step_traced_peak():
+    cfg = NeckConfig()
+    rng = Rng(0)
+    pin = synthetic_pyramid(cfg, 2, rng.split(1))
+    params = init_params(cfg, rng.split(2))
+    weights = [rng.normal((2, cfg.pyramid_width, cfg.base_height // d, cfg.base_width // d)) for d in (1, 2, 4)]
+
+    def step() -> int:
+        tape = Tape()
+        out = neck_forward(pin, params, cfg, tape)
+        loss = add(weighted_sum(out.p3, weights[0], tape), weighted_sum(out.p4, weights[1], tape), tape)
+        loss = add(loss, weighted_sum(out.p5, weights[2], tape), tape)
+        loss.grad = np.ones(())
+        tape.backward()
+        params.zero_grad()
+        return len(tape)
+
+    step()  # warm-up: lazy set-up is not what this bounds
+    tracemalloc.start()
+    try:
+        records = step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records == 62
+    assert peak < STEP_PEAK_MIB << 20, f"one train step peaked at {peak / 2**20:.1f} MiB"

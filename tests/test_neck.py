@@ -397,36 +397,73 @@ def _zero_buffer_accum(value, grad):
     value.grad += grad
 
 
+def _keep_all_replay(tape):
+    """The reference replay: every closure runs in reverse order and stays on the tape."""
+    for fn in reversed(tape._records):
+        fn()
+
+
+def _step_gradients(cfg, replay=Tape.backward):
+    """Every param's and input's gradient from one weighted-sum train step at batch 2."""
+    rng = Rng(0)
+    pin = synthetic_pyramid(cfg, 2, rng.split(1))
+    params = init_params(cfg, rng.split(2))
+    weights = [rng.normal((2, cfg.pyramid_width, cfg.base_height // d, cfg.base_width // d)) for d in (1, 2, 4)]
+    tape = Tape()
+    out = neck_forward(pin, params, cfg, tape)
+    loss = weighted_sum(out.p3, weights[0], tape)
+    loss = add(loss, weighted_sum(out.p4, weights[1], tape), tape)
+    loss = add(loss, weighted_sum(out.p5, weights[2], tape), tape)
+    loss.grad = np.ones(())
+    replay(tape)
+    return [v.grad for v in params.values()] + [pin.level(n).grad for n in (3, 4, 5)]
+
+
+# the ablation arms, each at the default config
+DEFAULT_ARMS = ["full", "no_registers", "no_mhsa", "atrous", "standard"]
+
+
 class TestGradientAccumulation:
     def test_default_config_gradients_equal_zero_buffer_rule(self, monkeypatch):
-        """Copying the first gradient changes no gradient bit (np.array_equal: zero signs may differ)."""
+        """Keeping or copying the first gradient changes no gradient bit (np.array_equal: zero signs may differ)."""
         cfg = NeckConfig()
-        rng = Rng(0)
-        pin = synthetic_pyramid(cfg, 2, rng.split(1))
-        params = init_params(cfg, rng.split(2))
-        weights = [rng.normal((2, cfg.pyramid_width, cfg.base_height // d, cfg.base_width // d)) for d in (1, 2, 4)]
-
-        def gradients():
-            tape = Tape()
-            out = neck_forward(pin, params, cfg, tape)
-            loss = weighted_sum(out.p3, weights[0], tape)
-            loss = add(loss, weighted_sum(out.p4, weights[1], tape), tape)
-            loss = add(loss, weighted_sum(out.p5, weights[2], tape), tape)
-            loss.grad = np.ones(())
-            tape.backward()
-            grads = [v.grad for v in params.values()] + [pin.level(n).grad for n in (3, 4, 5)]
-            params.zero_grad()
-            for n in (3, 4, 5):
-                pin.level(n).zero_grad()
-            return grads
-
-        copied = gradients()
+        kept = _step_gradients(cfg)
         for module in (tensor, convkit, attention):
             monkeypatch.setattr(module, "_accum", _zero_buffer_accum)
-        zero_buffer = gradients()
-        assert len(copied) == len(params.values()) + 3
-        for a, b in zip(copied, zero_buffer):
+        for module in (tensor, convkit):
+            monkeypatch.setattr(module, "_accum_own", _zero_buffer_accum)
+        zero_buffer = _step_gradients(cfg)
+        assert len(kept) == len(parameter_spec(cfg)) + 3
+        for a, b in zip(kept, zero_buffer):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("arm", DEFAULT_ARMS)
+    def test_replay_that_drops_and_hands_over_is_bit_identical(self, monkeypatch, arm):
+        """Dropping closures as they run and keeping fresh first gradients changes no bit."""
+        cfg = NeckConfig(**ARMS[arm][0])
+        new = _step_gradients(cfg)
+        for module in (tensor, convkit):
+            monkeypatch.setattr(module, "_accum_own", tensor._accum)
+        old = _step_gradients(cfg, replay=_keep_all_replay)
+        assert len(new) == ARMS[arm][1][0] + 3
+        for a, b in zip(new, old):
+            assert a is not None and a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("arm", DEFAULT_ARMS)
+    def test_no_two_gradients_share_memory(self, monkeypatch, arm):
+        """No value's gradient overlaps another's: params, inputs, and every op output (its ``out.grad``)."""
+        made = []
+        for cls in (tensor.Value, tensor.Tensor4):
+            def init(self, data, _init=cls.__init__):
+                _init(self, data)
+                made.append(self)
+            monkeypatch.setattr(cls, "__init__", init)
+        cfg = NeckConfig(**ARMS[arm][0])
+        _step_gradients(cfg)
+        grads = [v.grad for v in made if v.grad is not None]
+        assert len(grads) > len(parameter_spec(cfg)) + 3  # op outputs too
+        for i, a in enumerate(grads):
+            assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
 
 
 class TestInitParams:

@@ -18,6 +18,7 @@ from fusionneck.tensor import (
     Tensor4,
     Value,
     _accum,
+    _accum_own,
     add,
     concat_channels,
     global_avg_pool,
@@ -263,6 +264,22 @@ class TestAccum:
         _accum(v, view)
         assert np.array_equal(v.grad, [[0.0, 2.0, 4.0], [0.0, 2.0, 4.0]])
 
+    def test_rule_built_first_gradient_is_kept(self):
+        v = Value(np.zeros((2, 3)))
+        g = np.ones((2, 3))
+        _accum_own(v, g)
+        assert v.grad is g
+        _accum_own(v, np.ones((2, 3)))
+        assert np.array_equal(v.grad, np.full((2, 3), 2.0))
+
+    def test_mul_by_itself_adds_into_the_kept_gradient(self):
+        x = Tensor4(np.full((1, 1, 2, 2), 3.0))
+        tape = Tape()
+        out = mul(x, x, tape)
+        out.grad = np.ones(out.shape)
+        tape.backward()
+        assert np.array_equal(x.grad, np.full((1, 1, 2, 2), 6.0)) and np.array_equal(out.grad, np.ones(out.shape))
+
     def test_add_gives_each_operand_its_own_gradient(self):
         a, b = Tensor4(np.zeros((1, 2, 2, 2))), Tensor4(np.zeros((1, 2, 2, 2)))
         tape = Tape()
@@ -271,6 +288,29 @@ class TestAccum:
         tape.backward()
         assert not np.shares_memory(a.grad, b.grad)
         assert not np.shares_memory(a.grad, out.grad) and not np.shares_memory(b.grad, out.grad)
+
+
+class TestReplay:
+    def _chain(self):
+        x = Tensor4(np.arange(4.0).reshape(1, 1, 2, 2))
+        tape = Tape()
+        loss = sum_all(mul(logistic(x, tape), x, tape), tape)
+        loss.grad = np.ones(())
+        return x, tape
+
+    def test_length_counts_records_after_backward(self):
+        x, tape = self._chain()
+        assert len(tape) == 3
+        tape.backward()
+        assert len(tape) == 3 and x.grad is not None
+
+    def test_second_backward_refused(self):
+        x, tape = self._chain()
+        tape.backward()
+        first = x.grad.copy()
+        with pytest.raises(ContractError, match="a tape replays once"):
+            tape.backward()
+        assert np.array_equal(x.grad, first)
 
 
 class TestFiniteness:
