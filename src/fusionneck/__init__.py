@@ -12,7 +12,6 @@ from .attention import (
     MhsaParams,
     RegisterTokens,
     ScseParams,
-    attention_mass,
     mhsa_forward,
     scse_recalibrate,
 )

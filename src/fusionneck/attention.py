@@ -1,15 +1,17 @@
-"""Global multi-head self-attention over flattened feature maps.
+"""Pooled multi-head self-attention gate over flattened feature maps.
 
 The H·W spatial positions of a (B, C, H, W) map become tokens with C-wide
 features (no positional encoding, so the operator is permutation-equivariant
 over tokens).  Optional register biases shift the raw attention scores
 (a (heads, HW, HW) tensor added before the 1/sqrt(d_k) scaling) and the
-value rows (a (heads, d_head, HW) tensor); both are shared across the batch
-and leave the output shape untouched.  ``mhsa_forward`` is one primitive: the
-whole batch and all heads go through stacked array products, and the tape
-gets a single hand-written backward rule for it.  Also provides the
-concurrent spatial/channel gate used to recalibrate fused multi-dilation
-features.
+value rows (a (heads, d_head, HW) tensor); both are shared across the batch.
+The neck reads attention only through its spatial mean, so ``mhsa_forward``
+is that pooled gate as one primitive: the whole batch and all heads go
+through stacked array products, blocks of query rows are softmaxed and
+folded into the per-token attention mass, and the tape gets a single
+hand-written backward rule that recomputes each block.  No (HW, HW)
+attention array outlives one block.  Also provides the concurrent
+spatial/channel gate used to recalibrate fused multi-dilation features.
 
 ``MhsaParams``, ``RegisterTokens`` and ``ScseParams`` hold the arrays they
 are given and check their shapes; they draw nothing.  The neck's parameters
@@ -29,6 +31,7 @@ from .tensor import (
     Tensor4,
     Value,
     _accum,
+    _accum_own,
     add,
     global_avg_pool,
     logistic,
@@ -102,30 +105,58 @@ class RegisterTokens:
         return [self.r_qk, self.r_v]
 
 
+BLOCK_BYTES = 1 << 20  # scores one block of query rows may hold, over every (item, head) pair
+
+
+def _attention_block(q: np.ndarray, k: np.ndarray, r_qk: np.ndarray | None, rows: slice, scale: float) -> np.ndarray:
+    """Softmaxed attention of the query rows ``rows`` over every key: (B, heads, rows, HW).
+
+    The scores are (Q_rows Kᵀ + r_qk[:, rows]) · scale, each row shifted by
+    its max before the exponential, so logits of any size stay finite.
+    """
+    a = q[:, :, rows] @ k.swapaxes(-1, -2)
+    if r_qk is not None:
+        a += r_qk[:, rows]
+    a *= scale
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    return a
+
+
 def mhsa_forward(
     x: Tensor4,
     p: MhsaParams,
     reg: RegisterTokens | None = None,
     tape: Tape | None = None,
-    return_attention: bool = False,
-):
-    """Multi-head self-attention over the flattened spatial grid, as one taped op.
+    trace: dict | None = None,
+    block_rows: int | None = None,
+) -> Tensor4:
+    """Pooled multi-head self-attention gate over the flattened spatial grid, as one taped op.
 
     tokens = flatten(x) as (B·HW, C); one product gives Q | K | V for the
     whole batch, and head i owns columns i·d_head..(i+1)·d_head of each.
-    Batched over (item, head): scores = (Q Kᵀ + r_qk) / sqrt(d_head) and
-    values = V + r_vᵀ (register terms only when ``reg`` is given); rows are
-    softmaxed and the weighted value rows concatenated across heads, then
-    reshaped back to (B, C, H, W).  Registers never appear in the output
-    shape.  The tape gets one record whose hand-written backward accumulates
-    into x, w_qkv, r_qk and r_v.  The backward holds the (B, heads, HW, HW)
-    attention and its gradient; the softmax row-dot (ds ⊙ attn) summed over
-    each row is taken one batch item at a time, so no third array of that
-    size is allocated (4 MiB at the default config's p4, batch 2).
+    Per (item, head) the attention is A = softmax_rows((Q Kᵀ + r_qk) /
+    sqrt(d_head)) and the values are V′ = V + r_vᵀ (register terms only when
+    ``reg`` is given).  The output is the spatial mean of A V′, as a
+    (B, C, 1, 1) map with the heads' d_head-wide blocks concatenated:
+    Σ_j mass_j V′_j, where mass_j is the column mean of A.
 
-    With ``return_attention`` the list of row-stochastic attention matrices
-    (one (HW, HW) view per batch item and head, batch-major) is returned
-    alongside the output.
+    A is never built whole.  Blocks of ``block_rows`` query rows (by default
+    as many as keep one block's scores, over every (item, head) pair, within
+    1 MiB) are softmaxed and only added into the mass.  The tape gets one
+    record whose backward recomputes each block's scores and applies the
+    closed form, with g the output gradient and u = V′g / HW:
+
+        dV′ = mass ⊗ g,   dS_blk = A_blk ⊙ (u − A_blk u) / sqrt(d_head),
+        dQ_blk = dS_blk K,   dK += dS_blkᵀ Q_blk,   dr_qk[:, rows] = Σ_items dS_blk,
+
+    accumulating into x, w_qkv, r_qk and r_v.  So no (HW, HW) array outlives
+    one block in the forward or the backward.
+
+    With a ``trace`` dict, it also stores ``trace["mass"]``, the (B, heads,
+    HW) column means of A, and ``trace["mhsa_output"]``, the per-token
+    output A V′ as a (B, C, H, W) map, both built block by block.
     """
     b, c, h, w = x.dims
     if c != p.embed_dim:
@@ -141,58 +172,61 @@ def mhsa_forward(
             raise ShapeError(f"mhsa_forward: registers instantiated for HW={reg.hw}, input has HW={hw}")
         if reg.d_head != d_head:
             raise ShapeError(f"mhsa_forward: register d_head {reg.d_head} vs params {d_head}")
-    inv_sqrt_dk = 1.0 / math.sqrt(d_head)
+    if block_rows is None:
+        block_rows = max(1, BLOCK_BYTES // (8 * b * heads * hw))
+    elif block_rows < 1:
+        raise ContractError(f"mhsa_forward: block_rows must be >= 1, got {block_rows}")
+    scale = 1.0 / math.sqrt(d_head)
+    r_qk = None if reg is None else reg.r_qk.data
     w_qkv = p.w_qkv.data.transpose(1, 0, 2).reshape(c, 3 * c)  # (C, 3C): [W_q | W_k | W_v]
     tokens = x.data.reshape(b, c, hw).transpose(0, 2, 1).reshape(b * hw, c)
     # (3, B, heads, HW, d_head) views of the one projection product
     q, k, v = (tokens @ w_qkv).reshape(b, hw, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
     if reg is not None:
         v = v + reg.r_v.data.swapaxes(-1, -2)
-    attn = q @ k.swapaxes(-1, -2)  # (B, heads, HW, HW) scores, softmaxed in place
-    if reg is not None:
-        attn += reg.r_qk.data
-    attn *= inv_sqrt_dk
-    attn -= attn.max(axis=-1, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
-    out = Tensor4((attn @ v).transpose(0, 1, 3, 2).reshape(b, c, h, w))
+    mass = np.zeros((b, heads, hw))
+    per_token = None if trace is None else np.empty((b, heads, hw, d_head))
+    for start in range(0, hw, block_rows):
+        rows = slice(start, start + block_rows)  # the last block may be shorter
+        a = _attention_block(q, k, r_qk, rows, scale)
+        mass += a.sum(axis=2)
+        if per_token is not None:
+            per_token[:, :, rows] = a @ v
+    mass /= hw
+    out = Tensor4((mass[:, :, None, :] @ v).reshape(b, c, 1, 1))
+    if trace is not None:
+        trace["mass"] = mass
+        trace["mhsa_output"] = Tensor4(per_token.transpose(0, 1, 3, 2).reshape(b, c, h, w))
     if tape is not None:
         def backward() -> None:
             g = out.grad
             if g is None:
                 return
-            g = g.reshape(b, heads, d_head, hw).swapaxes(-1, -2)  # (B, heads, HW, d_head)
-            dv = attn.swapaxes(-1, -2) @ g
-            ds = g @ v.swapaxes(-1, -2)  # d attention, turned into d scores in place
-            for item in range(b):  # the softmax row-dot item by item: no (B, heads, HW, HW) product
-                ds[item] -= (ds[item] * attn[item]).sum(axis=-1, keepdims=True)
-            ds *= attn
-            ds *= inv_sqrt_dk
-            dqkv = np.stack([ds @ k, ds.swapaxes(-1, -2) @ q, dv])  # (3, B, heads, HW, d_head)
+            g = g.reshape(b, heads, 1, d_head)
+            dv = mass[..., None] * g  # (B, heads, HW, d_head)
+            u = (g @ v.swapaxes(-1, -2)) / hw  # (B, heads, 1, HW): d mass over HW
+            dq = np.empty_like(dv)
+            dk = np.zeros_like(dv)
+            d_rqk = None if reg is None else np.empty(r_qk.shape)
+            for start in range(0, hw, block_rows):
+                rows = slice(start, start + block_rows)
+                a = _attention_block(q, k, r_qk, rows, scale)
+                ds = u - a @ u.swapaxes(-1, -2)  # d scores of the block, scaled below
+                ds *= a
+                ds *= scale
+                dq[:, :, rows] = ds @ k
+                dk += ds.swapaxes(-1, -2) @ q[:, :, rows]
+                if d_rqk is not None:
+                    d_rqk[:, rows] = ds.sum(axis=0)
+            dqkv = np.stack([dq, dk, dv])  # (3, B, heads, HW, d_head)
             dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(b * hw, 3 * c)  # as the projection product
             _accum(p.w_qkv, (tokens.T @ dqkv).reshape(c, 3, c).transpose(1, 0, 2))
             _accum(x, (dqkv @ w_qkv.T).reshape(b, hw, c).transpose(0, 2, 1).reshape(b, c, h, w))
             if reg is not None:
-                # item by item into the gradient buffers: a summed (heads, HW, HW)
-                # temporary would be a fresh multi-MB allocation on every call
-                for item in range(b):
-                    _accum(reg.r_qk, ds[item])
-                    _accum(reg.r_v, dv[item].swapaxes(-1, -2))
+                _accum_own(reg.r_qk, d_rqk)
+                _accum(reg.r_v, dv.sum(axis=0).swapaxes(-1, -2))
         tape.record(backward)
-    if return_attention:
-        return out, list(attn.reshape(b * heads, hw, hw))
     return out
-
-
-def attention_mass(a) -> np.ndarray:
-    """Column sums of a row-stochastic attention matrix: incoming mass per token."""
-    data = np.asarray(a, dtype=np.float64)
-    if data.ndim != 2:
-        raise ShapeError(f"attention_mass: expected a matrix, got shape {data.shape}")
-    rows = data.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > 1e-9:
-        raise ContractError("attention_mass: rows do not sum to 1 within 1e-9")
-    return data.sum(axis=0)
 
 
 class ScseParams:

@@ -163,7 +163,7 @@ def cmd_forward(cfg: RunConfig) -> dict:
         report["checksums"][name] = _checksum(level.data)
     if trace:  # empty when the params hold no attention gate
         report["attention"] = {
-            step: artifact_report(entry["attention"], entry["mhsa_output"]).to_dict()
+            step: artifact_report(entry["mass"], entry["mhsa_output"]).to_dict()
             for step, entry in sorted(trace.items())
         }
     return report

@@ -4,12 +4,10 @@ measurements (high-norm token fractions, attention-mass concentration)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .attention import attention_mass
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 from .tensor import Tensor4
 
 
@@ -59,7 +57,7 @@ class ArtifactReport:
     token_norms: np.ndarray  # (B·HW,) L2 over channels, batch-major token order
     high_norm_fraction: float  # share of tokens with norm > mean + k·std
     norm_threshold: float
-    attention_mass: np.ndarray  # (HW,) incoming mass per token, matrix-averaged
+    attention_mass: np.ndarray  # (HW,) incoming mass per token: column sums averaged over (item, head)
     gini: float
 
     def to_dict(self) -> dict:
@@ -87,28 +85,34 @@ def gini_index(values) -> float:
     return float(((2 * idx - n - 1) * v).sum() / (n * total))
 
 
-def artifact_report(attention: Sequence[np.ndarray], output: Tensor4, k: float = 3.0) -> ArtifactReport:
+def artifact_report(mass: np.ndarray, output: Tensor4, k: float = 3.0) -> ArtifactReport:
     """Quantify attention artifacts at one site.
 
-    ``attention`` holds the row-stochastic matrices of every (batch item,
-    head) at the site; ``output`` is the attention output map.  A token is
-    flagged high-norm when its channel L2 norm strictly exceeds mean + k·std
-    over all tokens.  The mass vector is the per-matrix column sum averaged
-    over matrices, and gini measures its concentration.
+    ``mass`` is the (B, heads, HW) attention mass that ``mhsa_forward``
+    traces: per (batch item, head), the column means of the row-stochastic
+    attention, so each sums to 1.  ``output`` is the per-token attention
+    output map.  A token is flagged high-norm when its channel L2 norm
+    strictly exceeds mean + k·std over all tokens.  The report's mass vector
+    is the incoming mass per token, a column sum averaged over (item, head)
+    pairs (HW times the mean of ``mass``), and gini measures its
+    concentration.
     """
     if k <= 0:
         raise ContractError(f"artifact_report: k must be positive, got {k}")
-    if not attention:
-        raise ContractError("artifact_report: need at least one attention matrix")
     b, c, h, w = output.dims
+    mass = np.asarray(mass, dtype=np.float64)
+    if mass.ndim != 3 or mass.shape[0] != b or mass.shape[1] < 1 or mass.shape[2] != h * w:
+        raise ShapeError(f"artifact_report: mass must be ({b}, heads, {h * w}), got {mass.shape}")
+    if not np.max(np.abs(mass.sum(axis=-1) - 1.0)) <= 1e-9:  # NaN mass fails too
+        raise ContractError("artifact_report: the mass of an (item, head) does not sum to 1 within 1e-9")
     norms = np.sqrt((output.data ** 2).sum(axis=1)).reshape(b * h * w)
     threshold = float(norms.mean() + k * norms.std())
     fraction = float((norms > threshold).mean())
-    mass = np.mean([attention_mass(a) for a in attention], axis=0)
+    incoming = mass.mean(axis=(0, 1)) * (h * w)
     return ArtifactReport(
         token_norms=norms,
         high_norm_fraction=fraction,
         norm_threshold=threshold,
-        attention_mass=mass,
-        gini=gini_index(mass),
+        attention_mass=incoming,
+        gini=gini_index(incoming),
     )

@@ -51,7 +51,7 @@ from .tensor import (
     Value,
     add,
     concat_channels,
-    global_avg_pool,
+    global_avg_pool,  # unused here; bench/tracer.py wraps ``neck.global_avg_pool`` by name
     logistic,
     mul,
 )
@@ -353,21 +353,17 @@ def attention_upsample(
 ) -> Tensor4:
     """Dual-path 2x upsampling: learned deconvolution gated by pooled attention.
 
-    Path A runs self-attention (with the step's registers, if it holds any)
-    on the input and pools it to a per-channel gate, squashed by the logistic
-    when ``cfg.gating_mode`` asks; path B applies the stride-2 transposed
-    convolution.  The output is the gated product, or the raw deconvolution
-    when the step holds no attention params.
+    Path A pools self-attention (with the step's registers, if it holds any)
+    over the input into a per-channel gate in one ``mhsa_forward`` call,
+    squashed by the logistic when ``cfg.gating_mode`` asks; path B applies
+    the stride-2 transposed convolution.  The output is the gated product, or
+    the raw deconvolution when the step holds no attention params.
     """
     up = deconv2x(top, step.deconv, tape)
     if step.mhsa is None:
         return up
-    if trace is not None:
-        y, attn = mhsa_forward(top, step.mhsa, step.registers, tape, return_attention=True)
-        trace[trace_key] = {"attention": attn, "mhsa_output": y}
-    else:
-        y = mhsa_forward(top, step.mhsa, step.registers, tape)
-    gate = global_avg_pool(y, tape)
+    entry = None if trace is None else trace.setdefault(trace_key, {})
+    gate = mhsa_forward(top, step.mhsa, step.registers, tape, entry)
     if cfg.gating_mode == "logistic":
         gate = logistic(gate, tape)
     return mul(up, gate, tape)
@@ -402,7 +398,8 @@ def neck_forward(
 
     ``params`` must be built for ``cfg`` itself, since they decide which arm
     runs.  The inputs must have the configured shapes and hold finite values
-    only.
+    only.  With a ``trace`` dict, each step that runs attention stores what
+    ``mhsa_forward`` traces (``mass`` and ``mhsa_output``) under its name.
     """
     if params.config != cfg:
         keys = _differing_keys(params.config.to_dict(), cfg)
@@ -482,6 +479,8 @@ def read_manifest(stream: bytes) -> tuple[dict, bytes]:
         raise ParamsIOError(
             f"unsupported format version {version} (expected {PARAMS_FORMAT_VERSION})"
         )
+    if not 0 <= manifest_len <= len(stream):
+        raise ParamsIOError(f"manifest length {manifest_len} outside 0..{len(stream)}, the stream's size")
     manifest_bytes = buf.read(manifest_len)
     if len(manifest_bytes) != manifest_len:
         raise ParamsIOError("truncated manifest")

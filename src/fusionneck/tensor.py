@@ -26,8 +26,10 @@ Fresh outputs mean many short-lived arrays: a default two-image forward
 allocates and frees about 20 MB of temporaries.  glibc hands every freed
 block above its mmap or trim threshold back to the kernel, so the next array
 of that size faults its pages in again: about 5.5k minor faults per forward
-(2.9k of them in ``conv2d``, 0.9k in ``mhsa_forward``) at about 3.3 µs each
-on a 2-CPU VM, some 18 ms of an 82 ms forward.  Importing this module
+(2.9k of them in ``conv2d``, 0.9k in ``mhsa_forward`` while it still built
+the whole (B, heads, HW, HW) attention; it now holds one block of rows at a
+time) at about 3.3 µs each on a 2-CPU VM, some 18 ms of an 82 ms forward,
+all measured before this policy was set.  Importing this module
 therefore pins glibc's ``M_MMAP_THRESHOLD`` at 32 MiB (the ceiling its own
 sliding threshold reaches on 64-bit) and ``M_TRIM_THRESHOLD`` at 64 MiB (the
 same 2:1 ratio), through ``mallopt``.  This holds for the whole host
@@ -176,7 +178,8 @@ class Rng:
 
     def normal(self, shape, sigma: float = 1.0) -> np.ndarray:
         draw = self._gen.standard_normal(shape)
-        draw *= float(sigma)  # in place: no second array the size of every parameter tensor
+        with np.errstate(over="ignore"):  # a sigma near the float limit gives inf, which callers check
+            draw *= float(sigma)  # in place: no second array the size of every parameter tensor
         return draw
 
     def uniform(self, low: float, high: float, shape=None) -> np.ndarray:

@@ -2,14 +2,15 @@
 
 Gradient suite (11 rows): every differentiable primitive plus the composed
 neck is checked against central finite differences at fixed seeds (tolerance
-1e-5 for primitives, 1e-4 for the neck).  Oracle suite (4 rows, one
+1e-5 for primitives, 1e-4 for the neck).  Oracle suite (5 rows, one
 ``ORACLES`` table): the vectorized convolutions against their loop oracles,
-and average precision against the explicit-cutoff oracle.  Every suite runs
-fixed inputs; a caller chooses only the scope and the number of gradient
-seeds.
+average precision against the explicit-cutoff oracle, and the blocked
+attention gate against a per-(item, head) loop over whole attention
+matrices.  Every suite runs fixed inputs; a caller chooses only the scope
+and the number of gradient seeds.
 
 Each row is a stream of errors (one per seed, case or scene) folded by
-``_row``, the one rule for all 15: the metric is the worst error, a NaN
+``_row``, the one rule for all 16: the metric is the worst error, a NaN
 error is kept as the worst so it fails the row, a row whose stream is empty
 is refused with ``ContractError`` rather than run as a vacuous pass, and the
 detail reads ``"<count> <unit>, <seconds>s"``.  A ``grad_check`` of params
@@ -163,7 +164,8 @@ def _mhsa_fixture(rng: Rng, with_registers: bool):
     if with_registers:  # one (HW, HW) score and one (d_head, HW) value register per head
         r = rng.split(2)
         reg = RegisterTokens(r.normal((2, 4, 4), 0.5), r.normal((2, 2, 4), 0.5))
-    return _op_case(rng, [x, *p.values(), *(reg.values() if reg is not None else [])], mhsa_forward, x, p, reg)
+    gate = partial(mhsa_forward, block_rows=3)  # the 4 query rows in a block of 3 and a ragged block of 1
+    return _op_case(rng, [x, *p.values(), *(reg.values() if reg is not None else [])], gate, x, p, reg)
 
 
 def _neck_test_config(seed: int) -> neck.NeckConfig:
@@ -296,6 +298,49 @@ def _ap_errors() -> Iterator[float]:
         yield abs(detmetrics.average_precision(dets, gts, thresh) - detmetrics.brute_force_ap(dets, gts, thresh))
 
 
+def loop_attention_gate(x: np.ndarray, p: MhsaParams, reg: RegisterTokens | None = None):
+    """Plain NumPy attention, one (item, head) at a time, with the whole (HW, HW) matrix.
+
+    Returns the gate (B, C, 1, 1) as the spatial mean of the per-token
+    output, the mass (B, heads, HW) as the column means of each matrix, and
+    the per-token output (B, C, H, W).
+    """
+    b, c, h, w = x.shape
+    d_head = c // p.head_count
+    out = np.empty((b, h * w, c))
+    mass = np.empty((b, p.head_count, h * w))
+    for item in range(b):
+        tokens = x[item].reshape(c, h * w).T
+        for head in range(p.head_count):
+            cols = slice(head * d_head, (head + 1) * d_head)
+            q, k, v = (tokens @ m[:, cols] for m in p.w_qkv.data)
+            scores = q @ k.T
+            if reg is not None:
+                scores = scores + reg.r_qk.data[head]
+                v = v + reg.r_v.data[head].T
+            scores = scores / np.sqrt(d_head)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            attn = e / e.sum(axis=1, keepdims=True)
+            mass[item, head] = attn.mean(axis=0)
+            out[item, :, cols] = attn @ v
+    return out.mean(axis=1).reshape(b, c, 1, 1), mass, out.transpose(0, 2, 1).reshape(b, c, h, w)
+
+
+def _gate_errors() -> Iterator[float]:
+    """|blocked − loop| over gate, mass and per-token output: 1-row, ragged and whole blocks, ± registers."""
+    rng = Rng(781)
+    x = Tensor4(rng.normal((2, 4, 2, 3)))
+    p = MhsaParams(rng.normal((3, 4, 4), 0.6), head_count=2)
+    reg = RegisterTokens(rng.normal((2, 6, 6), 0.5), rng.normal((2, 2, 6), 0.5))
+    for r in (None, reg):
+        expected = loop_attention_gate(x.data, p, r)
+        for block_rows in (1, 4, 6):  # six rows: one per block, 4 + 2, all in one
+            trace: dict = {}
+            gate = mhsa_forward(x, p, r, None, trace, block_rows)
+            got = (gate.data, trace["mass"], trace["mhsa_output"].data)
+            yield max(float(np.max(np.abs(a - b))) for a, b in zip(got, expected))
+
+
 ORACLES: list[tuple[str, Callable[[], Iterable[float]], float, str]] = [
     # (row name, error stream, tolerance, unit)
     ("conv2d_vs_naive", partial(_fast_vs_naive, convkit.conv2d, convkit.naive_conv2d, conv_oracle_cases, 777),
@@ -306,6 +351,7 @@ ORACLES: list[tuple[str, Callable[[], Iterable[float]], float, str]] = [
     ("deconv2x_vs_naive", partial(_fast_vs_naive, convkit.deconv2x, convkit.naive_deconv2x, _deconv_oracle_cases, 778),
      CONV_ORACLE_TOL, "cases"),
     ("ap_vs_bruteforce", _ap_errors, 1e-15, "scenes"),
+    ("mhsa_gate_vs_loop", _gate_errors, 1e-12, "cases"),
 ]
 
 

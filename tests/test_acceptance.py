@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from fusionneck import verify
-from fusionneck.attention import MhsaParams, RegisterTokens, attention_mass, mhsa_forward
+from fusionneck.attention import MhsaParams, RegisterTokens, mhsa_forward
 from fusionneck.cli import EXIT_OK, main
 from fusionneck.convkit import conv2d, deconv2x, naive_conv2d
 from fusionneck.convkit import DeconvKernel
@@ -98,9 +98,12 @@ def test_03_zero_register_collapse():
         x = Tensor4(rng.normal((2, dim, h, w)))
         p = MhsaParams(rng.split(1).normal((3, dim, dim), 0.6), heads)
         zeros = RegisterTokens(np.zeros((heads, h * w, h * w)), np.zeros((heads, dim // heads, h * w)))
-        with_reg = mhsa_forward(x, p, zeros)
-        without = mhsa_forward(x, p, None)
-        worst = max(worst, float(np.max(np.abs(with_reg.data - without.data))))
+        with_reg, without = {}, {}
+        gate_with = mhsa_forward(x, p, zeros, None, with_reg)
+        gate_without = mhsa_forward(x, p, None, None, without)
+        for a, b in ((gate_with.data, gate_without.data), (with_reg["mass"], without["mass"]),
+                     (with_reg["mhsa_output"].data, without["mhsa_output"].data)):
+            worst = max(worst, float(np.max(np.abs(a - b))))
     report("03 zero-register-collapse", worst < 1e-12, f"50 inputs, max dev {worst:.2e}")
 
 
@@ -218,14 +221,13 @@ def test_08_register_steering():
         r = rng.split(2)
         reg = RegisterTokens(r.normal((heads, 4, 4), 0.3), r.normal((heads, dim // heads, 4), 0.3))
         target = seed % 4
-        _, before = mhsa_forward(x, p, reg, return_attention=True)
+        before, after = {}, {}
+        mhsa_forward(x, p, reg, None, before)
         steered = RegisterTokens(
             reg.r_qk.data - 1e6 * (np.arange(4) == target), reg.r_v.data.copy()
         )
-        _, after = mhsa_forward(x, p, steered, return_attention=True)
-        for a_before, a_after in zip(before, after):
-            m_before = attention_mass(a_before)[target]
-            m_after = attention_mass(a_after)[target]
+        mhsa_forward(x, p, steered, None, after)
+        for m_before, m_after in zip(before["mass"][..., target].flat, after["mass"][..., target].flat):
             ratio = m_after / m_before
             worst_ratio = max(worst_ratio, ratio)
             if not (m_after < m_before and ratio < 1e-6):

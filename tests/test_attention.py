@@ -1,4 +1,4 @@
-"""Self-attention, register biases, attention mass, and the scSE gates."""
+"""The pooled self-attention gate, its block softmax, register biases, attention mass, and the scSE gates."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,16 @@ from fusionneck.attention import (
     MhsaParams,
     RegisterTokens,
     ScseParams,
-    attention_mass,
+    _attention_block,
     mhsa_forward,
     scse_recalibrate,
 )
 from fusionneck.convkit import ConvKernel
+from fusionneck.diagnostics import artifact_report
 from fusionneck.errors import ContractError, ShapeError
 from fusionneck.neck import NeckConfig, init_params
 from fusionneck.tensor import Rng, Tape, Tensor4, grad_check, weighted_sum
+from fusionneck.verify import loop_attention_gate
 
 # frozen scalar oracle for the scse hand case (reduce [0.5, 0.25], expand
 # [1, -1], spatial [0.3, 0.1], input [1, 2]): hidden = 1.0,
@@ -43,67 +45,85 @@ def tokens_of(x):
     return x.data.reshape(b, c, h * w).transpose(0, 2, 1)  # (B, HW, C)
 
 
+def traced(x, p, reg=None, block_rows=None):
+    """The gate data, the traced mass (B, heads, HW) and the traced per-token output map."""
+    trace = {}
+    gate = mhsa_forward(x, p, reg, None, trace, block_rows)
+    return gate.data, trace["mass"], trace["mhsa_output"]
+
+
 class TestMhsaForward:
     def test_zero_registers_equal_none(self):
         rng = Rng(0)
         x = Tensor4(rng.normal((2, 4, 2, 3)))
         p = make_params(rng.split(1), 4, 2)
         zeros = make_registers(rng.split(2), 2, 6, 2, sigma=0.0)
-        a = mhsa_forward(x, p, zeros)
-        b = mhsa_forward(x, p, None)
-        assert np.max(np.abs(a.data - b.data)) < 1e-12
+        a = traced(x, p, zeros)
+        b = traced(x, p, None)
+        for got, want in zip(a[:2], b[:2]):
+            assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(a[2].data - b[2].data)) < 1e-12
 
     def test_uniform_attention_closed_form(self):
-        """W_q = W_k = 0 and W_v = I gives every token the token mean."""
+        """W_q = W_k = 0 and W_v = I gives every token, and the gate, the token mean."""
         rng = Rng(1)
         x = Tensor4(rng.normal((2, 4, 2, 2)))
         p = MhsaParams(np.stack([np.zeros((4, 4)), np.zeros((4, 4)), np.eye(4)]), head_count=2)
-        out = mhsa_forward(x, p)
-        expected = x.data.mean(axis=(2, 3), keepdims=True) * np.ones_like(x.data)
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        gate, _, out = traced(x, p)
+        mean = x.data.mean(axis=(2, 3), keepdims=True)
+        np.testing.assert_allclose(gate, mean, atol=1e-12)
+        np.testing.assert_allclose(out.data, mean * np.ones_like(x.data), atol=1e-12)
 
     def test_single_token(self):
         rng = Rng(2)
         x = Tensor4(rng.normal((1, 4, 1, 1)))
         p = make_params(rng.split(1), 4, 2)
-        out, attn = mhsa_forward(x, p, return_attention=True)
-        for a in attn:
-            np.testing.assert_array_equal(a, [[1.0]])
+        gate, mass, _ = traced(x, p)
+        np.testing.assert_array_equal(mass, np.ones((1, 2, 1)))
         expected = tokens_of(x)[0] @ p.w_qkv.data[2]
-        np.testing.assert_allclose(out.data.reshape(4), expected.reshape(4), atol=1e-12)
+        np.testing.assert_allclose(gate.reshape(4), expected.reshape(4), atol=1e-12)
 
     def test_rows_stochastic(self):
+        """Each row of a block softmax sums to 1, and so each (item, head) mass."""
         rng = Rng(3)
+        q, k = rng.normal((2, 4, 9, 1)), rng.normal((2, 4, 9, 1))
+        r_qk = rng.normal((4, 9, 9), 0.5)
+        for rows in (slice(0, 4), slice(4, 8), slice(8, 9)):
+            a = _attention_block(q, k, r_qk, rows, 1.0)
+            assert a.shape == (2, 4, rows.stop - rows.start, 9)
+            np.testing.assert_allclose(a.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
         x = Tensor4(rng.normal((2, 4, 3, 3)))
         p = make_params(rng.split(1), 4, 4)
         reg = make_registers(rng.split(2), 4, 9, 1, sigma=0.5)
-        _, attn = mhsa_forward(x, p, reg, return_attention=True)
-        assert len(attn) == 2 * 4
-        for a in attn:
-            np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
+        _, mass, _ = traced(x, p, reg, block_rows=4)
+        assert mass.shape == (2, 4, 9)
+        np.testing.assert_allclose(mass.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
     def test_convexity_bound_without_registers(self):
-        """Each output head column lies inside the V-column range over tokens."""
+        """Each output head column, and the gate, lies inside the V-column range over tokens."""
         rng = Rng(4)
         x = Tensor4(rng.normal((1, 6, 2, 3)))
         p = make_params(rng.split(1), 6, 3)
-        out = mhsa_forward(x, p)
+        gate, _, out = traced(x, p)
         v = tokens_of(x)[0] @ p.w_qkv.data[2]  # (HW, C) value rows, heads concatenated
-        out_tokens = tokens_of(out)[0]
         lo = v.min(axis=0) - 1e-12
         hi = v.max(axis=0) + 1e-12
-        assert np.all(out_tokens >= lo) and np.all(out_tokens <= hi)
+        for rows in (tokens_of(out)[0], gate.reshape(1, 6)):
+            assert np.all(rows >= lo) and np.all(rows <= hi)
 
     def test_permutation_equivariance(self):
+        """Permuting tokens permutes the output and the mass and leaves the gate as it is."""
         rng = Rng(5)
         x = Tensor4(rng.normal((1, 4, 2, 2)))
         p = make_params(rng.split(1), 4, 2)
         perm = np.array([2, 0, 3, 1])
         xt = tokens_of(x)[0]
         x_perm = Tensor4(xt[perm].T.reshape(1, 4, 2, 2))
-        out = tokens_of(mhsa_forward(x, p))[0]
-        out_perm = tokens_of(mhsa_forward(x_perm, p))[0]
-        np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
+        gate, mass, out = traced(x, p)
+        gate_perm, mass_perm, out_perm = traced(x_perm, p)
+        np.testing.assert_allclose(tokens_of(out_perm)[0], tokens_of(out)[0][perm], atol=1e-12)
+        np.testing.assert_allclose(mass_perm, mass[..., perm], atol=1e-12)
+        np.testing.assert_allclose(gate_perm, gate, atol=1e-12)
 
     def test_register_steering_suppresses_token(self):
         """A -1e6 column bias in every r_qk starves that token of mass."""
@@ -113,16 +133,14 @@ class TestMhsaForward:
             p = make_params(rng.split(1), 4, 2)
             reg = make_registers(rng.split(2), 2, 4, 2, sigma=0.3)
             target = seed % 4
-            _, attn_before = mhsa_forward(x, p, reg, return_attention=True)
+            _, mass_before, _ = traced(x, p, reg)
             steered = RegisterTokens(
                 reg.r_qk.data - 1e6 * (np.arange(4) == target), reg.r_v.data.copy()
             )
-            _, attn_after = mhsa_forward(x, p, steered, return_attention=True)
-            for before, after in zip(attn_before, attn_after):
-                mass_before = attention_mass(before)[target]
-                mass_after = attention_mass(after)[target]
-                assert mass_after < mass_before
-                assert mass_after < 1e-6 * mass_before
+            _, mass_after, _ = traced(x, p, steered)
+            before, after = mass_before[..., target], mass_after[..., target]
+            assert np.all(after < before)
+            assert np.all(after < 1e-6 * before)
 
     def test_shape_errors(self):
         rng = Rng(7)
@@ -132,6 +150,11 @@ class TestMhsaForward:
         reg = make_registers(rng.split(1), 2, 4, 2, sigma=0.1)
         with pytest.raises(ShapeError):
             mhsa_forward(Tensor4.zeros(1, 4, 3, 3), p, reg)  # HW 9 vs registers at 4
+
+    def test_block_rows_must_be_positive(self):
+        p = make_params(Rng(8), 4, 2)
+        with pytest.raises(ContractError, match="block_rows"):
+            mhsa_forward(Tensor4.zeros(1, 4, 2, 2), p, block_rows=0)
 
     def test_head_count_must_divide(self):
         with pytest.raises(ShapeError):
@@ -183,26 +206,42 @@ class TestBuildRegisters:
 
 
 class TestAttentionMass:
+    """The traced mass: per (item, head), the column means of the attention."""
+
+    @staticmethod
+    def _mass(r_qk_bias, hw=6, heads=2):
+        rng = Rng(20)
+        x = Tensor4(rng.normal((2, 4, 2, hw // 2)))
+        reg = make_registers(rng.split(1), heads, hw, 4 // heads, sigma=0.3)
+        reg = RegisterTokens(reg.r_qk.data + r_qk_bias, reg.r_v.data)
+        return traced(x, make_params(rng.split(2), 4, heads), reg, block_rows=4)[1]
+
     def test_uniform_mass(self):
-        n = 5
-        mass = attention_mass(np.full((n, n), 1.0 / n))
-        np.testing.assert_allclose(mass, np.ones(n), atol=1e-12)
+        rng = Rng(21)
+        x = Tensor4(rng.normal((2, 4, 1, 5)))
+        p = MhsaParams(np.stack([np.zeros((4, 4)), np.zeros((4, 4)), np.eye(4)]), head_count=2)
+        _, mass, _ = traced(x, p, block_rows=2)
+        np.testing.assert_allclose(mass, np.full((2, 2, 5), 0.2), rtol=0, atol=1e-15)
 
     def test_identity_mass(self):
-        mass = attention_mass(np.eye(4))
-        np.testing.assert_array_equal(mass, np.ones(4))
+        """A +1e6 diagonal makes each token attend to itself only: 1/HW each."""
+        mass = self._mass(1e6 * np.eye(6))
+        np.testing.assert_array_equal(mass, np.full((2, 2, 6), 1 / 6))
 
     def test_point_column(self):
-        n = 6
-        a = np.zeros((n, n))
-        a[:, 2] = 1.0
-        mass = attention_mass(a)
-        assert mass[2] == float(n)
-        assert mass.sum() == float(n)
+        bias = np.zeros((6, 6))
+        bias[:, 2] = 1e6
+        mass = self._mass(bias)
+        assert np.all(mass[..., 2] == 1.0)
+        assert np.all(mass.sum(axis=-1) == 1.0)
 
     def test_non_stochastic_rejected(self):
+        """A mass whose (item, head) does not sum to 1 is no traced mass."""
+        mass = self._mass(np.zeros((6, 6)))
+        mass[1, 0] *= 0.9
+        out = Tensor4.zeros(2, 4, 2, 3)
         with pytest.raises(ContractError):
-            attention_mass(np.full((3, 3), 0.5))
+            artifact_report(mass, out)
 
 
 class TestScse:
@@ -256,31 +295,8 @@ class TestScse:
             ScseParams(reduce, expand, spatial)
 
 
-def loop_mhsa(x, p, reg=None):
-    """Plain NumPy MHSA, one (item, head) at a time: returns (B, C, H, W) output and attention list."""
-    b, c, h, w = x.shape
-    d_head = c // p.head_count
-    out = np.empty((b, h * w, c))
-    attention = []
-    for item in range(b):
-        tokens = x[item].reshape(c, h * w).T
-        for head in range(p.head_count):
-            cols = slice(head * d_head, (head + 1) * d_head)
-            q, k, v = (tokens @ m[:, cols] for m in p.w_qkv.data)
-            scores = q @ k.T
-            if reg is not None:
-                scores = scores + reg.r_qk.data[head]
-                v = v + reg.r_v.data[head].T
-            scores = scores / np.sqrt(d_head)
-            e = np.exp(scores - scores.max(axis=1, keepdims=True))
-            attn = e / e.sum(axis=1, keepdims=True)
-            attention.append(attn)
-            out[item, :, cols] = attn @ v
-    return out.transpose(0, 2, 1).reshape(b, c, h, w), attention
-
-
 class TestMhsaLoopOracle:
-    """The fused op against a per-(item, head) loop: pins the contiguous head column blocks."""
+    """The blocked gate against a per-(item, head) loop: pins the contiguous head column blocks."""
 
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -291,13 +307,14 @@ class TestMhsaLoopOracle:
         x = Tensor4(rng.normal((batch, c, h, w)))
         p = make_params(rng.split(1), c, heads)
         reg = make_registers(rng.split(2), heads, h * w, c // heads, sigma=0.5) if with_reg else None
-        out, attn = mhsa_forward(x, p, reg, return_attention=True)
-        expected, expected_attn = loop_mhsa(x.data, p, reg)
-        assert out.dims == (batch, c, h, w)
-        assert np.max(np.abs(out.data - expected)) < 1e-12
-        assert len(attn) == len(expected_attn) == batch * heads
-        for got, want in zip(attn, expected_attn):
-            assert np.max(np.abs(got - want)) < 1e-12
+        gate_want, mass_want, out_want = loop_attention_gate(x.data, p, reg)
+        for block_rows in (1, 4, None):
+            gate, mass, out = traced(x, p, reg, block_rows)
+            assert gate.shape == (batch, c, 1, 1) and mass.shape == (batch, heads, h * w)
+            assert out.dims == (batch, c, h, w)
+            assert np.max(np.abs(gate - gate_want)) < 1e-12
+            assert np.max(np.abs(mass - mass_want)) < 1e-12
+            assert np.max(np.abs(out.data - out_want)) < 1e-12
 
     @pytest.mark.parametrize("with_reg", [False, True])
     def test_one_tape_record_per_call(self, with_reg):
@@ -308,7 +325,7 @@ class TestMhsaLoopOracle:
         tape = Tape()
         mhsa_forward(x, p, reg, tape)
         assert len(tape) == 1
-        mhsa_forward(x, p, reg, tape, return_attention=True)
+        mhsa_forward(x, p, reg, tape, {})
         assert len(tape) == 2
 
 
@@ -320,7 +337,7 @@ class TestAttentionGradients:
             x = Tensor4(rng.normal((2, 4, 2, 2)))
             p = make_params(rng.split(1), 4, 2)
             reg = make_registers(rng.split(2), 2, 4, 2, sigma=0.5) if with_reg else None
-            w = rng.normal((2, 4, 2, 2))
+            w = rng.normal((2, 4, 1, 1))
             params = [x, *p.values()] + (reg.values() if reg else [])
 
             def loss(tape):
@@ -334,12 +351,33 @@ class TestAttentionGradients:
         x = Tensor4(rng.normal((1, 4, 2, 3)))
         p = make_params(rng.split(1), 4, heads)
         reg = make_registers(rng.split(2), heads, 6, 4 // heads, sigma=0.5)
-        w = rng.normal((1, 4, 2, 3))
+        w = rng.normal((1, 4, 1, 1))
 
         def loss(tape):
-            return weighted_sum(mhsa_forward(x, p, reg, tape), w, tape)
+            return weighted_sum(mhsa_forward(x, p, reg, tape, block_rows=4), w, tape)  # blocks of 4 + 2 rows
 
         assert grad_check(loss, [x, *p.values(), *reg.values()], epsilon=1e-6) < 1e-5
+
+    @pytest.mark.parametrize("with_reg", [False, True])
+    def test_gradients_do_not_depend_on_the_block_size(self, with_reg):
+        rng = Rng(320)
+        x = Tensor4(rng.normal((2, 4, 3, 3)))
+        p = make_params(rng.split(1), 4, 2)
+        reg = make_registers(rng.split(2), 2, 9, 2, sigma=0.5) if with_reg else None
+        w = rng.normal((2, 4, 1, 1))
+        values = [x, *p.values(), *(reg.values() if reg else [])]
+        grads = []
+        for block_rows in (1, 4, 9):
+            tape = Tape()
+            loss = weighted_sum(mhsa_forward(x, p, reg, tape, block_rows=block_rows), w, tape)
+            loss.grad = np.ones(())
+            tape.backward()
+            grads.append([v.grad for v in values])
+            for v in values:
+                v.grad = None
+        for other in grads[1:]:
+            for a, b in zip(grads[0], other):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
     def test_scse_backward(self):
         for seed in range(3):

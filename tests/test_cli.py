@@ -164,6 +164,17 @@ class TestForward:
         assert capsys.readouterr().err == "error: forward output p3 is not finite\n"
         assert not report.exists()
 
+    def test_draw_overflow_exits_2_with_one_error_line(self, tmp_path):
+        """Draws scaled by 1e308 overflow to inf: no NumPy warning reaches stderr before the error."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "fusionneck", "forward", *SMALL, "--init-sigma", "1e308",
+             "--report", str(tmp_path / "r.json")],
+            env=module_env(False), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr == "error: forward output p3 is not finite\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_bytes(b'\xff{"seed": 1}')
@@ -268,6 +279,17 @@ class TestParams:
         pfile.write_bytes(f"fusionneck-params {PARAMS_FORMAT_VERSION} {len(manifest)}\n".encode("ascii") + manifest)
         assert main(["params", "inspect", str(pfile)]) == EXIT_INPUT
         assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("length", ["99999999999999999999", "-5"])
+    def test_manifest_length_outside_the_stream_exits_2(self, tmp_path, capsys, length):
+        pfile = tmp_path / "p.bin"
+        pfile.write_bytes(f"fusionneck-params {PARAMS_FORMAT_VERSION} {length}\n{{}}".encode("ascii"))
+        for argv in (["params", "inspect", str(pfile)],
+                     ["forward", *SMALL, "--params-in", str(pfile), "--report", str(tmp_path / "r.json")]):
+            assert main(argv) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert err == f"error: manifest length {length} outside 0..{pfile.stat().st_size}, the stream's size\n"
+        assert not (tmp_path / "r.json").exists()
 
     @staticmethod
     def assert_old_version_refused(tmp_path, capsys, version):

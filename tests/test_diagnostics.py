@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fusionneck.diagnostics import artifact_report, gini_index, level_stats
-from fusionneck.errors import ContractError
+from fusionneck.errors import ContractError, ShapeError
 from fusionneck.tensor import Rng, Tensor4
 
 
@@ -78,54 +78,68 @@ class TestGini:
             gini_index([-1.0, 2.0])
 
 
+def uniform_mass(b, heads, n):
+    """The traced mass of uniform attention: every column mean 1/n."""
+    return np.full((b, heads, n), 1.0 / n)
+
+
 class TestArtifactReport:
     def test_uniform_attention_uniform_norms(self):
         n = 9
-        attn = [np.full((n, n), 1.0 / n)]
         out = Tensor4(np.full((1, 2, 3, 3), 1.0))
-        rep = artifact_report(attn, out, k=3.0)
+        rep = artifact_report(uniform_mass(1, 1, n), out, k=3.0)
         assert rep.high_norm_fraction == 0.0
         np.testing.assert_allclose(rep.attention_mass, np.ones(n), atol=1e-12)
         assert rep.gini < 1e-12
 
     def test_point_mass_gini(self):
         n = 4
-        a = np.zeros((n, n))
-        a[:, 1] = 1.0
-        rep = artifact_report([a], Tensor4(np.full((1, 1, 2, 2), 1.0)), k=3.0)
+        mass = np.zeros((1, 1, n))
+        mass[..., 1] = 1.0
+        rep = artifact_report(mass, Tensor4(np.full((1, 1, 2, 2), 1.0)), k=3.0)
+        np.testing.assert_array_equal(rep.attention_mass, [0.0, 4.0, 0.0, 0.0])
         np.testing.assert_allclose(rep.gini, (n - 1) / n, atol=1e-12)
+
+    def test_mass_averaged_over_items_and_heads(self):
+        mass = np.zeros((2, 2, 4))
+        mass[0, 0, 0] = mass[0, 1, 1] = mass[1, 0, 2] = mass[1, 1, 2] = 1.0
+        rep = artifact_report(mass, Tensor4.zeros(2, 1, 2, 2))
+        np.testing.assert_array_equal(rep.attention_mass, [1.0, 1.0, 2.0, 0.0])
 
     def test_equal_norms_zero_fraction(self):
         """Degenerate sigma: threshold collapses to the mean, strict > gives 0."""
-        n = 4
-        attn = [np.full((n, n), 0.25)]
-        rep = artifact_report(attn, Tensor4(np.full((2, 3, 2, 2), 0.7)), k=3.0)
+        rep = artifact_report(uniform_mass(2, 1, 4), Tensor4(np.full((2, 3, 2, 2), 0.7)), k=3.0)
         assert rep.high_norm_fraction == 0.0
 
     def test_outlier_detected(self):
         out = np.ones((1, 1, 4, 4))
         out[0, 0, 0, 0] = 100.0
-        attn = [np.full((16, 16), 1.0 / 16)]
-        rep = artifact_report(attn, Tensor4(out), k=3.0)
+        rep = artifact_report(uniform_mass(1, 1, 16), Tensor4(out), k=3.0)
         assert rep.high_norm_fraction == pytest.approx(1 / 16)
 
     def test_fraction_monotone_in_k(self):
         rng = Rng(3)
         out = Tensor4(rng.normal((1, 4, 4, 4)))
-        attn = [np.full((16, 16), 1.0 / 16)]
-        fractions = [artifact_report(attn, out, k=k).high_norm_fraction for k in (0.5, 1.0, 2.0, 3.0)]
+        mass = uniform_mass(1, 2, 16)
+        fractions = [artifact_report(mass, out, k=k).high_norm_fraction for k in (0.5, 1.0, 2.0, 3.0)]
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))
 
     def test_non_stochastic_rejected(self):
-        with pytest.raises(ContractError):
-            artifact_report([np.full((3, 3), 0.9)], Tensor4.zeros(1, 1, 1, 3), k=3.0)
+        for total in (0.9, np.nan):
+            with pytest.raises(ContractError, match="sum to 1"):
+                artifact_report(np.full((1, 1, 3), total / 3), Tensor4.zeros(1, 1, 1, 3), k=3.0)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 1, 3), (1, 0, 3), (1, 1, 4)])
+    def test_mass_shape_checked(self, shape):
+        with pytest.raises(ShapeError, match="mass must be"):
+            artifact_report(np.zeros(shape), Tensor4.zeros(1, 1, 1, 3))
 
     def test_bad_k_rejected(self):
         with pytest.raises(ContractError):
-            artifact_report([np.eye(2)], Tensor4.zeros(1, 1, 1, 2), k=0.0)
+            artifact_report(uniform_mass(1, 1, 2), Tensor4.zeros(1, 1, 1, 2), k=0.0)
 
     def test_deterministic(self):
         rng = Rng(4)
         out = Tensor4(rng.normal((2, 3, 2, 2)))
-        attn = [np.eye(4) for _ in range(4)]
-        assert artifact_report(attn, out).to_dict() == artifact_report(attn, out).to_dict()
+        mass = uniform_mass(2, 2, 4)
+        assert artifact_report(mass, out).to_dict() == artifact_report(mass, out).to_dict()

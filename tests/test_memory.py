@@ -2,7 +2,9 @@
 
 ``Tape.backward`` drops each closure once it has run, so what a rule captured
 is freed while the backward still runs; the release tests check that with a
-weak reference and with the traced peak of one default-config step.
+weak reference and with the traced peak of one default-config step.  The
+attention gate keeps no (HW, HW) array beyond one block of query rows; a
+40×40 forward and backward bounds that.
 
 glibc heap policy, and what it must not change:
 
@@ -25,9 +27,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fusionneck.attention import MhsaParams, mhsa_forward
 from fusionneck.detmetrics import evaluate_records, load_detections, load_ground_truths
 from fusionneck.neck import NeckConfig, init_params, neck_forward, synthetic_pyramid
-from fusionneck.tensor import Rng, Tape, add, sum_all, weighted_sum
+from fusionneck.tensor import Rng, Tape, Tensor4, add, sum_all, weighted_sum
 from fusionneck.verify import random_neck_params
 
 DATA = Path(__file__).parent / "data"
@@ -100,8 +103,9 @@ def test_closure_capture_is_freed_during_backward():
 
 # The traced peak of one default-config, batch-2 train step (inputs and params
 # excluded): about 51 MiB while the tape held every closure until it was
-# dropped, about 30 MiB with closures dropped as they replay.
-STEP_PEAK_MIB = 40
+# dropped, about 30 MiB with closures dropped as they replay, about 25 MiB
+# once the attention gate held no (HW, HW) array beyond one block of rows.
+STEP_PEAK_MIB = 32
 
 
 def test_train_step_traced_peak():
@@ -128,5 +132,30 @@ def test_train_step_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert records == 62
+    assert records == 60
     assert peak < STEP_PEAK_MIB << 20, f"one train step peaked at {peak / 2**20:.1f} MiB"
+
+
+# The traced peak of one attention-gate forward and backward at 40×40 tokens,
+# batch 2, 64 channels, 4 heads, without registers (whose r_qk alone would be
+# 82 MB here): about 400 MiB with the (B, heads, HW, HW) attention and its
+# gradient held whole, about 23 MiB in 1 MiB blocks of query rows.
+GATE_40_PEAK_MIB = 64
+
+
+def test_attention_gate_traced_peak_at_40x40():
+    rng = Rng(40)
+    x = Tensor4(rng.normal((2, 64, 40, 40)))
+    p = MhsaParams(rng.normal((3, 64, 64), 0.1), head_count=4)
+    weights = rng.normal((2, 64, 1, 1))
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        loss = weighted_sum(mhsa_forward(x, p, None, tape), weights, tape)
+        loss.grad = np.ones(())
+        tape.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.data.shape and p.w_qkv.grad.shape == p.w_qkv.data.shape
+    assert peak < GATE_40_PEAK_MIB << 20, f"the 40x40 gate peaked at {peak / 2**20:.1f} MiB"

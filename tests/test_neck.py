@@ -430,7 +430,7 @@ class TestGradientAccumulation:
         kept = _step_gradients(cfg)
         for module in (tensor, convkit, attention):
             monkeypatch.setattr(module, "_accum", _zero_buffer_accum)
-        for module in (tensor, convkit):
+        for module in (tensor, convkit, attention):
             monkeypatch.setattr(module, "_accum_own", _zero_buffer_accum)
         zero_buffer = _step_gradients(cfg)
         assert len(kept) == len(parameter_spec(cfg)) + 3
@@ -442,7 +442,7 @@ class TestGradientAccumulation:
         """Dropping closures as they run and keeping fresh first gradients changes no bit."""
         cfg = NeckConfig(**ARMS[arm][0])
         new = _step_gradients(cfg)
-        for module in (tensor, convkit):
+        for module in (tensor, convkit, attention):
             monkeypatch.setattr(module, "_accum_own", tensor._accum)
         old = _step_gradients(cfg, replay=_keep_all_replay)
         assert len(new) == ARMS[arm][1][0] + 3

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fusionneck import neck, tensor, verify
-from fusionneck.attention import MhsaParams, mhsa_forward
+from fusionneck.attention import MhsaParams, _attention_block, mhsa_forward
 from fusionneck.errors import ContractError, EvaluationError, ShapeError
 from fusionneck.tensor import (
     Rng,
@@ -320,12 +320,16 @@ class TestFiniteness:
             x = Tensor4(rng.normal((1, 3, 3, 3), 100.0))
             assert np.all(np.isfinite(logistic(x).data))
             assert np.all(np.isfinite(global_avg_pool(x).data))
-            # logits of order 1e5: the attention softmax must subtract each row's max
+            # logits of order 1e5: the block softmax must subtract each row's max
+            q, k = rng.normal((2, 2, 4, 2), 500.0), rng.normal((2, 2, 4, 2), 500.0)
+            for rows in (slice(0, 3), slice(3, 4)):
+                a = _attention_block(q, k, None, rows, 1.0)
+                np.testing.assert_allclose(a.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
             big = Tensor4(rng.normal((2, 4, 2, 2), 500.0))
-            out, attn = mhsa_forward(big, MhsaParams(rng.normal((3, 4, 4)), 2), return_attention=True)
-            assert np.all(np.isfinite(out.data))
-            for a in attn:
-                np.testing.assert_allclose(a.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            trace = {}
+            gate = mhsa_forward(big, MhsaParams(rng.normal((3, 4, 4)), 2), None, None, trace, block_rows=3)
+            assert np.all(np.isfinite(gate.data)) and np.all(np.isfinite(trace["mhsa_output"].data))
+            np.testing.assert_allclose(trace["mass"].sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestLogistic:

@@ -92,8 +92,11 @@ def test_fast_vs_naive_with_no_cases_refused(monkeypatch):
         verify.oracle_suite()
 
 
-def test_eleven_gradient_cases_and_four_oracle_rows():
+def test_eleven_gradient_cases_and_five_oracle_rows():
     rows = verify.run("oracle")
-    assert [r.name for r in rows] == ["conv2d_vs_naive", "pointwise_vs_naive", "deconv2x_vs_naive", "ap_vs_bruteforce"]
-    assert [r.detail.split(",")[0] for r in rows] == ["50 cases", "20 cases", "20 cases", "200 scenes"]
+    assert [r.name for r in rows] == [
+        "conv2d_vs_naive", "pointwise_vs_naive", "deconv2x_vs_naive", "ap_vs_bruteforce", "mhsa_gate_vs_loop",
+    ]
+    assert [r.detail.split(",")[0] for r in rows] == ["50 cases", "20 cases", "20 cases", "200 scenes", "6 cases"]
+    assert all(r.passed for r in rows)
     assert len(verify.GRADIENT_CASES) == 11
