@@ -3,15 +3,18 @@
 Convolution here means cross-correlation (no kernel flip), the deep-learning
 convention.  The fast paths are lowered to BLAS matrix products (the GEMM
 lowering of Chellapilla et al., 2006).  ``conv2d`` reads the padded input
-through a read-only strided (B, C, kh, kw, H_out, W_out) window view and runs
-a plain loop over bands of output rows: each band's columns, all kh·kw taps
-of its rows, are copied by one reshape and multiplied by the weight read as
-an (O, C·kh·kw) matrix, and the product lands in the band's output rows.  A
-map that fits ``_COLUMN_BYTES`` is one band and one product.  The weight
-gradient sums g @ columnsᵀ over the same bands.  The input gradient is the
-same lowering run on g, padded by d·(k−1) − pad (cropped where that is
-negative), with the kernel flipped and its channel axes swapped.  Its tape
-entry holds no padded input and no columns: the backward builds them again.
+through a read-only strided (B, C, kh, kw, H, W) window view and runs a
+plain loop over bands of output rows: each band's columns, all kh·kw taps of
+its rows, are copied by one reshape and multiplied by the weight read as an
+(O, C·kh·kw) matrix, and the product lands in the band's output rows.  A map
+that fits ``_COLUMN_BYTES`` is one band and one product.  Every convolution
+is same-size: a kernel's sides are odd and each axis is padded by
+d·(k−1)/2, so the output keeps the input's H×W.  The weight gradient sums
+g @ columnsᵀ over the same bands.  The input gradient is the same lowering
+run on g, with the kernel flipped and its channel axes swapped; the
+transpose of a same-size convolution is same-size too, so nothing is
+cropped.  Its tape entry holds no padded input and no columns: the backward
+builds them again.
 ``pointwise_conv`` is its own primitive: one (O, C) @ (B, C, H·W) product,
 with a backward rule of three products of the same shapes.  ``deconv2x`` is
 a single (O·4, C) @ (B, C, H·W) product followed by a transpose that
@@ -37,27 +40,27 @@ _COLUMN_BYTES = 1 << 20
 
 
 class ConvKernel:
-    """Dense 2-D convolution kernel with dilation and symmetric zero padding.
+    """Dense 2-D convolution kernel with dilation, same-size by construction.
 
-    weight has shape (out_channels, in_channels, k_h, k_w); bias has shape
+    weight has shape (out_channels, in_channels, k_h, k_w), both sides odd, so
+    padding each axis by dilation·(k−1)/2 keeps H×W; bias has shape
     (out_channels,).  Both are tape values so gradients accumulate on them.
     """
 
-    def __init__(self, weight, bias, dilation: int = 1, padding: int = 0) -> None:
+    def __init__(self, weight, bias, dilation: int = 1) -> None:
         self.weight = weight if isinstance(weight, Value) else Value(weight)
         self.bias = bias if isinstance(bias, Value) else Value(bias)
         if self.weight.data.ndim != 4:
             raise ShapeError(f"ConvKernel weight needs 4 axes, got {self.weight.shape}")
+        if self.weight.shape[2] % 2 == 0 or self.weight.shape[3] % 2 == 0:
+            raise ShapeError(f"ConvKernel sides must be odd for a same-size output, got {self.weight.shape[2:]}")
         if self.bias.data.ndim != 1 or self.bias.shape[0] != self.weight.shape[0]:
             raise ShapeError(
                 f"ConvKernel bias shape {self.bias.shape} does not match {self.weight.shape[0]} outputs"
             )
         if dilation < 1:
             raise ContractError(f"ConvKernel dilation must be >= 1, got {dilation}")
-        if padding < 0:
-            raise ContractError(f"ConvKernel padding must be >= 0, got {padding}")
         self.dilation = int(dilation)
-        self.padding = int(padding)
 
     @property
     def out_channels(self) -> int:
@@ -125,61 +128,50 @@ def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return out
 
 
-def _tap_window(a: np.ndarray, kh: int, kw: int, d: int, ph: int, pw: int) -> tuple[np.ndarray, int]:
-    """The taps of a kh x kw, dilation-d conv of ``a``, and the output rows per band.
+def _tap_window(a: np.ndarray, kh: int, kw: int, d: int) -> tuple[np.ndarray, int]:
+    """The taps of a same-size kh x kw, dilation-d conv of ``a``, and the output rows per band.
 
-    ``a`` is read as if zero-padded by ``ph`` rows and ``pw`` columns on each
-    side; a negative amount crops instead.  The window is a read-only
-    (B, C, kh, kw, H_out, W_out) view: reshaping a band of its output rows to
-    (B, C·kh·kw, rows·W_out) copies the columns of all taps at once, rows
-    ordered (channel, tap row, tap column) as in the weight's own layout.  A
-    band is as many output rows as fit ``_COLUMN_BYTES``.
+    ``a`` is read as if zero-padded by d·(k−1)/2 on each side of each axis.
+    The window is a read-only (B, C, kh, kw, H, W) view: reshaping a band of
+    its output rows to (B, C·kh·kw, rows·W) copies the columns of all taps at
+    once, rows ordered (channel, tap row, tap column) as in the weight's own
+    layout.  A band is as many output rows as fit ``_COLUMN_BYTES``.
     """
     b, c, h, w = a.shape
-    h_out = h + 2 * ph - d * (kh - 1)
-    w_out = w + 2 * pw - d * (kw - 1)
-    ap = np.ascontiguousarray(_pad(a, max(ph, 0), max(pw, 0)))
+    ap = np.ascontiguousarray(_pad(a, d * (kh // 2), d * (kw // 2)))
     sb, sc, sh, sw = ap.strides
-    window = np.ndarray(
-        (b, c, kh, kw, h_out, w_out), np.float64, ap,
-        offset=max(-ph, 0) * sh + max(-pw, 0) * sw,
-        strides=(sb, sc, d * sh, d * sw, sh, sw),
-    )
+    window = np.ndarray((b, c, kh, kw, h, w), np.float64, ap, strides=(sb, sc, d * sh, d * sw, sh, sw))
     window.flags.writeable = False
-    rows = min(h_out, max(1, _COLUMN_BYTES // (b * c * kh * kw * w_out * ap.itemsize)))
+    rows = min(h, max(1, _COLUMN_BYTES // (b * c * kh * kw * w * ap.itemsize)))
     return window, rows
 
 
-def _lowered(a: np.ndarray, wmat: np.ndarray, kh: int, kw: int, d: int, ph: int, pw: int) -> np.ndarray:
-    """``wmat`` (O, C·kh·kw) times the columns of ``a``, band by band, as (B, O, H_out·W_out)."""
-    window, rows = _tap_window(a, kh, kw, d, ph, pw)
-    b, _, _, _, h_out, w_out = window.shape
+def _lowered(a: np.ndarray, wmat: np.ndarray, kh: int, kw: int, d: int) -> np.ndarray:
+    """``wmat`` (O, C·kh·kw) times the columns of ``a``, band by band, as (B, O, H·W)."""
+    window, rows = _tap_window(a, kh, kw, d)
+    b, _, _, _, h, w = window.shape
     o, k = wmat.shape
-    out = np.empty((b, o, h_out * w_out))
-    for r0 in range(0, h_out, rows):
+    out = np.empty((b, o, h * w))
+    for r0 in range(0, h, rows):
         cols = window[..., r0 : r0 + rows, :].reshape(b, k, -1)
-        np.matmul(wmat, cols, out=out[:, :, r0 * w_out : (r0 + rows) * w_out])
+        np.matmul(wmat, cols, out=out[:, :, r0 * w : (r0 + rows) * w])
     return out
 
 
 def conv2d(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tensor4:
-    """Stride-1 dilated cross-correlation with zero padding.
+    """Stride-1 dilated cross-correlation, zero-padded to a same-size output.
 
-    Output spatial dims are H + 2·pad − dilation·(k−1); with a 3x3 kernel and
-    pad = dilation this is "same" size.  Out-of-bounds taps read zero.
+    Each axis is padded by dilation·(k−1)/2, so the output has the input's
+    H×W.  Out-of-bounds taps read zero.
     """
     b, c, h, w = x.data.shape
     o, kc, kh, kw = k.weight.data.shape
     if c != kc:
         raise ShapeError(f"conv2d: input has {c} channels, kernel expects {kc}")
-    d, p = k.dilation, k.padding
-    h_out = h + 2 * p - d * (kh - 1)
-    w_out = w + 2 * p - d * (kw - 1)
-    if h_out < 1 or w_out < 1:
-        raise ShapeError(f"conv2d: kernel span exceeds padded input ({h}x{w}, d={d}, pad={p})")
-    out_data = _lowered(x.data, k.weight.data.reshape(o, c * kh * kw), kh, kw, d, p, p)
+    d = k.dilation
+    out_data = _lowered(x.data, k.weight.data.reshape(o, c * kh * kw), kh, kw, d)
     out_data += k.bias.data[:, None]
-    out = Tensor4(out_data.reshape(b, o, h_out, w_out))
+    out = Tensor4(out_data.reshape(b, o, h, w))
     if tape is None:
         return out
 
@@ -187,21 +179,20 @@ def conv2d(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tensor4:
         g = out.grad
         if g is None:
             return
-        g = g.reshape(b, o, h_out * w_out)
+        g = g.reshape(b, o, h * w)
         # the input is padded again here, so that the tape holds no padded copy
-        window, rows = _tap_window(x.data, kh, kw, d, p, p)
+        window, rows = _tap_window(x.data, kh, kw, d)
         gw = np.zeros((o, c * kh * kw))
-        for r0 in range(0, h_out, rows):
+        for r0 in range(0, h, rows):
             cols = window[..., r0 : r0 + rows, :].reshape(b, c * kh * kw, -1)
-            for gi, ci in zip(g[:, :, r0 * w_out : (r0 + rows) * w_out], cols):
+            for gi, ci in zip(g[:, :, r0 * w : (r0 + rows) * w], cols):
                 gw += gi @ ci.T
         _accum(k.weight, gw.reshape(o, c, kh, kw))
         _accum(k.bias, g.sum(axis=(0, 2)))
         # the input gradient is the same lowering run on g with the flipped,
-        # transposed kernel; g padded by q = d·(k−1) − p, cropped where q < 0
+        # transposed kernel
         wflip = k.weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
-        gx = _lowered(g.reshape(b, o, h_out, w_out), wflip, kh, kw, d,
-                      d * (kh - 1) - p, d * (kw - 1) - p)
+        gx = _lowered(g.reshape(b, o, h, w), wflip, kh, kw, d)
         _accum_own(x, gx.reshape(b, c, h, w))
 
     tape.record(backward)
@@ -217,8 +208,6 @@ def pointwise_conv(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tenso
     o, c, kh, kw = k.weight.data.shape
     if kh != 1 or kw != 1:
         raise ContractError(f"pointwise_conv: kernel is {kh}x{kw}, expected 1x1")
-    if k.padding != 0:
-        raise ContractError("pointwise_conv: padding must be 0")
     b, xc, h, w = x.data.shape
     if xc != c:
         raise ShapeError(f"pointwise_conv: input has {xc} channels, kernel expects {c}")
@@ -251,28 +240,24 @@ def naive_conv2d(x: Tensor4, k: ConvKernel) -> Tensor4:
     b, c, h, w = x.dims
     if c != k.in_channels:
         raise ShapeError(f"naive_conv2d: input has {c} channels, kernel expects {k.in_channels}")
-    d, p = k.dilation, k.padding
-    kh, kw = k.k_h, k.k_w
-    h_out = h + 2 * p - d * (kh - 1)
-    w_out = w + 2 * p - d * (kw - 1)
-    if h_out < 1 or w_out < 1:
-        raise ShapeError("naive_conv2d: kernel span exceeds padded input")
+    d, kh, kw = k.dilation, k.k_h, k.k_w
+    ph, pw = d * (kh // 2), d * (kw // 2)
     # Python floats: the same multiply-adds in the same order, without a
     # NumPy scalar built for every operand
     xd = x.data.tolist()
     wd = k.weight.data.tolist()
     bd = k.bias.data.tolist()
-    out = np.zeros((b, k.out_channels, h_out, w_out))
+    out = np.zeros((b, k.out_channels, h, w))
     for bi in range(b):
         for o in range(k.out_channels):
-            for i in range(h_out):
-                for j in range(w_out):
+            for i in range(h):
+                for j in range(w):
                     acc = bd[o]
                     for ci in range(c):
                         for u in range(kh):
                             for v in range(kw):
-                                ii = i + u * d - p
-                                jj = j + v * d - p
+                                ii = i + u * d - ph
+                                jj = j + v * d - pw
                                 if 0 <= ii < h and 0 <= jj < w:
                                     acc += wd[o][ci][u][v] * xd[bi][ci][ii][jj]
                     out[bi, o, i, j] = acc

@@ -289,14 +289,14 @@ def _params_from_arrays(cfg: NeckConfig, arrays: dict[str, np.ndarray]) -> NeckP
     """
     t = {name: Value(arrays[name]) for name, _ in parameter_spec(cfg)}
 
-    def conv(prefix: str, dilation: int = 1, padding: int = 0) -> ConvKernel | None:
+    def conv(prefix: str, dilation: int = 1) -> ConvKernel | None:
         if f"{prefix}.weight" not in t:
             return None
-        return ConvKernel(t[f"{prefix}.weight"], t[f"{prefix}.bias"], dilation=dilation, padding=padding)
+        return ConvKernel(t[f"{prefix}.weight"], t[f"{prefix}.bias"], dilation=dilation)
 
     levels: dict[int, LevelParams] = {}
     for n in LEVELS:
-        kernels = [conv(f"level{n}.conv", 1, 1), *(conv(f"level{n}.branch_d{d}", d, d) for d in cfg.dilations)]
+        kernels = [conv(f"level{n}.conv"), *(conv(f"level{n}.branch_d{d}", d) for d in cfg.dilations)]
         scse = [conv(f"level{n}.scse.{part}") for part in ("reduce", "expand", "spatial")]
         levels[n] = LevelParams(
             lateral=conv(f"level{n}.lateral"),
@@ -441,12 +441,15 @@ def save_params(params: NeckParams) -> bytes:
     Layout: one ASCII header line ``fusionneck-params <version> <manifest_len>``,
     a JSON manifest (format version, config echo, and the tensor index of
     ``_tensor_index``: names, shapes and payload byte offsets), then the
-    concatenated tensor data.  The round trip is bit-exact.
+    concatenated tensor data.  The round trip is bit-exact.  A non-finite
+    tensor raises ``load_params``'s ``ParamsIOError``: no stream the reader refuses.
     """
     index = _tensor_index(params.config)
     for entry, value in zip(index, params.values()):
         if list(value.shape) != entry["shape"]:
             raise ShapeError(f"tensor {entry['name']} has shape {value.shape}, expected {tuple(entry['shape'])}")
+        if not np.isfinite(value.data).all():
+            raise ParamsIOError(f"tensor {entry['name']} holds non-finite values")
     manifest = {
         "format_version": PARAMS_FORMAT_VERSION,
         "config": params.config.to_dict(),

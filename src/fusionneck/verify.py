@@ -2,7 +2,8 @@
 
 Gradient suite (11 rows): every differentiable primitive plus the composed
 neck is checked against central finite differences at fixed seeds (tolerance
-1e-5 for primitives, 1e-4 for the neck).  Oracle suite (5 rows, one
+1e-5 for primitives, 1e-4 for the neck).  The neck row's seeds spread over
+the five ablation arms of ``NECK_ARMS``.  Oracle suite (5 rows, one
 ``ORACLES`` table): the vectorized convolutions against their loop oracles,
 average precision against the explicit-cutoff oracle, and the blocked
 attention gate against a per-(item, head) loop over whole attention
@@ -134,7 +135,7 @@ def _case_concat(rng: Rng):
 def _case_conv2d(rng: Rng):
     d = 1 + rng.integers(0, 3)
     x = Tensor4(rng.normal((1, 2, 5, 5)))
-    k = ConvKernel(rng.normal((2, 2, 3, 3), 0.7), rng.normal((2,), 0.3), dilation=d, padding=d)
+    k = ConvKernel(rng.normal((2, 2, 3, 3), 0.7), rng.normal((2,), 0.3), dilation=d)
     return _op_case(rng, [x, *k.values()], convkit.conv2d, x, k)
 
 
@@ -168,7 +169,14 @@ def _mhsa_fixture(rng: Rng, with_registers: bool):
     return _op_case(rng, [x, *p.values(), *(reg.values() if reg is not None else [])], gate, x, p, reg)
 
 
+# the ablation arms the neck row cycles through: full, no registers, no MHSA,
+# atrous, and the FPN-like standard arm without MHSA
+NECK_ARMS: tuple[dict, ...] = ({}, {"use_registers": False}, {"use_mhsa": False}, {"atrous_mode": "atrous"},
+                               {"atrous_mode": "standard", "use_mhsa": False})
+
+
 def _neck_test_config(seed: int) -> neck.NeckConfig:
+    """The tiny neck of ``seed``; seeds 0..7 are the full arm, and each next run of 8 the next arm."""
     base = 8 if seed % 5 == 0 else 4
     return neck.NeckConfig(
         pyramid_width=2,
@@ -179,6 +187,7 @@ def _neck_test_config(seed: int) -> neck.NeckConfig:
         base_height=base,
         base_width=base,
         gating_mode="logistic" if seed % 3 else "raw",
+        **NECK_ARMS[(seed // 8) % len(NECK_ARMS)],
     )
 
 
@@ -241,7 +250,7 @@ def conv_oracle_cases(rng: Rng):
         w = 3 + rng.integers(0, 6)
         d = 1 + rng.integers(0, 3)
         x = Tensor4(rng.normal((b, ci, h, w)))
-        k = ConvKernel(rng.normal((co, ci, 3, 3)), rng.normal((co,)), dilation=d, padding=d)
+        k = ConvKernel(rng.normal((co, ci, 3, 3)), rng.normal((co,)), dilation=d)
         yield x, k
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -357,6 +358,19 @@ class TestParams:
                      "--report", str(tmp_path / "r.json")]) == EXIT_INPUT
         assert "level5.lateral.weight" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["params", "init", *SMALL, "--init-sigma", "1e308", "--out", "p.bin"],
+        ["forward", *SMALL, "--init-sigma", "1e308", "--params-out", "p.bin", "--report", "r.json"],
+    ], ids=["params-init", "forward-params-out"])
+    def test_non_finite_draws_write_no_params_file(self, tmp_path, monkeypatch, capsys, argv):
+        """Draws scaled by 1e308 are inf: the writer refuses them, so no stream the reader refuses is left."""
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy RuntimeWarning would escape main as an exception
+            assert main(argv) == EXIT_INPUT
+        assert re.fullmatch(r"error: tensor \S+ holds non-finite values\n", capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys):
         # the (4, 4194304, 4194304) register tensor r_qk would take 512 TiB,

@@ -24,14 +24,14 @@ HAND_CONV_EXPECTED = [[7.0, 11.0, 11.0], [17.0, 25.0, 23.0], [19.0, 29.0, 23.0]]
 
 def plus_kernel():
     w = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=float).reshape(1, 1, 3, 3)
-    return ConvKernel(w, np.zeros(1), dilation=1, padding=1)
+    return ConvKernel(w, np.zeros(1), dilation=1)
 
 
 class TestConv2d:
     def test_zero_kernel_zero_output(self):
         rng = Rng(0)
         x = Tensor4(rng.normal((1, 2, 4, 4)))
-        k = ConvKernel(np.zeros((3, 2, 3, 3)), np.zeros(3), dilation=1, padding=1)
+        k = ConvKernel(np.zeros((3, 2, 3, 3)), np.zeros(3), dilation=1)
         assert np.array_equal(conv2d(x, k).data, np.zeros((1, 3, 4, 4)))
 
     def test_delta_kernel_is_identity(self):
@@ -39,7 +39,7 @@ class TestConv2d:
         x = Tensor4(rng.normal((2, 1, 5, 5)))
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
-        k = ConvKernel(w, np.zeros(1), dilation=1, padding=1)
+        k = ConvKernel(w, np.zeros(1), dilation=1)
         np.testing.assert_array_equal(conv2d(x, k).data, x.data)
 
     def test_hand_worked_example(self):
@@ -54,7 +54,7 @@ class TestConv2d:
     def test_matches_naive_oracle(self, dilation):
         rng = Rng(10 + dilation)
         x = Tensor4(rng.normal((1, 1, 5, 5)))
-        k = ConvKernel(rng.normal((1, 1, 3, 3)), rng.normal((1,)), dilation=dilation, padding=dilation)
+        k = ConvKernel(rng.normal((1, 1, 3, 3)), rng.normal((1,)), dilation=dilation)
         fast = conv2d(x, k)
         slow = naive_conv2d(x, k)
         assert fast.dims == slow.dims
@@ -64,14 +64,14 @@ class TestConv2d:
     def test_same_padding_preserves_dims(self, dilation):
         rng = Rng(20 + dilation)
         x = Tensor4(rng.normal((2, 3, 7, 6)))
-        k = ConvKernel(rng.normal((4, 3, 3, 3)), np.zeros(4), dilation=dilation, padding=dilation)
+        k = ConvKernel(rng.normal((4, 3, 3, 3)), np.zeros(4), dilation=dilation)
         assert conv2d(x, k).dims == (2, 4, 7, 6)
 
     def test_linearity(self):
         rng = Rng(30)
         x = Tensor4(rng.normal((1, 2, 4, 4)))
         y = Tensor4(rng.normal((1, 2, 4, 4)))
-        k = ConvKernel(rng.normal((2, 2, 3, 3)), np.zeros(2), dilation=2, padding=2)
+        k = ConvKernel(rng.normal((2, 2, 3, 3)), np.zeros(2), dilation=2)
         alpha, beta = 1.7, -0.4
         combo = Tensor4(alpha * x.data + beta * y.data)
         lhs = conv2d(combo, k).data
@@ -81,18 +81,18 @@ class TestConv2d:
     def test_naive_linearity_in_input(self):
         rng = Rng(31)
         x = Tensor4(rng.normal((1, 1, 4, 4)))
-        k = ConvKernel(rng.normal((1, 1, 3, 3)), np.zeros(1), dilation=1, padding=1)
+        k = ConvKernel(rng.normal((1, 1, 3, 3)), np.zeros(1), dilation=1)
         scaled = naive_conv2d(Tensor4(3.0 * x.data), k).data
         np.testing.assert_allclose(scaled, 3.0 * naive_conv2d(x, k).data, atol=1e-12)
 
-    @pytest.mark.parametrize("op, ksize, dilation, pad", [
-        (conv2d, 3, 2, 2), (pointwise_conv, 1, 1, 0),
+    @pytest.mark.parametrize("op, ksize, dilation", [
+        (conv2d, 3, 2), (pointwise_conv, 1, 1),
     ], ids=["conv2d", "pointwise_conv"])
-    def test_conv2d_tape_retains_only_the_output(self, op, ksize, dilation, pad):
+    def test_conv2d_tape_retains_only_the_output(self, op, ksize, dilation):
         """A taped p3 branch or lateral conv keeps its output alive, and no padded input or columns."""
         rng = Rng(103)
         x = Tensor4(rng.normal((2, 64, 32, 32)))
-        k = ConvKernel(rng.normal((64, 64, ksize, ksize)), np.zeros(64), dilation=dilation, padding=pad)
+        k = ConvKernel(rng.normal((64, 64, ksize, ksize)), np.zeros(64), dilation=dilation)
         tape = Tape()
         tracemalloc.start()
         try:
@@ -111,8 +111,9 @@ class TestConv2d:
     def test_invalid_kernel_geometry(self):
         with pytest.raises(ContractError):
             ConvKernel(np.zeros((1, 1, 3, 3)), np.zeros(1), dilation=0)
-        with pytest.raises(ContractError):
-            ConvKernel(np.zeros((1, 1, 3, 3)), np.zeros(1), padding=-1)
+        for kh, kw in ((2, 2), (2, 3), (3, 4)):  # an even side has no symmetric padding that keeps H×W
+            with pytest.raises(ShapeError, match="odd"):
+                ConvKernel(np.zeros((1, 1, kh, kw)), np.zeros(1))
 
 
 class TestPointwise:
@@ -195,7 +196,7 @@ class TestConvGradients:
         rng = Rng(70 + seed)
         d = 1 + rng.integers(0, 3)
         x = Tensor4(rng.normal((1, 2, 5, 5)))
-        k = ConvKernel(rng.normal((2, 2, 3, 3), 0.7), rng.normal((2,), 0.3), dilation=d, padding=d)
+        k = ConvKernel(rng.normal((2, 2, 3, 3), 0.7), rng.normal((2,), 0.3), dilation=d)
         w = rng.normal((1, 2, 5, 5))
 
         def loss(tape):
@@ -203,19 +204,19 @@ class TestConvGradients:
 
         assert grad_check(loss, [x, k.weight, k.bias], epsilon=1e-6) < 1e-5
 
-    # batch 2, unequal channel counts, H != W and both padding regimes, so a
-    # swapped channel or spatial axis in the lowered products cannot cancel out
+    # batch 2, unequal channel counts, H != W, as one band or as bands of one
+    # output row, so a swapped channel or spatial axis in the lowered products
+    # cannot cancel out
     @pytest.mark.parametrize("c_in, c_out", [(3, 2), (2, 3)])
     @pytest.mark.parametrize("dilation", [1, 2])
-    @pytest.mark.parametrize("same_padding", [False, True])
-    def test_conv2d_backward_general_shapes(self, c_in, c_out, dilation, same_padding):
+    @pytest.mark.parametrize("one_row_bands", [False, True])
+    def test_conv2d_backward_general_shapes(self, c_in, c_out, dilation, one_row_bands, monkeypatch):
         rng = Rng(90 + 10 * c_in + dilation)
         x = Tensor4(rng.normal((2, c_in, 5, 7)))
-        pad = dilation if same_padding else 0
-        k = ConvKernel(rng.normal((c_out, c_in, 3, 3), 0.7), rng.normal((c_out,), 0.3),
-                       dilation=dilation, padding=pad)
-        out_h, out_w = 5 + 2 * pad - 2 * dilation, 7 + 2 * pad - 2 * dilation
-        w = rng.normal((2, c_out, out_h, out_w))
+        k = ConvKernel(rng.normal((c_out, c_in, 3, 3), 0.7), rng.normal((c_out,), 0.3), dilation=dilation)
+        if one_row_bands:
+            monkeypatch.setattr(convkit, "_COLUMN_BYTES", 1)
+        w = rng.normal((2, c_out, 5, 7))
 
         def loss(tape):
             return weighted_sum(conv2d(x, k, tape), w, tape)
@@ -227,7 +228,7 @@ class TestConvGradients:
         # a column budget of `group` taps: small maps otherwise always take all 9
         rng = Rng(120 + group)
         x = Tensor4(rng.normal((2, 3, 5, 7)))
-        k = ConvKernel(rng.normal((2, 3, 3, 3), 0.7), rng.normal((2,), 0.3), dilation=2, padding=2)
+        k = ConvKernel(rng.normal((2, 3, 3, 3), 0.7), rng.normal((2,), 0.3), dilation=2)
         monkeypatch.setattr(convkit, "_COLUMN_BYTES", group * x.data.nbytes)
         w = rng.normal((2, 2, 5, 7))
 
@@ -242,10 +243,10 @@ class TestConvGradients:
         # a column budget of `band_rows` output rows; the last band is partial at 2
         rng = Rng(130 + band_rows)
         x = Tensor4(rng.normal((2, 3, 5, 7)))
-        k = ConvKernel(rng.normal((2, 3, 3, 3), 0.7), rng.normal((2,), 0.3), dilation=2, padding=2)
-        row_bytes = 2 * 3 * 9 * 7 * x.data.itemsize  # B · C·kh·kw · W_out columns per output row
+        k = ConvKernel(rng.normal((2, 3, 3, 3), 0.7), rng.normal((2,), 0.3), dilation=2)
+        row_bytes = 2 * 3 * 9 * 7 * x.data.itemsize  # B · C·kh·kw · W columns per output row
         monkeypatch.setattr(convkit, "_COLUMN_BYTES", band_rows * row_bytes)
-        window, rows = convkit._tap_window(x.data, 3, 3, 2, 2, 2)
+        window, rows = convkit._tap_window(x.data, 3, 3, 2)
         bands = [window[..., r0 : r0 + rows, :].shape[4] for r0 in range(0, window.shape[4], rows)]
         assert bands == expected
         w = rng.normal((2, 2, 5, 7))
@@ -256,18 +257,17 @@ class TestConvGradients:
         assert np.max(np.abs(conv2d(x, k).data - naive_conv2d(x, k).data)) < 1e-12
         assert grad_check(loss, [x, k.weight, k.bias], epsilon=1e-6) < 1e-5
 
-    # the input gradient pads g by q = d·(k−1) − pad per axis, and crops it
-    # where q < 0, once the padding exceeds d·(k−1); a 3x1 or 1x3 kernel pads
-    # one axis and crops the other (padding 0, q = 2d, is in the general-shapes test);
-    # a 1x1 kernel at padding 0 runs through the same window as any other
-    @pytest.mark.parametrize("kh, kw, dilation, pad", [
-        (3, 3, 1, 3), (3, 3, 2, 5), (3, 1, 1, 1), (1, 3, 2, 3), (1, 1, 1, 2), (1, 1, 1, 0),
-    ])
-    def test_input_gradient_pad_and_crop(self, kh, kw, dilation, pad):
-        rng = Rng(140 + 10 * kh + kw + dilation + pad)
+    # square and oblong odd kernels at dilations 1-3 keep H×W, match the loop
+    # oracle and have a correct backward: the input gradient pads g like the
+    # input, per axis, and a 1x1 kernel runs through the same window
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    @pytest.mark.parametrize("kh, kw", [(1, 1), (3, 1), (1, 3), (3, 3), (5, 3), (5, 5)])
+    def test_same_size_kernels(self, kh, kw, dilation):
+        rng = Rng(140 + 10 * kh + kw + dilation)
         x = Tensor4(rng.normal((2, 3, 5, 7)))
-        k = ConvKernel(rng.normal((2, 3, kh, kw), 0.7), rng.normal((2,), 0.3), dilation=dilation, padding=pad)
+        k = ConvKernel(rng.normal((2, 3, kh, kw), 0.7), rng.normal((2,), 0.3), dilation=dilation)
         out = conv2d(x, k)
+        assert out.dims == (2, 2, 5, 7)
         assert np.max(np.abs(out.data - naive_conv2d(x, k).data)) < 1e-12
         w = rng.normal(out.shape)
 
@@ -328,7 +328,7 @@ class TestAdjointAtDefaultSize:
     def test_conv2d(self, dilation):
         rng = Rng(100 + dilation)
         x = Tensor4(rng.normal((2, 64, 32, 32)))
-        k = ConvKernel(rng.normal((64, 64, 3, 3)), np.zeros(64), dilation=dilation, padding=dilation)
+        k = ConvKernel(rng.normal((64, 64, 3, 3)), np.zeros(64), dilation=dilation)
         assert max(adjoint_gaps(conv2d, x, k)) < 1e-12
 
     def test_pointwise_conv(self):

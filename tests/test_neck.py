@@ -245,7 +245,7 @@ class TestForward:
         assert lp.post is None and lp.scse is None
         x = Tensor4(rng.normal((1, cfg.pyramid_width, 6, 6)))
         out = parallel_atrous_block(x, lp)
-        own = ConvKernel(params.tensors["level3.conv.weight"], params.tensors["level3.conv.bias"], dilation=1, padding=1)
+        own = ConvKernel(params.tensors["level3.conv.weight"], params.tensors["level3.conv.bias"], dilation=1)
         assert np.array_equal(out.data, conv2d(x, own).data)
         assert out.dims == x.dims
 
@@ -669,11 +669,21 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_tensor_named(self, bad):
+        """The reader's check: a saved stream with one payload value patched to ``bad``."""
         cfg = small_cfg()
-        params = init_params(cfg, Rng(10))
-        params.tensors["level5.lateral.weight"].data[1, 0, 0, 0] = bad
+        manifest, payload, _ = saved_stream(cfg, 10)
+        start = next(t["offset"] for t in manifest["tensors"] if t["name"] == "level5.lateral.weight") + 8
+        payload = payload[:start] + np.array([bad], "<f8").tobytes() + payload[start + 8:]
         with pytest.raises(ParamsIOError, match=r"level5\.lateral\.weight .*non-finite"):
-            load_params(save_params(params), cfg)
+            load_params(pack_stream(manifest, payload), cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_writer_refuses_non_finite_tensor(self, bad):
+        """save_params refuses what load_params would, with the reader's message."""
+        params = init_params(small_cfg(), Rng(10))
+        params.tensors["level5.lateral.weight"].data[1, 0, 0, 0] = bad
+        with pytest.raises(ParamsIOError, match=r"^tensor level5\.lateral\.weight holds non-finite values$"):
+            save_params(params)
 
     def test_truncated_payload_names_tensor(self):
         cfg = small_cfg()

@@ -1,5 +1,6 @@
 """Every verify row can fail: corrupted gradients and NaN errors are caught, and no row passes empty."""
 
+import collections
 import itertools
 import math
 import re
@@ -11,6 +12,7 @@ import pytest
 from faults import corrupted
 from fusionneck import convkit, verify
 from fusionneck.errors import ContractError
+from fusionneck.neck import NeckConfig
 from fusionneck.tensor import Value, _accum, mul, sum_all
 
 ROWS = [("grad", case[0]) for case in verify.GRADIENT_CASES] + [("oracle", row[0]) for row in verify.ORACLES]
@@ -100,3 +102,27 @@ def test_eleven_gradient_cases_and_five_oracle_rows():
     assert [r.detail.split(",")[0] for r in rows] == ["50 cases", "20 cases", "20 cases", "200 scenes", "6 cases"]
     assert all(r.passed for r in rows)
     assert len(verify.GRADIENT_CASES) == 11
+
+
+def test_neck_row_covers_every_arm(monkeypatch):
+    """The neck row's default seeds reach all five arms (5/4/4/4/3 cases), and seed 1 stays the full arm."""
+    def flags(cfg):
+        return cfg.atrous_mode, cfg.use_mhsa, cfg.use_registers
+
+    def arm_of(cfg):
+        return [flags(NeckConfig(**arm)) for arm in verify.NECK_ARMS].index(flags(cfg))
+
+    assert arm_of(verify._neck_test_config(1)) == 0
+    arms = []
+    neck_test_config = verify._neck_test_config
+
+    def recording(seed):
+        cfg = neck_test_config(seed)
+        arms.append(arm_of(cfg))
+        return cfg
+
+    monkeypatch.setattr(verify, "_neck_test_config", recording)
+    monkeypatch.setattr(verify, "grad_check", lambda loss, params, epsilon: 0.0)  # build the cases, check none
+    list(verify._grad_errors("neck_forward", verify._case_neck, verify.GRAD_SEEDS, verify.NECK_EPS))
+    assert sorted(collections.Counter(arms).values(), reverse=True) == [5, 4, 4, 4, 3]
+    assert set(arms) == set(range(len(verify.NECK_ARMS)))
