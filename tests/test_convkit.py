@@ -276,6 +276,39 @@ class TestConvGradients:
 
         assert grad_check(loss, [x, k.weight, k.bias], epsilon=1e-6) < 1e-5
 
+    # a padding beyond same-size is a same-size conv of the input zero-padded
+    # by pad: for a 1x1 kernel its ring of width pad reads the bias alone,
+    # and the padded input's gradient cropped back to H×W is the unpadded
+    # conv's input gradient on the cropped output weights
+    @pytest.mark.parametrize("kh, kw, dilation, pad", [(1, 1, 1, 2), (1, 1, 1, 0)])
+    def test_input_gradient_pad_and_crop(self, kh, kw, dilation, pad):
+        rng = Rng(140 + 10 * kh + kw + dilation + pad)
+        x = Tensor4(rng.normal((2, 3, 5, 7)))
+        xp = Tensor4(np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))))
+        k = ConvKernel(rng.normal((2, 3, kh, kw), 0.7), rng.normal((2,), 0.3), dilation=dilation)
+        out = conv2d(xp, k)
+        assert out.dims == (2, 2, 5 + 2 * pad, 7 + 2 * pad)
+        assert np.max(np.abs(out.data - naive_conv2d(xp, k).data)) < 1e-12
+        inner = np.s_[:, :, pad : pad + 5, pad : pad + 7]
+        np.testing.assert_allclose(out.data[inner], conv2d(x, k).data, rtol=0, atol=1e-12)
+        ring = np.ones(out.shape, dtype=bool)
+        ring[inner] = False
+        bias = np.broadcast_to(k.bias.data[None, :, None, None], out.shape)
+        np.testing.assert_array_equal(out.data[ring], bias[ring])
+        w = rng.normal(out.shape)
+
+        def loss(tape):
+            return weighted_sum(conv2d(xp, k, tape), w, tape)
+
+        assert grad_check(loss, [xp, k.weight, k.bias], epsilon=1e-6) < 1e-5
+        for v, w_v in ((xp, w), (x, w[inner])):
+            v.zero_grad()
+            tape = Tape()
+            total = weighted_sum(conv2d(v, k, tape), w_v, tape)
+            total.grad = np.ones(())
+            tape.backward()
+        np.testing.assert_allclose(xp.grad[inner], x.grad, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_deconv_backward(self, seed):
         rng = Rng(80 + seed)
