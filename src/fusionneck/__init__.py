@@ -10,7 +10,6 @@ pyramids.
 
 from .attention import (
     MhsaParams,
-    RegisterTokens,
     ScseParams,
     mhsa_forward,
     scse_recalibrate,

@@ -13,9 +13,10 @@ hand-written backward rule that recomputes each block.  No (HW, HW)
 attention array outlives one block.  Also provides the concurrent
 spatial/channel gate used to recalibrate fused multi-dilation features.
 
-``MhsaParams``, ``RegisterTokens`` and ``ScseParams`` hold the arrays they
-are given and check their shapes; they draw nothing.  The neck's parameters
-are drawn once, by ``neck.init_params`` over ``neck.parameter_spec``.
+``MhsaParams`` (the projections and the registers, one record) and
+``ScseParams`` hold the arrays they are given and check their shapes once,
+at construction; they draw nothing.  The neck's parameters are drawn once,
+by ``neck.init_params`` over ``neck.parameter_spec``.
 """
 
 from __future__ import annotations
@@ -40,14 +41,18 @@ from .tensor import (
 
 
 class MhsaParams:
-    """Projection weights for multi-head self-attention.
+    """Projection weights and optional register biases for multi-head self-attention.
 
     w_qkv is (3, D, D), D the channel count: the Q, K and V projections
     stacked in that order.  Heads are contiguous d_head-wide column blocks of
-    each projection.
+    each projection.  The registers come both or neither: r_qk is (heads,
+    HW, HW) and r_v is (heads, d_head, HW); r_qk[i] is added to head i's raw
+    score matrix and r_v[i] to head i's value rows, shared by all batch
+    items and sized for a fixed token count HW.  All-zero registers are a
+    legal state and collapse the operator to plain attention.
     """
 
-    def __init__(self, w_qkv, head_count: int) -> None:
+    def __init__(self, w_qkv, head_count: int, r_qk=None, r_v=None) -> None:
         self.w_qkv = w_qkv if isinstance(w_qkv, Value) else Value(w_qkv)
         shape = self.w_qkv.shape
         if len(shape) != 3 or shape[0] != 3 or shape[1] != shape[2]:
@@ -57,6 +62,15 @@ class MhsaParams:
         if shape[1] % head_count != 0:
             raise ShapeError(f"MhsaParams: embed dim {shape[1]} not divisible by {head_count} heads")
         self.head_count = int(head_count)
+        if (r_qk is None) != (r_v is None):
+            raise ContractError("MhsaParams: give both registers r_qk and r_v, or neither")
+        self.r_qk, self.r_v = (r if r is None or isinstance(r, Value) else Value(r) for r in (r_qk, r_v))
+        if r_qk is not None:
+            heads, qk, v = self.head_count, self.r_qk.shape, self.r_v.shape
+            if len(qk) != 3 or qk[0] != heads or qk[1] != qk[2]:
+                raise ShapeError(f"MhsaParams: r_qk must be ({heads}, HW, HW), got {qk}")
+            if v != (heads, self.d_head, qk[1]):
+                raise ShapeError(f"MhsaParams: r_v must be ({heads}, {self.d_head}, {qk[1]}), got {v}")
 
     @property
     def embed_dim(self) -> int:
@@ -67,42 +81,8 @@ class MhsaParams:
         return self.embed_dim // self.head_count
 
     def values(self) -> list[Value]:
-        return [self.w_qkv]
-
-
-class RegisterTokens:
-    """Per-head additive register biases for attention scores and values.
-
-    r_qk is (heads, HW, HW) and r_v is (heads, d_head, HW): r_qk[i] is added
-    to head i's raw score matrix and r_v[i] to head i's value rows — one
-    register per head, shared by all batch items, sized for a fixed token
-    count HW.  All-zero registers are a legal state and collapse the operator
-    to plain attention.
-    """
-
-    def __init__(self, r_qk, r_v) -> None:
-        self.r_qk = r_qk if isinstance(r_qk, Value) else Value(r_qk)
-        self.r_v = r_v if isinstance(r_v, Value) else Value(r_v)
-        qk, v = self.r_qk.shape, self.r_v.shape
-        if len(qk) != 3 or qk[1] != qk[2] or qk[0] < 1:
-            raise ShapeError(f"RegisterTokens: r_qk must be (heads, HW, HW), got {qk}")
-        if len(v) != 3 or v[0] != qk[0] or v[2] != qk[1]:
-            raise ShapeError(f"RegisterTokens: r_v must be ({qk[0]}, d_head, {qk[1]}), got {v}")
-
-    @property
-    def count(self) -> int:
-        return self.r_qk.shape[0]
-
-    @property
-    def hw(self) -> int:
-        return self.r_qk.shape[1]
-
-    @property
-    def d_head(self) -> int:
-        return self.r_v.shape[1]
-
-    def values(self) -> list[Value]:
-        return [self.r_qk, self.r_v]
+        """w_qkv, then r_qk and r_v when present: the ``parameter_spec`` order."""
+        return [self.w_qkv] if self.r_qk is None else [self.w_qkv, self.r_qk, self.r_v]
 
 
 BLOCK_BYTES = 1 << 20  # scores one block of query rows may hold, over every (item, head) pair
@@ -127,7 +107,6 @@ def _attention_block(q: np.ndarray, k: np.ndarray, r_qk: np.ndarray | None, rows
 def mhsa_forward(
     x: Tensor4,
     p: MhsaParams,
-    reg: RegisterTokens | None = None,
     tape: Tape | None = None,
     trace: dict | None = None,
     block_rows: int | None = None,
@@ -138,7 +117,7 @@ def mhsa_forward(
     whole batch, and head i owns columns i·d_head..(i+1)·d_head of each.
     Per (item, head) the attention is A = softmax_rows((Q Kᵀ + r_qk) /
     sqrt(d_head)) and the values are V′ = V + r_vᵀ (register terms only when
-    ``reg`` is given).  The output is the spatial mean of A V′, as a
+    ``p`` holds registers).  The output is the spatial mean of A V′, as a
     (B, C, 1, 1) map with the heads' d_head-wide blocks concatenated:
     Σ_j mass_j V′_j, where mass_j is the column mean of A.
 
@@ -163,27 +142,20 @@ def mhsa_forward(
         raise ShapeError(f"mhsa_forward: input has {c} channels, params expect {p.embed_dim}")
     hw = h * w
     heads, d_head = p.head_count, p.d_head
-    if reg is not None:
-        if reg.count != heads:
-            raise ShapeError(
-                f"mhsa_forward: {reg.count} registers for {heads} heads (one per head required)"
-            )
-        if reg.hw != hw:
-            raise ShapeError(f"mhsa_forward: registers instantiated for HW={reg.hw}, input has HW={hw}")
-        if reg.d_head != d_head:
-            raise ShapeError(f"mhsa_forward: register d_head {reg.d_head} vs params {d_head}")
+    r_qk = None if p.r_qk is None else p.r_qk.data
+    if r_qk is not None and r_qk.shape[1] != hw:
+        raise ShapeError(f"mhsa_forward: registers sized for HW={r_qk.shape[1]}, input has HW={hw}")
     if block_rows is None:
         block_rows = max(1, BLOCK_BYTES // (8 * b * heads * hw))
     elif block_rows < 1:
         raise ContractError(f"mhsa_forward: block_rows must be >= 1, got {block_rows}")
     scale = 1.0 / math.sqrt(d_head)
-    r_qk = None if reg is None else reg.r_qk.data
     w_qkv = p.w_qkv.data.transpose(1, 0, 2).reshape(c, 3 * c)  # (C, 3C): [W_q | W_k | W_v]
     tokens = x.data.reshape(b, c, hw).transpose(0, 2, 1).reshape(b * hw, c)
     # (3, B, heads, HW, d_head) views of the one projection product
     q, k, v = (tokens @ w_qkv).reshape(b, hw, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
-    if reg is not None:
-        v = v + reg.r_v.data.swapaxes(-1, -2)
+    if r_qk is not None:
+        v = v + p.r_v.data.swapaxes(-1, -2)
     mass = np.zeros((b, heads, hw))
     per_token = None if trace is None else np.empty((b, heads, hw, d_head))
     for start in range(0, hw, block_rows):
@@ -207,7 +179,7 @@ def mhsa_forward(
             u = (g @ v.swapaxes(-1, -2)) / hw  # (B, heads, 1, HW): d mass over HW
             dq = np.empty_like(dv)
             dk = np.zeros_like(dv)
-            d_rqk = None if reg is None else np.empty(r_qk.shape)
+            d_rqk = None if r_qk is None else np.empty(r_qk.shape)
             for start in range(0, hw, block_rows):
                 rows = slice(start, start + block_rows)
                 a = _attention_block(q, k, r_qk, rows, scale)
@@ -222,9 +194,9 @@ def mhsa_forward(
             dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(b * hw, 3 * c)  # as the projection product
             _accum(p.w_qkv, (tokens.T @ dqkv).reshape(c, 3, c).transpose(1, 0, 2))
             _accum(x, (dqkv @ w_qkv.T).reshape(b, hw, c).transpose(0, 2, 1).reshape(b, c, h, w))
-            if reg is not None:
-                _accum_own(reg.r_qk, d_rqk)
-                _accum(reg.r_v, dv.sum(axis=0).swapaxes(-1, -2))
+            if d_rqk is not None:
+                _accum_own(p.r_qk, d_rqk)
+                _accum(p.r_v, dv.sum(axis=0).swapaxes(-1, -2))
         tape.record(backward)
     return out
 

@@ -99,7 +99,6 @@ class DeconvKernel:
                 f"DeconvKernel bias shape {self.bias.shape} does not match {self.weight.shape[1]} outputs"
             )
 
-    stride = 2
     k_h = 2
     k_w = 2
 

@@ -20,9 +20,10 @@ kernels; ``atrous`` drops the ``scse`` kernels; ``standard`` owns a single
 ``conv`` (c, c, 3, 3) run at dilation 1 instead.  Per top-down step every
 arm owns ``deconv``; ``use_mhsa`` adds ``mhsa.w_qkv`` (3, C, C), and
 ``use_registers`` with it ``registers.r_qk`` (heads, HW, HW) and
-``registers.r_v`` (heads, d_head, HW).  ``NeckParams`` holds one ``Value``
-per name, the kernels are built on those same values, and the forward runs
-exactly the kernels the params hold.
+``registers.r_v`` (heads, d_head, HW), all three in the step's one
+``MhsaParams``.  ``NeckParams`` holds one ``Value`` per name, the kernels
+are built on those same values, and the forward runs exactly the kernels
+the params hold.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import numpy as np
 
 from .attention import (
     MhsaParams,
-    RegisterTokens,
     ScseParams,
     mhsa_forward,
     scse_recalibrate,
@@ -206,12 +206,11 @@ class LevelParams:
 class StepParams:
     """Attention gate and learned upsampler for one top-down step.
 
-    ``mhsa`` is None without ``use_mhsa``; ``registers`` is None without
-    ``use_mhsa`` or without ``use_registers``.
+    ``mhsa`` is None without ``use_mhsa``; with it, ``mhsa`` holds the
+    registers too, or none of them without ``use_registers``.
     """
 
     mhsa: MhsaParams | None
-    registers: RegisterTokens | None
     deconv: DeconvKernel
 
 
@@ -306,10 +305,9 @@ def _params_from_arrays(cfg: NeckConfig, arrays: dict[str, np.ndarray]) -> NeckP
         )
     steps: dict[str, StepParams] = {}
     for s in STEPS:
-        w_qkv, r_qk = t.get(f"step_{s}.mhsa.w_qkv"), t.get(f"step_{s}.registers.r_qk")
+        w_qkv, r_qk, r_v = (t.get(f"step_{s}.{name}") for name in ("mhsa.w_qkv", "registers.r_qk", "registers.r_v"))
         steps[s] = StepParams(
-            mhsa=None if w_qkv is None else MhsaParams(w_qkv, head_count=cfg.head_count),
-            registers=None if r_qk is None else RegisterTokens(r_qk, t[f"step_{s}.registers.r_v"]),
+            mhsa=None if w_qkv is None else MhsaParams(w_qkv, cfg.head_count, r_qk, r_v),
             deconv=DeconvKernel(t[f"step_{s}.deconv.weight"], t[f"step_{s}.deconv.bias"]),
         )
     return NeckParams(t, levels, steps, cfg)
@@ -363,7 +361,7 @@ def attention_upsample(
     if step.mhsa is None:
         return up
     entry = None if trace is None else trace.setdefault(trace_key, {})
-    gate = mhsa_forward(top, step.mhsa, step.registers, tape, entry)
+    gate = mhsa_forward(top, step.mhsa, tape, entry)
     if cfg.gating_mode == "logistic":
         gate = logistic(gate, tape)
     return mul(up, gate, tape)
@@ -381,10 +379,13 @@ def _validate_input(pin: PyramidIn, cfg: NeckConfig) -> None:
             raise ContractError(f"c{n}: input holds non-finite values")
 
 
-def _differing_keys(echo: dict, cfg: NeckConfig) -> list[str]:
-    """Sorted keys on which a config echo differs from ``cfg``'s, unknown keys included."""
-    expected = cfg.to_dict()
-    return sorted({k for k in expected if echo.get(k) != expected[k]} | set(echo) - set(expected))
+def _json_text(d: dict, key: str) -> str:
+    return json.dumps(d[key], sort_keys=True) if key in d else "(absent)"
+
+
+def _differing_keys(got: dict, want: dict) -> list[str]:
+    """Sorted keys whose JSON text differs between two objects, keys that only one holds included."""
+    return sorted(k for k in got.keys() | want.keys() if _json_text(got, k) != _json_text(want, k))
 
 
 def neck_forward(
@@ -402,7 +403,7 @@ def neck_forward(
     ``mhsa_forward`` traces (``mass`` and ``mhsa_output``) under its name.
     """
     if params.config != cfg:
-        keys = _differing_keys(params.config.to_dict(), cfg)
+        keys = _differing_keys(params.config.to_dict(), cfg.to_dict())
         raise ContractError(f"params were built for another config; keys differ: {keys}")
     _validate_input(pin, cfg)
     p5 = parallel_atrous_block(
@@ -426,35 +427,33 @@ def synthetic_pyramid(cfg: NeckConfig, batch: int, rng: Rng) -> PyramidIn:
     return PyramidIn(*(Tensor4(rng.normal((batch, c, *cfg.level_hw(n)))) for n, c in zip(LEVELS, cfg.in_channels)))
 
 
-def _tensor_index(cfg: NeckConfig) -> list[dict]:
-    """The manifest's tensor index: ``parameter_spec`` order, payloads back to back."""
+def _manifest(cfg: NeckConfig) -> dict:
+    """The manifest ``save_params`` writes for ``cfg``, and the only one ``load_params`` accepts.
+
+    Its tensor index is in ``parameter_spec`` order, payloads back to back.
+    """
     index, offset = [], 0
     for name, shape in parameter_spec(cfg):
         index.append({"name": name, "shape": list(shape), "offset": offset})
         offset += 8 * math.prod(shape)
-    return index
+    return {"format_version": PARAMS_FORMAT_VERSION, "config": cfg.to_dict(), "tensors": index}
 
 
 def save_params(params: NeckParams) -> bytes:
     """Serialize to a manifest header plus raw little-endian float64 payload.
 
     Layout: one ASCII header line ``fusionneck-params <version> <manifest_len>``,
-    a JSON manifest (format version, config echo, and the tensor index of
-    ``_tensor_index``: names, shapes and payload byte offsets), then the
+    the JSON manifest of ``_manifest`` (format version, config echo, and the
+    tensor index: names, shapes and payload byte offsets), then the
     concatenated tensor data.  The round trip is bit-exact.  A non-finite
     tensor raises ``load_params``'s ``ParamsIOError``: no stream the reader refuses.
     """
-    index = _tensor_index(params.config)
-    for entry, value in zip(index, params.values()):
+    manifest = _manifest(params.config)
+    for entry, value in zip(manifest["tensors"], params.values()):
         if list(value.shape) != entry["shape"]:
             raise ShapeError(f"tensor {entry['name']} has shape {value.shape}, expected {tuple(entry['shape'])}")
         if not np.isfinite(value.data).all():
             raise ParamsIOError(f"tensor {entry['name']} holds non-finite values")
-    manifest = {
-        "format_version": PARAMS_FORMAT_VERSION,
-        "config": params.config.to_dict(),
-        "tensors": index,
-    }
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("ascii")
     header = f"{PARAMS_MAGIC} {PARAMS_FORMAT_VERSION} {len(manifest_bytes)}\n".encode("ascii")
     payload = b"".join(np.ascontiguousarray(v.data, dtype="<f8").tobytes() for v in params.values())
@@ -464,20 +463,22 @@ def save_params(params: NeckParams) -> bytes:
 def read_manifest(stream: bytes) -> tuple[dict, bytes]:
     """Parse a parameter stream's header and manifest; return (manifest, payload).
 
-    The manifest is a JSON object with a ``config`` object and a ``tensors``
-    list, each tensor an object with a string ``name``, a list-of-ints
-    ``shape`` and an int ``offset``.  Anything else raises ``ParamsIOError``.
+    The header must be spelled as ``save_params`` spells it, and the manifest
+    must be a JSON object with a ``config`` object and a ``tensors`` list;
+    anything else raises ``ParamsIOError``.  Whether the manifest is the one
+    written for a config is ``load_params``'s check.
     """
     buf = io.BytesIO(stream)
-    header = buf.readline().decode("ascii", errors="replace").strip()
-    parts = header.split()
+    line = buf.readline()
+    parts = line.decode("ascii", errors="replace").split()
     if len(parts) != 3 or parts[0] != PARAMS_MAGIC:
         raise ParamsIOError("not a parameter stream (bad magic header)")
     try:
-        version = int(parts[1])
-        manifest_len = int(parts[2])
+        version, manifest_len = int(parts[1]), int(parts[2])
     except ValueError:
-        raise ParamsIOError("malformed parameter header") from None
+        version = manifest_len = None
+    if line != f"{PARAMS_MAGIC} {version} {manifest_len}\n".encode("ascii"):
+        raise ParamsIOError("malformed parameter header")
     if version != PARAMS_FORMAT_VERSION:
         raise ParamsIOError(
             f"unsupported format version {version} (expected {PARAMS_FORMAT_VERSION})"
@@ -495,18 +496,8 @@ def read_manifest(stream: bytes) -> tuple[dict, bytes]:
         raise ParamsIOError(f"manifest must be a JSON object, got {type(manifest).__name__}")
     if not isinstance(manifest.get("config"), dict):
         raise ParamsIOError("manifest has no config object")
-    tensors = manifest.get("tensors")
-    if not isinstance(tensors, list):
+    if not isinstance(manifest.get("tensors"), list):
         raise ParamsIOError("manifest has no tensors list")
-    for i, entry in enumerate(tensors):
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(_is_int(n) for n in entry["shape"])
-            and _is_int(entry.get("offset"))
-        ):
-            raise ParamsIOError(f"manifest tensor {i} needs a string name, an int list shape and an int offset")
     return manifest, buf.read()
 
 
@@ -514,24 +505,31 @@ def load_params(stream: bytes, cfg: NeckConfig) -> NeckParams:
     """Parse a parameter stream written by ``save_params`` for ``cfg``.
 
     The stream must be exactly what ``save_params`` writes: a config echo
-    equal to ``cfg``'s, the tensor index ``_tensor_index(cfg)`` entry for
-    entry, a payload of exactly the indexed length, and finite values.
-    Anything else raises ``ParamsIOError`` naming the first tensor at fault.
+    equal to ``cfg``'s, the tensor index of ``_manifest(cfg)`` entry for
+    entry, no other manifest key or value, a payload of exactly the indexed
+    length, and finite values.  Anything else raises ``ParamsIOError``
+    naming the first tensor or manifest key at fault.
     """
     manifest, payload = read_manifest(stream)
-    if manifest["config"] != cfg.to_dict():
-        raise ParamsIOError(f"config mismatch on keys: {_differing_keys(manifest['config'], cfg)}")
-    index, tensors = _tensor_index(cfg), manifest["tensors"]
-    for i, want in enumerate(index):
-        got = tensors[i] if i < len(tensors) else None
-        if got != want:
+    want = _manifest(cfg)
+    keys = _differing_keys(manifest["config"], want["config"])
+    if keys:
+        raise ParamsIOError(f"manifest config mismatch on keys: {keys}")
+    index, tensors = want["tensors"], manifest["tensors"]
+    for i, entry in enumerate(index):
+        got = json.dumps(tensors[i] if i < len(tensors) else None, sort_keys=True)
+        if got != json.dumps(entry, sort_keys=True):
             where = f"right after tensor {index[i - 1]['name']}" if i else "the payload start"
             raise ParamsIOError(
-                f"manifest entry {i} must be tensor {want['name']} with shape {tuple(want['shape'])} "
-                f"at offset {want['offset']} ({where}), found {json.dumps(got, sort_keys=True)}"
+                f"manifest entry {i} must be tensor {entry['name']} with shape {tuple(entry['shape'])} "
+                f"at offset {entry['offset']} ({where}), found {got}"
             )
     if len(tensors) > len(index):
-        raise ParamsIOError(f"unexpected tensor in manifest: {tensors[len(index)]['name']}")
+        raise ParamsIOError(f"unexpected tensor in manifest: {json.dumps(tensors[len(index)], sort_keys=True)}")
+    keys = _differing_keys(manifest, want)  # config and tensors are equal by now
+    if keys:
+        key = keys[0]
+        raise ParamsIOError(f"manifest key {key!r} must be {_json_text(want, key)}, found {_json_text(manifest, key)}")
     arrays: dict[str, np.ndarray] = {}
     end = 0
     for entry in index:

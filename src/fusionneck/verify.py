@@ -7,11 +7,13 @@ the five ablation arms of ``NECK_ARMS``.  Oracle suite (5 rows, one
 ``ORACLES`` table): the vectorized convolutions against their loop oracles,
 average precision against the explicit-cutoff oracle, and the blocked
 attention gate against a per-(item, head) loop over whole attention
-matrices.  Every suite runs fixed inputs; a caller chooses only the scope
-and the number of gradient seeds.
+matrices.  ``run``'s oracle scope adds the ``RUN_ORACLES`` row:
+``evaluate_records``, the code behind ``fusionneck eval``, against
+``average_precision`` per class.  Every suite runs fixed inputs; a caller
+chooses only the scope and the number of gradient seeds.
 
-Each row is a stream of errors (one per seed, case or scene) folded by
-``_row``, the one rule for all 16: the metric is the worst error, a NaN
+Each row is a stream of errors (one per seed, case, scene or class) folded
+by ``_row``, the one rule for all 17: the metric is the worst error, a NaN
 error is kept as the worst so it fails the row, a row whose stream is empty
 is refused with ``ContractError`` rather than run as a vacuous pass, and the
 detail reads ``"<count> <unit>, <seconds>s"``.  A ``grad_check`` of params
@@ -34,7 +36,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import convkit, detmetrics, neck
-from .attention import MhsaParams, RegisterTokens, ScseParams, mhsa_forward, scse_recalibrate
+from .attention import MhsaParams, ScseParams, mhsa_forward, scse_recalibrate
 from .convkit import ConvKernel, DeconvKernel
 from .detmetrics import Box, Detection, GroundTruth
 from .errors import ContractError
@@ -160,13 +162,14 @@ def _case_scse(rng: Rng):
 
 def _mhsa_fixture(rng: Rng, with_registers: bool):
     x = Tensor4(rng.normal((2, 4, 2, 2)))
-    p = MhsaParams(rng.split(1).normal((3, 4, 4), 0.6), head_count=2)
-    reg = None
+    w_qkv = rng.split(1).normal((3, 4, 4), 0.6)
+    registers = ()
     if with_registers:  # one (HW, HW) score and one (d_head, HW) value register per head
         r = rng.split(2)
-        reg = RegisterTokens(r.normal((2, 4, 4), 0.5), r.normal((2, 2, 4), 0.5))
+        registers = (r.normal((2, 4, 4), 0.5), r.normal((2, 2, 4), 0.5))
+    p = MhsaParams(w_qkv, 2, *registers)
     gate = partial(mhsa_forward, block_rows=3)  # the 4 query rows in a block of 3 and a ragged block of 1
-    return _op_case(rng, [x, *p.values(), *(reg.values() if reg is not None else [])], gate, x, p, reg)
+    return _op_case(rng, [x, *p.values()], gate, x, p)
 
 
 # the ablation arms the neck row cycles through: full, no registers, no MHSA,
@@ -307,7 +310,23 @@ def _ap_errors() -> Iterator[float]:
         yield abs(detmetrics.average_precision(dets, gts, thresh) - detmetrics.brute_force_ap(dets, gts, thresh))
 
 
-def loop_attention_gate(x: np.ndarray, p: MhsaParams, reg: RegisterTokens | None = None):
+def _evaluate_records_errors() -> Iterator[float]:
+    """|evaluate_records − average_precision| per class: each threshold's AP oracle scenes,
+    one image each, in classes of 8, scored by one ``evaluate_records`` call."""
+    rng = Rng(780)
+    thresholds = (0.3, 0.5, 0.75)
+    for t, thresh in enumerate(thresholds):
+        dets, gts = [], []
+        for j, i in enumerate(range(t, AP_ORACLE_SCENES, len(thresholds))):  # the scenes _ap_errors scores at thresh
+            scene_dets, scene_gts = random_scene(rng.split(i))
+            dets += [Detection(str(i), j // 8, d.box, d.score) for d in scene_dets]
+            gts += [GroundTruth(str(i), j // 8, g.box) for g in scene_gts]
+        for cid, entry in detmetrics.evaluate_records(dets, gts, (thresh,)).per_class.items():
+            of_class = [d for d in dets if d.class_id == cid], [g for g in gts if g.class_id == cid]
+            yield abs(entry["ap"] - detmetrics.average_precision(*of_class, thresh))
+
+
+def loop_attention_gate(x: np.ndarray, p: MhsaParams):
     """Plain NumPy attention, one (item, head) at a time, with the whole (HW, HW) matrix.
 
     Returns the gate (B, C, 1, 1) as the spatial mean of the per-token
@@ -324,9 +343,9 @@ def loop_attention_gate(x: np.ndarray, p: MhsaParams, reg: RegisterTokens | None
             cols = slice(head * d_head, (head + 1) * d_head)
             q, k, v = (tokens @ m[:, cols] for m in p.w_qkv.data)
             scores = q @ k.T
-            if reg is not None:
-                scores = scores + reg.r_qk.data[head]
-                v = v + reg.r_v.data[head].T
+            if p.r_qk is not None:
+                scores = scores + p.r_qk.data[head]
+                v = v + p.r_v.data[head].T
             scores = scores / np.sqrt(d_head)
             e = np.exp(scores - scores.max(axis=1, keepdims=True))
             attn = e / e.sum(axis=1, keepdims=True)
@@ -339,13 +358,13 @@ def _gate_errors() -> Iterator[float]:
     """|blocked − loop| over gate, mass and per-token output: 1-row, ragged and whole blocks, ± registers."""
     rng = Rng(781)
     x = Tensor4(rng.normal((2, 4, 2, 3)))
-    p = MhsaParams(rng.normal((3, 4, 4), 0.6), head_count=2)
-    reg = RegisterTokens(rng.normal((2, 6, 6), 0.5), rng.normal((2, 2, 6), 0.5))
-    for r in (None, reg):
-        expected = loop_attention_gate(x.data, p, r)
+    plain = MhsaParams(rng.normal((3, 4, 4), 0.6), head_count=2)
+    registered = MhsaParams(plain.w_qkv, 2, rng.normal((2, 6, 6), 0.5), rng.normal((2, 2, 6), 0.5))
+    for p in (plain, registered):
+        expected = loop_attention_gate(x.data, p)
         for block_rows in (1, 4, 6):  # six rows: one per block, 4 + 2, all in one
             trace: dict = {}
-            gate = mhsa_forward(x, p, r, None, trace, block_rows)
+            gate = mhsa_forward(x, p, None, trace, block_rows)
             got = (gate.data, trace["mass"], trace["mhsa_output"].data)
             yield max(float(np.max(np.abs(a - b))) for a, b in zip(got, expected))
 
@@ -364,6 +383,12 @@ ORACLES: list[tuple[str, Callable[[], Iterable[float]], float, str]] = [
 ]
 
 
+# oracle rows that ``run`` adds to ``oracle_suite()``, which every benchmark set-up runs under a time bound
+RUN_ORACLES: list[tuple[str, Callable[[], Iterable[float]], float, str]] = [
+    ("evaluate_records_vs_ap", _evaluate_records_errors, 1e-15, "classes"),
+]
+
+
 def oracle_suite() -> list[SuiteCase]:
     return [_row("oracle", name, errors(), tol, unit) for name, errors, tol, unit in ORACLES]
 
@@ -377,4 +402,5 @@ def run(scope: str = "all", seeds: int = GRAD_SEEDS) -> list[SuiteCase]:
         results.extend(gradient_suite(seeds))
     if scope in ("oracle", "all"):
         results.extend(oracle_suite())
+        results.extend(_row("oracle", name, errors(), tol, unit) for name, errors, tol, unit in RUN_ORACLES)
     return results

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from fusionneck import verify
-from fusionneck.attention import MhsaParams, RegisterTokens, mhsa_forward
+from fusionneck.attention import MhsaParams, mhsa_forward
 from fusionneck.cli import EXIT_OK, main
 from fusionneck.convkit import conv2d, deconv2x, naive_conv2d
 from fusionneck.convkit import DeconvKernel
@@ -97,10 +97,10 @@ def test_03_zero_register_collapse():
         w = 1 + (seed // 3) % 3
         x = Tensor4(rng.normal((2, dim, h, w)))
         p = MhsaParams(rng.split(1).normal((3, dim, dim), 0.6), heads)
-        zeros = RegisterTokens(np.zeros((heads, h * w, h * w)), np.zeros((heads, dim // heads, h * w)))
+        zeros = MhsaParams(p.w_qkv, heads, np.zeros((heads, h * w, h * w)), np.zeros((heads, dim // heads, h * w)))
         with_reg, without = {}, {}
-        gate_with = mhsa_forward(x, p, zeros, None, with_reg)
-        gate_without = mhsa_forward(x, p, None, None, without)
+        gate_with = mhsa_forward(x, zeros, None, with_reg)
+        gate_without = mhsa_forward(x, p, None, without)
         for a, b in ((gate_with.data, gate_without.data), (with_reg["mass"], without["mass"]),
                      (with_reg["mhsa_output"].data, without["mhsa_output"].data)):
             worst = max(worst, float(np.max(np.abs(a - b))))
@@ -217,16 +217,14 @@ def test_08_register_steering():
         heads = (1, 2)[seed % 2]
         dim = 4
         x = Tensor4(rng.normal((1, dim, 2, 2)))
-        p = MhsaParams(rng.split(1).normal((3, dim, dim), 0.6), heads)
+        w_qkv = rng.split(1).normal((3, dim, dim), 0.6)
         r = rng.split(2)
-        reg = RegisterTokens(r.normal((heads, 4, 4), 0.3), r.normal((heads, dim // heads, 4), 0.3))
+        p = MhsaParams(w_qkv, heads, r.normal((heads, 4, 4), 0.3), r.normal((heads, dim // heads, 4), 0.3))
         target = seed % 4
         before, after = {}, {}
-        mhsa_forward(x, p, reg, None, before)
-        steered = RegisterTokens(
-            reg.r_qk.data - 1e6 * (np.arange(4) == target), reg.r_v.data.copy()
-        )
-        mhsa_forward(x, p, steered, None, after)
+        mhsa_forward(x, p, None, before)
+        steered = MhsaParams(p.w_qkv, heads, p.r_qk.data - 1e6 * (np.arange(4) == target), p.r_v.data.copy())
+        mhsa_forward(x, steered, None, after)
         for m_before, m_after in zip(before["mass"][..., target].flat, after["mass"][..., target].flat):
             ratio = m_after / m_before
             worst_ratio = max(worst_ratio, ratio)

@@ -5,7 +5,6 @@ import pytest
 
 from fusionneck.attention import (
     MhsaParams,
-    RegisterTokens,
     ScseParams,
     _attention_block,
     mhsa_forward,
@@ -28,9 +27,10 @@ def make_params(rng, dim, heads, sigma=0.6):
     return MhsaParams(rng.normal((3, dim, dim), sigma), head_count=heads)
 
 
-def make_registers(rng, heads, hw, d_head, sigma):
-    """Gaussian registers drawn r_qk first, then r_v."""
-    return RegisterTokens(rng.normal((heads, hw, hw), sigma), rng.normal((heads, d_head, hw), sigma))
+def with_registers(p, rng, hw, sigma):
+    """``p``'s projections with Gaussian registers for HW = ``hw``, drawn r_qk first, then r_v."""
+    heads = p.head_count
+    return MhsaParams(p.w_qkv, heads, rng.normal((heads, hw, hw), sigma), rng.normal((heads, p.d_head, hw), sigma))
 
 
 def make_scse(rng, channels=4, reduction=2, sigma=0.5):
@@ -45,10 +45,10 @@ def tokens_of(x):
     return x.data.reshape(b, c, h * w).transpose(0, 2, 1)  # (B, HW, C)
 
 
-def traced(x, p, reg=None, block_rows=None):
+def traced(x, p, block_rows=None):
     """The gate data, the traced mass (B, heads, HW) and the traced per-token output map."""
     trace = {}
-    gate = mhsa_forward(x, p, reg, None, trace, block_rows)
+    gate = mhsa_forward(x, p, None, trace, block_rows)
     return gate.data, trace["mass"], trace["mhsa_output"]
 
 
@@ -57,9 +57,8 @@ class TestMhsaForward:
         rng = Rng(0)
         x = Tensor4(rng.normal((2, 4, 2, 3)))
         p = make_params(rng.split(1), 4, 2)
-        zeros = make_registers(rng.split(2), 2, 6, 2, sigma=0.0)
-        a = traced(x, p, zeros)
-        b = traced(x, p, None)
+        a = traced(x, with_registers(p, rng.split(2), 6, sigma=0.0))
+        b = traced(x, p)
         for got, want in zip(a[:2], b[:2]):
             assert np.max(np.abs(got - want)) < 1e-12
         assert np.max(np.abs(a[2].data - b[2].data)) < 1e-12
@@ -93,9 +92,8 @@ class TestMhsaForward:
             assert a.shape == (2, 4, rows.stop - rows.start, 9)
             np.testing.assert_allclose(a.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
         x = Tensor4(rng.normal((2, 4, 3, 3)))
-        p = make_params(rng.split(1), 4, 4)
-        reg = make_registers(rng.split(2), 4, 9, 1, sigma=0.5)
-        _, mass, _ = traced(x, p, reg, block_rows=4)
+        p = with_registers(make_params(rng.split(1), 4, 4), rng.split(2), 9, sigma=0.5)
+        _, mass, _ = traced(x, p, block_rows=4)
         assert mass.shape == (2, 4, 9)
         np.testing.assert_allclose(mass.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
@@ -130,14 +128,11 @@ class TestMhsaForward:
         for seed in range(10):
             rng = Rng(100 + seed)
             x = Tensor4(rng.normal((1, 4, 2, 2)))
-            p = make_params(rng.split(1), 4, 2)
-            reg = make_registers(rng.split(2), 2, 4, 2, sigma=0.3)
+            p = with_registers(make_params(rng.split(1), 4, 2), rng.split(2), 4, sigma=0.3)
             target = seed % 4
-            _, mass_before, _ = traced(x, p, reg)
-            steered = RegisterTokens(
-                reg.r_qk.data - 1e6 * (np.arange(4) == target), reg.r_v.data.copy()
-            )
-            _, mass_after, _ = traced(x, p, steered)
+            _, mass_before, _ = traced(x, p)
+            steered = MhsaParams(p.w_qkv, 2, p.r_qk.data - 1e6 * (np.arange(4) == target), p.r_v.data.copy())
+            _, mass_after, _ = traced(x, steered)
             before, after = mass_before[..., target], mass_after[..., target]
             assert np.all(after < before)
             assert np.all(after < 1e-6 * before)
@@ -147,9 +142,8 @@ class TestMhsaForward:
         p = make_params(rng, 4, 2)
         with pytest.raises(ShapeError):
             mhsa_forward(Tensor4.zeros(1, 3, 2, 2), p)
-        reg = make_registers(rng.split(1), 2, 4, 2, sigma=0.1)
-        with pytest.raises(ShapeError):
-            mhsa_forward(Tensor4.zeros(1, 4, 3, 3), p, reg)  # HW 9 vs registers at 4
+        with pytest.raises(ShapeError, match="HW=4, input has HW=9"):
+            mhsa_forward(Tensor4.zeros(1, 4, 3, 3), with_registers(p, rng.split(1), 4, sigma=0.1))
 
     def test_block_rows_must_be_positive(self):
         p = make_params(Rng(8), 4, 2)
@@ -170,10 +164,27 @@ class TestMhsaForward:
         ((2, 4, 4), (3, 2, 4)),  # r_v head count differs
         ((2, 4, 4), (2, 2, 5)),  # r_v token count differs
         ((4, 4), (2, 2, 4)),  # r_qk not stacked per head
+        ((3, 4, 4), (3, 2, 4)),  # r_qk and r_v agree, but not with head_count 2
+        ((1, 4, 4), (1, 2, 4)),
+        ((2, 4, 4), (2, 1, 4)),  # r_v d_head is not D / heads
+        ((2, 4, 4), (2, 4, 4)),
     ])
     def test_register_shapes_checked(self, qk_shape, v_shape):
-        with pytest.raises(ShapeError, match="RegisterTokens"):
-            RegisterTokens(np.zeros(qk_shape), np.zeros(v_shape))
+        with pytest.raises(ShapeError, match="MhsaParams: r_"):
+            MhsaParams(np.zeros((3, 4, 4)), 2, np.zeros(qk_shape), np.zeros(v_shape))
+
+    @pytest.mark.parametrize("given", ["r_qk", "r_v"])
+    def test_registers_come_in_pairs(self, given):
+        registers = {"r_qk": np.zeros((2, 4, 4)), "r_v": np.zeros((2, 2, 4))}
+        with pytest.raises(ContractError, match="both registers"):
+            MhsaParams(np.zeros((3, 4, 4)), 2, **{given: registers[given]})
+
+    def test_values_follow_the_spec_order(self):
+        p = with_registers(make_params(Rng(9), 4, 2), Rng(10), 4, sigma=0.1)
+        assert [v.shape for v in p.values()] == [(3, 4, 4), (2, 4, 4), (2, 2, 4)]
+        assert p.values() == [p.w_qkv, p.r_qk, p.r_v]
+        plain = make_params(Rng(9), 4, 2)
+        assert plain.values() == [plain.w_qkv] and plain.r_qk is None and plain.r_v is None
 
 
 def register_config(sigma):
@@ -188,7 +199,7 @@ class TestBuildRegisters:
     def test_sigma_zero_all_zero(self):
         params = init_params(register_config(0.0), Rng(0))
         for step in params.steps.values():
-            for m in step.registers.values():
+            for m in (step.mhsa.r_qk, step.mhsa.r_v):
                 assert np.array_equal(m.data, np.zeros_like(m.data))
 
     def test_same_seed_bit_identical(self):
@@ -200,7 +211,7 @@ class TestBuildRegisters:
     def test_sample_mean_within_clt_bound(self):
         sigma = 0.8
         params = init_params(register_config(sigma), Rng(10))
-        draws = params.steps["to4"].registers.r_qk.data[0].reshape(-1)
+        draws = params.steps["to4"].mhsa.r_qk.data[0].reshape(-1)
         assert draws.size == 10 ** 4  # one (HW, HW) logit register at HW = 100
         assert abs(draws.mean()) < 5 * sigma / 100
 
@@ -212,9 +223,9 @@ class TestAttentionMass:
     def _mass(r_qk_bias, hw=6, heads=2):
         rng = Rng(20)
         x = Tensor4(rng.normal((2, 4, 2, hw // 2)))
-        reg = make_registers(rng.split(1), heads, hw, 4 // heads, sigma=0.3)
-        reg = RegisterTokens(reg.r_qk.data + r_qk_bias, reg.r_v.data)
-        return traced(x, make_params(rng.split(2), 4, heads), reg, block_rows=4)[1]
+        p = make_params(rng.split(2), 4, heads)
+        reg = with_registers(p, rng.split(1), hw, sigma=0.3)
+        return traced(x, MhsaParams(p.w_qkv, heads, reg.r_qk.data + r_qk_bias, reg.r_v.data), block_rows=4)[1]
 
     def test_uniform_mass(self):
         rng = Rng(21)
@@ -306,10 +317,11 @@ class TestMhsaLoopOracle:
         c, h, w = 8, 2, 3
         x = Tensor4(rng.normal((batch, c, h, w)))
         p = make_params(rng.split(1), c, heads)
-        reg = make_registers(rng.split(2), heads, h * w, c // heads, sigma=0.5) if with_reg else None
-        gate_want, mass_want, out_want = loop_attention_gate(x.data, p, reg)
+        if with_reg:
+            p = with_registers(p, rng.split(2), h * w, sigma=0.5)
+        gate_want, mass_want, out_want = loop_attention_gate(x.data, p)
         for block_rows in (1, 4, None):
-            gate, mass, out = traced(x, p, reg, block_rows)
+            gate, mass, out = traced(x, p, block_rows)
             assert gate.shape == (batch, c, 1, 1) and mass.shape == (batch, heads, h * w)
             assert out.dims == (batch, c, h, w)
             assert np.max(np.abs(gate - gate_want)) < 1e-12
@@ -321,11 +333,12 @@ class TestMhsaLoopOracle:
         rng = Rng(60)
         x = Tensor4(rng.normal((2, 8, 2, 3)))
         p = make_params(rng.split(1), 8, 4)
-        reg = make_registers(rng.split(2), 4, 6, 2, sigma=0.5) if with_reg else None
+        if with_reg:
+            p = with_registers(p, rng.split(2), 6, sigma=0.5)
         tape = Tape()
-        mhsa_forward(x, p, reg, tape)
+        mhsa_forward(x, p, tape)
         assert len(tape) == 1
-        mhsa_forward(x, p, reg, tape, {})
+        mhsa_forward(x, p, tape, {})
         assert len(tape) == 2
 
 
@@ -336,40 +349,40 @@ class TestAttentionGradients:
             rng = Rng(300 + seed)
             x = Tensor4(rng.normal((2, 4, 2, 2)))
             p = make_params(rng.split(1), 4, 2)
-            reg = make_registers(rng.split(2), 2, 4, 2, sigma=0.5) if with_reg else None
+            if with_reg:
+                p = with_registers(p, rng.split(2), 4, sigma=0.5)
             w = rng.normal((2, 4, 1, 1))
-            params = [x, *p.values()] + (reg.values() if reg else [])
 
             def loss(tape):
-                return weighted_sum(mhsa_forward(x, p, reg, tape), w, tape)
+                return weighted_sum(mhsa_forward(x, p, tape), w, tape)
 
-            assert grad_check(loss, params, epsilon=1e-6) < 1e-5
+            assert grad_check(loss, [x, *p.values()], epsilon=1e-6) < 1e-5
 
     @pytest.mark.parametrize("heads", [1, 4])
     def test_mhsa_backward_non_square_head_layouts(self, heads):
         rng = Rng(310 + heads)
         x = Tensor4(rng.normal((1, 4, 2, 3)))
-        p = make_params(rng.split(1), 4, heads)
-        reg = make_registers(rng.split(2), heads, 6, 4 // heads, sigma=0.5)
+        p = with_registers(make_params(rng.split(1), 4, heads), rng.split(2), 6, sigma=0.5)
         w = rng.normal((1, 4, 1, 1))
 
         def loss(tape):
-            return weighted_sum(mhsa_forward(x, p, reg, tape, block_rows=4), w, tape)  # blocks of 4 + 2 rows
+            return weighted_sum(mhsa_forward(x, p, tape, block_rows=4), w, tape)  # blocks of 4 + 2 rows
 
-        assert grad_check(loss, [x, *p.values(), *reg.values()], epsilon=1e-6) < 1e-5
+        assert grad_check(loss, [x, *p.values()], epsilon=1e-6) < 1e-5
 
     @pytest.mark.parametrize("with_reg", [False, True])
     def test_gradients_do_not_depend_on_the_block_size(self, with_reg):
         rng = Rng(320)
         x = Tensor4(rng.normal((2, 4, 3, 3)))
         p = make_params(rng.split(1), 4, 2)
-        reg = make_registers(rng.split(2), 2, 9, 2, sigma=0.5) if with_reg else None
+        if with_reg:
+            p = with_registers(p, rng.split(2), 9, sigma=0.5)
         w = rng.normal((2, 4, 1, 1))
-        values = [x, *p.values(), *(reg.values() if reg else [])]
+        values = [x, *p.values()]
         grads = []
         for block_rows in (1, 4, 9):
             tape = Tape()
-            loss = weighted_sum(mhsa_forward(x, p, reg, tape, block_rows=block_rows), w, tape)
+            loss = weighted_sum(mhsa_forward(x, p, tape, block_rows=block_rows), w, tape)
             loss.grad = np.ones(())
             tape.backward()
             grads.append([v.grad for v in values])

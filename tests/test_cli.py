@@ -281,6 +281,28 @@ class TestParams:
         assert main(["params", "inspect", str(pfile)]) == EXIT_INPUT
         assert "manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, header", [
+        ("extra", 1, "fusionneck-params {version} {length}\n"),
+        ("format_version", "abc", "fusionneck-params {version} {length}\n"),
+        (None, None, "fusionneck-params 0_{version} {length}\n"),
+        (None, None, "fusionneck-params +{version} {length}\n"),
+        (None, None, "  fusionneck-params   {version} {length}  \r\n"),
+    ])
+    def test_inspect_refuses_a_stream_save_params_never_writes(self, tmp_path, capsys, key, value, header):
+        """An extra manifest key, another format version or a respelled header: exit 2, one error line."""
+        pfile = tmp_path / "p.bin"
+        assert main(["params", "init", "--seed", "4", *SMALL, "--out", str(pfile)]) == EXIT_OK
+        manifest, payload = read_manifest(pfile.read_bytes())
+        if key is not None:
+            manifest[key] = value
+        manifest_bytes = json.dumps(manifest, sort_keys=True).encode("ascii")
+        header = header.format(version=PARAMS_FORMAT_VERSION, length=len(manifest_bytes))
+        pfile.write_bytes(header.encode("ascii") + manifest_bytes + payload)
+        capsys.readouterr()
+        assert main(["params", "inspect", str(pfile)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("length", ["99999999999999999999", "-5"])
     def test_manifest_length_outside_the_stream_exits_2(self, tmp_path, capsys, length):
         pfile = tmp_path / "p.bin"

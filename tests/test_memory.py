@@ -151,7 +151,7 @@ def test_attention_gate_traced_peak_at_40x40():
     tracemalloc.start()
     try:
         tape = Tape()
-        loss = weighted_sum(mhsa_forward(x, p, None, tape), weights, tape)
+        loss = weighted_sum(mhsa_forward(x, p, tape), weights, tape)
         loss.grad = np.ones(())
         tape.backward()
         peak = tracemalloc.get_traced_memory()[1]

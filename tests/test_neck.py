@@ -273,7 +273,7 @@ class TestForward:
         # constant-ones input with W_v = I makes every attention output token
         # all-ones regardless of W_q/W_k, so the pooled gate is exactly 1
         step.mhsa.w_qkv.data[2] = np.eye(cfg.pyramid_width)
-        for v in step.registers.values():
+        for v in (step.mhsa.r_qk, step.mhsa.r_v):
             v.data[:] = 0.0
         top = Tensor4(np.ones((1, cfg.pyramid_width, 2, 2)))
         from fusionneck.convkit import deconv2x
@@ -302,7 +302,7 @@ class TestForward:
         pin = synthetic_pyramid(cfg_on, 1, rng.split(1))
         out_off = neck_forward(pin, arm_params(params, cfg_off), cfg_off)
         for step in params.steps.values():
-            for v in step.registers.values():
+            for v in (step.mhsa.r_qk, step.mhsa.r_v):
                 v.data[:] = 0.0
         out_zeroed = neck_forward(pin, params, cfg_on)
         for n in (3, 4, 5):
@@ -504,25 +504,27 @@ class TestInitParams:
         assert names == parameter_spec(cfg)
 
     def test_structure_holds_the_named_values(self):
-        """In every arm, every kernel, MHSA and register tensor is the named table's own Value, and nothing else is."""
+        """In every arm, each kernel and MHSA tensor (registers too) is the named table's own Value, and no other is."""
         for overrides, _ in ARMS.values():
             params = init_params(small_cfg(**overrides), Rng(6))
             parts = []
             for lp in params.levels.values():
                 parts += [lp.lateral, *lp.branches, lp.post, lp.scse]
             for sp in params.steps.values():
-                parts += [sp.mhsa, sp.registers, sp.deconv]
+                parts += [sp.mhsa, sp.deconv]
             reachable = [v for part in parts if part is not None for v in part.values()]
             assert sorted(map(id, reachable)) == sorted(map(id, params.values()))
 
 
-def pack_stream(manifest: dict, payload: bytes, version: int = PARAMS_FORMAT_VERSION, length_delta: int = 0) -> bytes:
+def pack_stream(manifest: dict, payload: bytes, version: int = PARAMS_FORMAT_VERSION, length_delta: int = 0,
+                header: str = "fusionneck-params {version} {length}\n") -> bytes:
     """A parameter stream with the given manifest and payload, as save_params lays it out.
 
-    ``version`` and ``length_delta`` edit the header's format version and manifest length.
+    ``version`` and ``length_delta`` edit the header's format version and
+    manifest length, and ``header`` its spelling.
     """
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("ascii")
-    header = f"fusionneck-params {version} {len(manifest_bytes) + length_delta}\n"
+    header = header.format(version=version, length=len(manifest_bytes) + length_delta)
     return header.encode("ascii") + manifest_bytes + payload
 
 
@@ -544,7 +546,24 @@ def saved_stream(cfg: NeckConfig, seed: int) -> tuple[dict, bytes, dict[str, byt
     return manifest, payload, chunks
 
 
-STREAM_EDITS = ("reorder", "drop", "duplicate", "name", "shape", "offset", "truncate", "extend", "version", "length")
+STREAM_EDITS = ("reorder", "drop", "duplicate", "name", "shape", "offset", "truncate", "extend", "version", "length",
+                "key", "format", "header")
+# header lines int() and split() read as save_params's, in other spellings
+HEADER_RESPELLINGS = (
+    "fusionneck-params 0_{version} {length}\n",
+    "fusionneck-params +{version} {length}\n",
+    "fusionneck-params 0{version} {length}\n",
+    "fusionneck-params {version} +{length}\n",
+    "fusionneck-params {version} 0{length}\n",
+    "  fusionneck-params   {version} {length}  \r\n",
+    "fusionneck-params\t{version} {length}\n",
+    "fusionneck-params {version} {length}\r\n",
+)
+# JSON values other than the written format version 3, its float and string spellings included
+OTHER_FORMAT_VERSIONS = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=5), st.integers(),
+    st.lists(st.integers(), max_size=2),
+).filter(lambda v: json.dumps(v) != json.dumps(PARAMS_FORMAT_VERSION))
 
 
 class TestSerialization:
@@ -628,7 +647,9 @@ class TestSerialization:
 
         Edits: reorder, drop or duplicate entries (the payload relaid to
         match); change one entry's name, shape or offset; truncate or extend
-        the payload; change the header's version or manifest length.  Raw
+        the payload; change the header's version or manifest length, or
+        respell the header; add a manifest key, or change or drop the
+        manifest's format version.  Raw
         payload byte flips are out of scope: the stream carries no checksum,
         so a flip that leaves a finite value loads as that value.
         """
@@ -638,7 +659,7 @@ class TestSerialization:
         n = len(tensors)
         edit = data.draw(st.sampled_from(STREAM_EDITS), label="edit")
         i = data.draw(st.integers(0, n - 1), label="entry")
-        version, length_delta = PARAMS_FORMAT_VERSION, 0
+        version, length_delta, header = PARAMS_FORMAT_VERSION, 0, "fusionneck-params {version} {length}\n"
         if edit == "reorder":
             order = data.draw(st.permutations(range(n)).filter(lambda p: list(p) != list(range(n))))
             tensors[:] = [tensors[j] for j in order]
@@ -662,10 +683,20 @@ class TestSerialization:
             payload += data.draw(st.binary(min_size=1, max_size=64))
         elif edit == "version":
             version = data.draw(st.integers(-10, 10**6).filter(lambda v: v != PARAMS_FORMAT_VERSION))
-        else:
+        elif edit == "length":
             length_delta = data.draw(st.integers(-200, 200).filter(bool))
+        elif edit == "key":
+            key = data.draw(st.text(max_size=10).filter(lambda k: k not in manifest), label="key")
+            manifest[key] = data.draw(st.one_of(st.none(), st.integers(), st.text(max_size=5)), label="value")
+        elif edit == "format":
+            if data.draw(st.booleans(), label="drop"):
+                del manifest["format_version"]
+            else:
+                manifest["format_version"] = data.draw(OTHER_FORMAT_VERSIONS, label="format_version")
+        else:
+            header = data.draw(st.sampled_from(HEADER_RESPELLINGS), label="header")
         with pytest.raises(ParamsIOError):
-            load_params(pack_stream(manifest, payload, version, length_delta), cfg)
+            load_params(pack_stream(manifest, payload, version, length_delta, header), cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_tensor_named(self, bad):
@@ -722,6 +753,34 @@ class TestSerialization:
     def test_malformed_manifest_rejected(self, manifest):
         blob = f"fusionneck-params {PARAMS_FORMAT_VERSION} {len(manifest)}\n".encode("ascii") + manifest
         with pytest.raises(ParamsIOError, match="manifest"):
-            read_manifest(blob)
-        with pytest.raises(ParamsIOError, match="manifest"):
             load_params(blob, small_cfg())
+
+    @pytest.mark.parametrize("manifest", [b"{not json", b"[1, 2]", b'{"tensors": []}', b'{"config": {}}'])
+    def test_read_manifest_refuses_a_stream_without_config_and_tensors(self, manifest):
+        """read_manifest checks the JSON shape only; the entries are load_params's comparison."""
+        blob = f"fusionneck-params {PARAMS_FORMAT_VERSION} {len(manifest)}\n".encode("ascii") + manifest
+        with pytest.raises(ParamsIOError, match="manifest"):
+            read_manifest(blob)
+
+    @pytest.mark.parametrize("extra", [5, "x", None, [1], {"name": "x"}])
+    def test_unexpected_entry_printed_as_json(self, extra):
+        """An entry past the index is named as its JSON text, whatever its type."""
+        cfg = small_cfg()
+        manifest, payload, _ = saved_stream(cfg, 12)
+        manifest["tensors"].append(extra)
+        with pytest.raises(ParamsIOError, match=re.escape(f"unexpected tensor in manifest: {json.dumps(extra)}")):
+            load_params(pack_stream(manifest, payload), cfg)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"extra": 1}, "manifest key 'extra' must be (absent), found 1"),
+        ({"format_version": "abc"}, 'manifest key \'format_version\' must be 3, found "abc"'),
+        ({"format_version": 3.0}, "manifest key 'format_version' must be 3, found 3.0"),
+        ({"config": {"use_mhsa": 1}}, "manifest config mismatch on keys: ['use_mhsa']"),
+    ])
+    def test_manifest_other_than_the_written_one_names_the_key(self, edit, message):
+        cfg = small_cfg()
+        manifest, payload, _ = saved_stream(cfg, 12)
+        for key, value in edit.items():
+            manifest[key] = {**manifest[key], **value} if isinstance(value, dict) else value
+        with pytest.raises(ParamsIOError, match=f"^{re.escape(message)}$"):
+            load_params(pack_stream(manifest, payload), cfg)

@@ -327,7 +327,7 @@ class TestFiniteness:
                 np.testing.assert_allclose(a.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
             big = Tensor4(rng.normal((2, 4, 2, 2), 500.0))
             trace = {}
-            gate = mhsa_forward(big, MhsaParams(rng.normal((3, 4, 4)), 2), None, None, trace, block_rows=3)
+            gate = mhsa_forward(big, MhsaParams(rng.normal((3, 4, 4)), 2), None, trace, block_rows=3)
             assert np.all(np.isfinite(gate.data)) and np.all(np.isfinite(trace["mhsa_output"].data))
             np.testing.assert_allclose(trace["mass"].sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 

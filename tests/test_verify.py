@@ -15,7 +15,8 @@ from fusionneck.errors import ContractError
 from fusionneck.neck import NeckConfig
 from fusionneck.tensor import Value, _accum, mul, sum_all
 
-ROWS = [("grad", case[0]) for case in verify.GRADIENT_CASES] + [("oracle", row[0]) for row in verify.ORACLES]
+ORACLE_ROWS = verify.ORACLES + verify.RUN_ORACLES
+ROWS = [("grad", case[0]) for case in verify.GRADIENT_CASES] + [("oracle", row[0]) for row in ORACLE_ROWS]
 CONV_ROWS = [row for row in verify.ORACLES if row[0].endswith("_vs_naive")]
 
 
@@ -26,7 +27,7 @@ def run_row(monkeypatch, suite, name, wrap):
         grad_errors = verify._grad_errors
         monkeypatch.setattr(verify, "_grad_errors", lambda *args: wrap(grad_errors(*args)))
         return verify.gradient_suite(seeds=1)
-    [(_, errors, tol, unit)] = [row for row in verify.ORACLES if row[0] == name]
+    [(_, errors, tol, unit)] = [row for row in ORACLE_ROWS if row[0] == name]
     monkeypatch.setattr(verify, "ORACLES", [(name, lambda: wrap(errors()), tol, unit)])
     return verify.oracle_suite()
 
@@ -94,13 +95,18 @@ def test_fast_vs_naive_with_no_cases_refused(monkeypatch):
         verify.oracle_suite()
 
 
-def test_eleven_gradient_cases_and_five_oracle_rows():
+def test_eleven_gradient_cases_and_six_oracle_rows():
+    """``run`` adds the evaluate_records row to the five of ``oracle_suite()``."""
     rows = verify.run("oracle")
     assert [r.name for r in rows] == [
         "conv2d_vs_naive", "pointwise_vs_naive", "deconv2x_vs_naive", "ap_vs_bruteforce", "mhsa_gate_vs_loop",
+        "evaluate_records_vs_ap",
     ]
-    assert [r.detail.split(",")[0] for r in rows] == ["50 cases", "20 cases", "20 cases", "200 scenes", "6 cases"]
+    assert [r.detail.split(",")[0] for r in rows] == [
+        "50 cases", "20 cases", "20 cases", "200 scenes", "6 cases", "27 classes",
+    ]
     assert all(r.passed for r in rows)
+    assert [r.name for r in verify.oracle_suite()] == [r.name for r in rows[:5]]
     assert len(verify.GRADIENT_CASES) == 11
 
 
