@@ -66,6 +66,7 @@ from .tensor import (
     Value,
     add,
     concat_channels,
+    fork_join,
     global_avg_pool,
     grad_check,
     logistic,

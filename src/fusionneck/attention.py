@@ -170,8 +170,11 @@ def mhsa_forward(
         trace["mass"] = mass
         trace["mhsa_output"] = Tensor4(per_token.transpose(0, 1, 3, 2).reshape(b, c, h, w))
     if tape is not None:
+        gx, gw_qkv, gout = x.cell(), p.w_qkv.cell(), out.cell()
+        g_rqk, g_rv = (None, None) if r_qk is None else (p.r_qk.cell(), p.r_v.cell())
+
         def backward() -> None:
-            g = out.grad
+            g = gout.grad
             if g is None:
                 return
             g = g.reshape(b, heads, 1, d_head)
@@ -192,11 +195,11 @@ def mhsa_forward(
                     d_rqk[:, rows] = ds.sum(axis=0)
             dqkv = np.stack([dq, dk, dv])  # (3, B, heads, HW, d_head)
             dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(b * hw, 3 * c)  # as the projection product
-            _accum(p.w_qkv, (tokens.T @ dqkv).reshape(c, 3, c).transpose(1, 0, 2))
-            _accum(x, (dqkv @ w_qkv.T).reshape(b, hw, c).transpose(0, 2, 1).reshape(b, c, h, w))
+            _accum(gw_qkv, (tokens.T @ dqkv).reshape(c, 3, c).transpose(1, 0, 2))
+            _accum(gx, (dqkv @ w_qkv.T).reshape(b, hw, c).transpose(0, 2, 1).reshape(b, c, h, w))
             if d_rqk is not None:
-                _accum_own(p.r_qk, d_rqk)
-                _accum(p.r_v, dv.sum(axis=0).swapaxes(-1, -2))
+                _accum_own(g_rqk, d_rqk)
+                _accum(g_rv, dv.sum(axis=0).swapaxes(-1, -2))
         tape.record(backward)
     return out
 

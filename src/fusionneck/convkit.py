@@ -168,31 +168,33 @@ def conv2d(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tensor4:
     if c != kc:
         raise ShapeError(f"conv2d: input has {c} channels, kernel expects {kc}")
     d = k.dilation
-    out_data = _lowered(x.data, k.weight.data.reshape(o, c * kh * kw), kh, kw, d)
+    x_data, w_data = x.data, k.weight.data
+    out_data = _lowered(x_data, w_data.reshape(o, c * kh * kw), kh, kw, d)
     out_data += k.bias.data[:, None]
     out = Tensor4(out_data.reshape(b, o, h, w))
     if tape is None:
         return out
+    gx, gweight, gbias, gout = x.cell(), k.weight.cell(), k.bias.cell(), out.cell()
 
     def backward() -> None:
-        g = out.grad
+        g = gout.grad
         if g is None:
             return
         g = g.reshape(b, o, h * w)
         # the input is padded again here, so that the tape holds no padded copy
-        window, rows = _tap_window(x.data, kh, kw, d)
+        window, rows = _tap_window(x_data, kh, kw, d)
         gw = np.zeros((o, c * kh * kw))
         for r0 in range(0, h, rows):
             cols = window[..., r0 : r0 + rows, :].reshape(b, c * kh * kw, -1)
             for gi, ci in zip(g[:, :, r0 * w : (r0 + rows) * w], cols):
                 gw += gi @ ci.T
-        _accum(k.weight, gw.reshape(o, c, kh, kw))
-        _accum(k.bias, g.sum(axis=(0, 2)))
+        _accum(gweight, gw.reshape(o, c, kh, kw))
+        _accum(gbias, g.sum(axis=(0, 2)))
         # the input gradient is the same lowering run on g with the flipped,
         # transposed kernel
-        wflip = k.weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
-        gx = _lowered(g.reshape(b, o, h, w), wflip, kh, kw, d)
-        _accum_own(x, gx.reshape(b, c, h, w))
+        wflip = w_data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
+        grad_x = _lowered(g.reshape(b, o, h, w), wflip, kh, kw, d)
+        _accum_own(gx, grad_x.reshape(b, c, h, w))
 
     tape.record(backward)
     return out
@@ -217,18 +219,19 @@ def pointwise_conv(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tenso
     out = Tensor4(out_data.reshape(b, o, h, w))
     if tape is None:
         return out
+    gx, gweight, gbias, gout = x.cell(), k.weight.cell(), k.bias.cell(), out.cell()
 
     def backward() -> None:
-        g = out.grad
+        g = gout.grad
         if g is None:
             return
         g = g.reshape(b, o, h * w)
         gw = np.zeros((o, c))
         for gi, xi in zip(g, xm):
             gw += gi @ xi.T
-        _accum(k.weight, gw.reshape(o, c, 1, 1))
-        _accum(k.bias, g.sum(axis=(0, 2)))
-        _accum_own(x, np.matmul(wmat.T, g).reshape(b, c, h, w))
+        _accum(gweight, gw.reshape(o, c, 1, 1))
+        _accum(gbias, g.sum(axis=(0, 2)))
+        _accum_own(gx, np.matmul(wmat.T, g).reshape(b, c, h, w))
 
     tape.record(backward)
     return out
@@ -282,15 +285,17 @@ def deconv2x(x: Tensor4, k: DeconvKernel, tape: Tape | None = None) -> Tensor4:
     out_data += k.bias.data[None, :, None, None]
     out = Tensor4(out_data)
     if tape is not None:
+        gx, gweight, gbias, gout = x.cell(), k.weight.cell(), k.bias.cell(), out.cell()
+
         def backward() -> None:
-            g = out.grad
+            g = gout.grad
             if g is None:
                 return
             gm = g.reshape(b, o, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4).reshape(b, o * 4, h * w)
-            _accum(x, (wmat.T @ gm).reshape(b, c, h, w))
+            _accum(gx, (wmat.T @ gm).reshape(b, c, h, w))
             gwmat = (gm @ xm.transpose(0, 2, 1)).sum(axis=0)
-            _accum(k.weight, gwmat.reshape(o, 2, 2, c).transpose(3, 0, 1, 2))
-            _accum(k.bias, g.sum(axis=(0, 2, 3)))
+            _accum(gweight, gwmat.reshape(o, 2, 2, c).transpose(3, 0, 1, 2))
+            _accum(gbias, g.sum(axis=(0, 2, 3)))
         tape.record(backward)
     return out
 

@@ -51,6 +51,7 @@ from .tensor import (
     Value,
     add,
     concat_channels,
+    fork_join,
     global_avg_pool,  # unused here; bench/tracer.py wraps ``neck.global_avg_pool`` by name
     logistic,
     mul,
@@ -64,6 +65,11 @@ ATROUS_MODES = ("standard", "atrous", "attention_atrous")
 
 LEVELS = (3, 4, 5)
 STEPS = ("to4", "to3")
+
+# A taped forward runs the finest level beside the coarse path only when its
+# map holds this many elements: a thread start plus join costs 105-145 µs on
+# a 2-CPU VM, more than a tiny neck's whole finest level.
+LANE_MIN_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -84,13 +90,19 @@ class NeckConfig:
     base_width: int = 32
 
     def __post_init__(self) -> None:
-        """Type-check every field against its default (lists become tuples), then validate."""
+        """Type-check every field against its default, then validate.
+
+        Lists become tuples and ints in float fields become floats, so two
+        equal configs have one config echo.
+        """
         for key, field in self.__dataclass_fields__.items():
             value = getattr(self, key)
             if not _has_field_type(value, field.default):
                 raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
             if isinstance(value, list):
                 object.__setattr__(self, key, tuple(value))
+            elif isinstance(field.default, float):
+                object.__setattr__(self, key, float(value))
         self.validate()
 
     def validate(self) -> None:
@@ -401,23 +413,37 @@ def neck_forward(
     runs.  The inputs must have the configured shapes and hold finite values
     only.  With a ``trace`` dict, each step that runs attention stores what
     ``mhsa_forward`` traces (``mass`` and ``mhsa_output``) under its name.
+
+    The finest level's lateral conv and atrous block do not depend on the
+    coarse path (p5, ``to4``, p4, ``to3``) until the final sum.  Given a tape
+    and a finest map of at least ``LANE_MIN_ELEMENTS`` elements, the two run
+    as the lanes of ``fork_join``; otherwise the coarse path runs first, then
+    the finest level.  Outputs and gradients are the same bit for bit.  The
+    lanes share no value, because ``params`` holds one ``Value`` per name.
     """
     if params.config != cfg:
         keys = _differing_keys(params.config.to_dict(), cfg.to_dict())
         raise ContractError(f"params were built for another config; keys differ: {keys}")
     _validate_input(pin, cfg)
-    p5 = parallel_atrous_block(
-        pointwise_conv(pin.c5, params.levels[5].lateral, tape), params.levels[5], tape
-    )
-    t4 = attention_upsample(p5, params.steps["to4"], cfg, tape, trace, "to4")
-    l4 = parallel_atrous_block(
-        pointwise_conv(pin.c4, params.levels[4].lateral, tape), params.levels[4], tape
-    )
-    p4 = add(l4, t4, tape)
-    t3 = attention_upsample(p4, params.steps["to3"], cfg, tape, trace, "to3")
-    l3 = parallel_atrous_block(
-        pointwise_conv(pin.c3, params.levels[3].lateral, tape), params.levels[3], tape
-    )
+
+    def lateral(n: int, t: Tape | None) -> Tensor4:
+        level = params.levels[n]
+        return parallel_atrous_block(pointwise_conv(pin.level(n), level.lateral, t), level, t)
+
+    def coarse(t: Tape | None) -> tuple[Tensor4, Tensor4, Tensor4]:
+        p5 = lateral(5, t)
+        t4 = attention_upsample(p5, params.steps["to4"], cfg, t, trace, "to4")
+        p4 = add(lateral(4, t), t4, t)
+        return p5, p4, attention_upsample(p4, params.steps["to3"], cfg, t, trace, "to3")
+
+    def finest(t: Tape | None) -> Tensor4:
+        return lateral(3, t)
+
+    b, _, h, w = pin.c3.dims
+    if tape is not None and b * cfg.pyramid_width * h * w >= LANE_MIN_ELEMENTS:
+        (p5, p4, t3), l3 = fork_join(coarse, finest, tape)
+    else:
+        (p5, p4, t3), l3 = coarse(tape), finest(tape)
     p3 = add(l3, t3, tape)
     return PyramidOut(p3, p4, p5)
 

@@ -3,13 +3,26 @@
 Every operation is a pure function: it reads its inputs, allocates a fresh
 output, and — when handed a ``Tape`` — records a closure that propagates
 gradients from the output back to the inputs.  ``Tape.backward`` replays the
-closures in reverse execution order, accumulating ``grad`` buffers on every
-value that influenced the loss: a value's first gradient is stored as a copy
-of the incoming array (or, when the rule allocated that array for this value
-alone, as the array itself), later ones are added into it.  Each closure is
-dropped once it has run, so a tape replays once.  Passing ``tape=None`` runs
-the forward math alone, which is what the finite-difference side of
+closures in reverse execution order, accumulating gradients on every value
+that influenced the loss: a value's first gradient is stored as a copy of the
+incoming array (or, when the rule allocated that array for this value alone,
+as the array itself), later ones are added into it.  Each closure is dropped
+once it has run, so a tape replays once.  Passing ``tape=None`` runs the
+forward math alone, which is what the finite-difference side of
 ``grad_check`` uses.
+
+A ``Value`` keeps its gradient in a small ``GradCell`` behind its ``grad``
+property, made the first time a rule is recorded for it.  A closure holds
+the arrays its rule reads and the cells it reads or writes, never a whole
+``Value``: an operation's output, or an input that a rule only adds a
+gradient into, is freed as soon as the forward drops it.
+
+``fork_join`` runs two independent sub-computations on two threads, each on
+a child tape of the caller's tape type, and records one entry whose backward
+replays both child tapes on two threads again.  OpenBLAS is pinned to one
+thread while, and only while, both lanes run: on a 2-CPU host two lanes of
+single-threaded products beat one lane of two-threaded ones, while outside
+the lanes the library keeps its own thread count.
 
 ``grad_check`` splits its finite-difference sweep across forked worker
 processes on a Linux host with more than one usable CPU, so the function it
@@ -41,21 +54,28 @@ own.  Under any other C library, or if glibc refuses the first setting,
 
 from __future__ import annotations
 
+import contextvars
+import copy
 import ctypes
+import functools
 import math
 import os
 import pickle
 import platform
 import signal
 import sys
+import threading
 import time
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import ContractError, EvaluationError, ShapeError
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, <malloc.h>
+
+T1 = TypeVar("T1")
+T2 = TypeVar("T2")
 
 
 def _keep_freed_memory() -> None:
@@ -76,18 +96,27 @@ _keep_freed_memory()
 class Tape:
     """Records backward closures in execution order, and replays them once.
 
-    ``len(tape)`` counts the closures recorded, also after ``backward``.
+    ``len(tape)`` counts the closures recorded, those of ``fork_join``'s
+    child tapes included, also after ``backward``.
     """
 
     def __init__(self) -> None:
         self._records: list[Callable[[], None] | None] = []
+        self._closures = 0
         self._replayed = False
 
     def record(self, fn: Callable[[], None]) -> None:
         self._records.append(fn)
+        self._closures += 1
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._closures
+
+    def _child(self) -> "Tape":
+        """An empty tape of this tape's own type that shares the rest of its state (a tracer, say)."""
+        child = copy.copy(self)
+        Tape.__init__(child)
+        return child
 
     def backward(self) -> None:
         """Replay all recorded closures in reverse execution order, dropping each once it has run.
@@ -106,15 +135,42 @@ class Tape:
             fn()
 
 
-class Value:
-    """A dense float64 array plus an optional accumulated-gradient buffer."""
+class GradCell:
+    """The accumulated gradient of one ``Value``: what a backward rule holds instead of the value."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("grad",)
+
+    def __init__(self) -> None:
+        self.grad: np.ndarray | None = None
+
+
+class Value:
+    """A dense float64 array plus an optional accumulated-gradient buffer.
+
+    The gradient lives in a ``GradCell``, made on first use: a tape-less
+    forward makes none.
+    """
+
+    __slots__ = ("data", "_cell")
 
     def __init__(self, data) -> None:
         # asarray with order="C" keeps 0-d scalars 0-d (ascontiguousarray would not)
         self.data = np.asarray(data, dtype=np.float64, order="C")
-        self.grad: np.ndarray | None = None
+        self._cell: GradCell | None = None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._cell is None else self._cell.grad
+
+    @grad.setter
+    def grad(self, grad: np.ndarray | None) -> None:
+        self.cell().grad = grad
+
+    def cell(self) -> GradCell:
+        """This value's gradient cell, made on first call."""
+        if self._cell is None:
+            self._cell = GradCell()
+        return self._cell
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -125,7 +181,8 @@ class Value:
         return self.data.size
 
     def zero_grad(self) -> None:
-        self.grad = None
+        if self._cell is not None:
+            self._cell.grad = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(shape={self.shape})"
@@ -137,7 +194,7 @@ class Tensor4(Value):
     def __init__(self, data) -> None:
         # Value.__init__ inlined: every primitive builds its output here
         self.data = np.asarray(data, dtype=np.float64, order="C")
-        self.grad = None
+        self._cell = None
         if self.data.ndim != 4:
             raise ShapeError(f"Tensor4 requires 4 axes, got shape {self.data.shape}")
 
@@ -189,31 +246,32 @@ class Rng:
         return int(self._gen.integers(low, high))
 
 
-def _accum(value: Value, grad: np.ndarray) -> None:
-    """Add ``grad`` into ``value.grad``; the first gradient is stored as a fresh copy.
+def _accum(target: GradCell | Value, grad: np.ndarray) -> None:
+    """Add ``grad`` into ``target.grad``; the first gradient is stored as a fresh copy.
 
-    Never the passed array itself: ``add`` hands one gradient to both
-    operands, and some rules pass views of ``out.grad`` or read-only
-    broadcast views.  A rule that built the array for this value alone calls
-    ``_accum_own``.
+    ``target`` is a value's gradient cell, as rules pass it, or the value
+    itself.  Never the passed array itself: ``add`` hands one gradient to
+    both operands, and some rules pass views of the output's gradient or
+    read-only broadcast views.  A rule that built the array for this target
+    alone calls ``_accum_own``.
     """
-    if value.grad is None:
-        value.grad = np.array(grad, dtype=np.float64, order="C")
+    if target.grad is None:
+        target.grad = np.array(grad, dtype=np.float64, order="C")
     else:
-        value.grad += grad
+        target.grad += grad
 
 
-def _accum_own(value: Value, grad: np.ndarray) -> None:
-    """``_accum`` for a gradient the calling rule allocated and hands to ``value`` alone.
+def _accum_own(target: GradCell | Value, grad: np.ndarray) -> None:
+    """``_accum`` for a gradient the calling rule allocated and hands to ``target`` alone.
 
-    ``grad`` must be a C-contiguous float64 array that no other value and no
-    ``out.grad`` shares memory with.  A first gradient is then kept as it is,
-    without ``_accum``'s copy; later ones are added in the same way.
+    ``grad`` must be a C-contiguous float64 array that no other cell and no
+    output gradient shares memory with.  A first gradient is then kept as it
+    is, without ``_accum``'s copy; later ones are added in the same way.
     """
-    if value.grad is None:
-        value.grad = grad
+    if target.grad is None:
+        target.grad = grad
     else:
-        value.grad += grad
+        target.grad += grad
 
 
 def _gate_broadcastable(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> bool:
@@ -242,12 +300,14 @@ def add(a: Value, b: Value, tape: Tape | None = None) -> Value:
     _check_binary("add", a, b)
     out = type(a)(a.data + b.data)
     if tape is not None:
+        ga, gb, gout, b_shape = a.cell(), b.cell(), out.cell(), b.data.shape
+
         def backward() -> None:
-            g = out.grad
+            g = gout.grad
             if g is None:
                 return
-            _accum(a, g)
-            _accum(b, _reduce_to(b.shape, g))
+            _accum(ga, g)
+            _accum(gb, _reduce_to(b_shape, g))
         tape.record(backward)
     return out
 
@@ -255,14 +315,17 @@ def add(a: Value, b: Value, tape: Tape | None = None) -> Value:
 def mul(a: Value, b: Value, tape: Tape | None = None) -> Value:
     """Elementwise a * b; b may be a broadcastable gate."""
     _check_binary("mul", a, b)
-    out = type(a)(a.data * b.data)
+    a_data, b_data = a.data, b.data
+    out = type(a)(a_data * b_data)
     if tape is not None:
+        ga, gb, gout = a.cell(), b.cell(), out.cell()
+
         def backward() -> None:
-            g = out.grad
+            g = gout.grad
             if g is None:
                 return
-            _accum_own(a, g * b.data)
-            _accum(b, _reduce_to(b.shape, g * a.data))
+            _accum_own(ga, g * b_data)
+            _accum(gb, _reduce_to(b_data.shape, g * a_data))
         tape.record(backward)
     return out
 
@@ -275,9 +338,11 @@ def logistic(v: Value, tape: Tape | None = None) -> Value:
     y /= 1.0 + e
     out = type(v)(y)
     if tape is not None:
+        gv, gout = v.cell(), out.cell()
+
         def backward() -> None:
-            if out.grad is not None:
-                _accum_own(v, out.grad * y * (1.0 - y))
+            if gout.grad is not None:
+                _accum_own(gv, gout.grad * y * (1.0 - y))
         tape.record(backward)
     return out
 
@@ -289,11 +354,13 @@ def global_avg_pool(x: Tensor4, tape: Tape | None = None) -> Tensor4:
     pooled /= h * w  # what np.mean computes, without its Python wrapper
     out = Tensor4(pooled)
     if tape is not None:
+        gx, gout, x_shape = x.cell(), out.cell(), x.data.shape
+
         def backward() -> None:
-            g = out.grad
+            g = gout.grad
             if g is None:
                 return
-            _accum(x, np.broadcast_to(g / (h * w), x.data.shape))
+            _accum(gx, np.broadcast_to(g / (h * w), x_shape))
         tape.record(backward)
     return out
 
@@ -312,12 +379,14 @@ def concat_channels(parts: Sequence[Tensor4], tape: Tape | None = None) -> Tenso
     out = Tensor4(np.concatenate([p.data for p in parts], axis=1))
     if tape is not None:
         offsets = np.cumsum([0] + [p.dims[1] for p in parts])
+        cells, gout = [p.cell() for p in parts], out.cell()
+
         def backward() -> None:
-            g = out.grad
+            g = gout.grad
             if g is None:
                 return
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                _accum(p, g[:, lo:hi])
+            for cell, lo, hi in zip(cells, offsets[:-1], offsets[1:]):
+                _accum(cell, g[:, lo:hi])
         tape.record(backward)
     return out
 
@@ -326,11 +395,13 @@ def sum_all(v: Value, tape: Tape | None = None) -> Value:
     """Sum of all elements as a scalar Value."""
     out = Value(v.data.sum())
     if tape is not None:
+        gv, gout, v_shape = v.cell(), out.cell(), v.data.shape
+
         def backward() -> None:
-            g = out.grad
+            g = gout.grad
             if g is None:
                 return
-            _accum(v, np.broadcast_to(g, v.data.shape))
+            _accum(gv, np.broadcast_to(g, v_shape))
         tape.record(backward)
     return out
 
@@ -342,11 +413,113 @@ def weighted_sum(v: Value, weights: np.ndarray, tape: Tape | None = None) -> Val
         raise ShapeError(f"weighted_sum: weights {weights.shape} vs value {v.shape}")
     out = Value((v.data * weights).sum())
     if tape is not None:
+        gv, gout = v.cell(), out.cell()
+
         def backward() -> None:
-            if out.grad is not None:
-                _accum(v, out.grad * weights)
+            if gout.grad is not None:
+                _accum(gv, gout.grad * weights)
         tape.record(backward)
     return out
+
+
+def fork_join(first: Callable[[Tape], T1], second: Callable[[Tape], T2], tape: Tape) -> tuple[T1, T2]:
+    """``(first(t1), second(t2))`` computed on two threads, t1 and t2 child tapes of ``tape``'s type.
+
+    The two functions must be independent: neither may read what the other
+    makes, nor may both record rules that write one gradient cell, so the
+    order in which the lanes interleave changes no bit.  ``tape`` gets one
+    entry that replays t1 and t2 on two threads again; ``len(tape)`` counts
+    their closures.  Each lane runs in a copy of the caller's context (NumPy's
+    ``errstate`` included), an exception is raised only once both lanes have
+    ended, ``first``'s before ``second``'s as a run in sequence would raise
+    them, and no thread outlives the call.  Without two usable CPUs or an
+    OpenBLAS whose thread count can be set (see ``_lanes``), the functions
+    run one after the other on ``tape`` itself.
+    """
+    if not _lanes():
+        return first(tape), second(tape)
+    t1, t2 = tape._child(), tape._child()
+    results = _concurrently(functools.partial(first, t1), functools.partial(second, t2))
+
+    def backward() -> None:
+        _concurrently(t1.backward, t2.backward)
+
+    # appended as it is: the child tapes hold the closures a tape subclass wrapped
+    tape._records.append(backward)
+    tape._closures += len(t1) + len(t2)
+    return results
+
+
+def _lanes() -> bool:
+    """Whether ``fork_join`` runs two threads: two usable CPUs and OpenBLAS's thread-count functions."""
+    return _usable_cpus() >= 2 and _blas_threads() is not None
+
+
+def _concurrently(first: Callable[[], T1], second: Callable[[], T2]) -> tuple[T1, T2]:
+    """``first()`` on this thread while ``second()`` runs on a new one, OpenBLAS on one thread meanwhile.
+
+    The BLAS thread count is restored and the new thread joined before
+    anything is returned or raised; ``first``'s exception wins.
+    """
+    outcome: dict = {}
+    context = contextvars.copy_context()
+
+    def lane() -> None:
+        try:
+            outcome["value"] = context.run(second)
+        except BaseException as exc:  # raised in the caller once both lanes have ended
+            outcome["error"] = exc
+
+    set_threads, get_threads = _blas_threads()
+    threads = get_threads()
+    set_threads(1)
+    try:
+        thread = threading.Thread(target=lane, name="fusionneck-lane")
+        thread.start()
+        try:
+            value = first()
+        finally:
+            thread.join()
+    finally:
+        set_threads(threads)
+    if "error" in outcome:
+        raise outcome.pop("error")
+    return value, outcome["value"]
+
+
+# OpenBLAS's thread-count setter and getter, by the names its builds export
+_BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """The loaded OpenBLAS's (set, get) thread-count functions, looked up once; None without them.
+
+    The library is found among the process's mapped files, as a shared
+    object with "blas" in its path (Linux only).
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "blas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _BLAS_THREAD_FUNCTIONS:
+            setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                return setter, getter
+    return None
 
 
 def grad_check(
@@ -440,15 +613,24 @@ def grad_check(
 _SPLIT_MIN_S = 0.1
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, on Linux; 1 elsewhere.
+
+    Shared by the sweep split and ``fork_join``'s lanes, so both decide
+    alike.  Elsewhere neither runs: macOS's Accelerate and libdispatch are
+    not fork-safe, and the OpenBLAS lookup reads ``/proc``.
+    """
+    return len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
+
+
 def _sweep_processes(predicted_s: float) -> int:
     """Processes to share a finite-difference sweep predicted to take ``predicted_s``.
 
-    Every CPU this process may run on, on Linux only: macOS's Accelerate and
-    libdispatch are not fork-safe.  One for a short sweep.
+    Every usable CPU (``_usable_cpus``); one for a short sweep.
     """
-    if predicted_s < _SPLIT_MIN_S or not sys.platform.startswith("linux"):
+    if predicted_s < _SPLIT_MIN_S:
         return 1
-    return len(os.sched_getaffinity(0))
+    return _usable_cpus()
 
 
 def _split_sweep(sweep: Callable[[int, int], np.ndarray], lo: int, hi: int, processes: int) -> np.ndarray:

@@ -268,6 +268,18 @@ class TestParams:
                      "--params-in", str(pfile), "--report", str(tmp_path / "r.json")])
         assert code == EXIT_INPUT
 
+    def test_int_sigma_in_a_config_file_loads_under_the_flag(self, tmp_path):
+        """``"init_sigma": 1`` in a config file is the float 1.0 that ``--init-sigma 1`` gives."""
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"init_sigma": 1, "pyramid_width": 4, "head_count": 2, "scse_reduction": 2,
+                                        "in_channels": [3, 4, 5], "base_height": 8, "base_width": 8}))
+        pfile = tmp_path / "p.bin"
+        assert main(["params", "init", "--config", str(cfg_file), "--out", str(pfile)]) == EXIT_OK
+        echo = read_manifest(pfile.read_bytes())[0]["config"]["init_sigma"]
+        assert type(echo) is float and echo == 1.0
+        assert main(["forward", *SMALL, "--init-sigma", "1", "--params-in", str(pfile),
+                     "--report", str(tmp_path / "r.json")]) == EXIT_OK
+
     @pytest.mark.parametrize("manifest", [
         b"{not json",
         b"[1, 2]",

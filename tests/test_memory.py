@@ -2,7 +2,10 @@
 
 ``Tape.backward`` drops each closure once it has run, so what a rule captured
 is freed while the backward still runs; the release tests check that with a
-weak reference and with the traced peak of one default-config step.  The
+weak reference and with the traced peak of one default-config step.  A rule
+holds the arrays it reads and gradient cells, not the Values it adds
+gradients into, so op outputs no rule reads are freed during the forward;
+the traced bytes alive right after a taped forward bound that.  The
 attention gate keeps no (HW, HW) array beyond one block of query rows; a
 40×40 forward and backward bounds that.
 
@@ -104,20 +107,29 @@ def test_closure_capture_is_freed_during_backward():
 # The traced peak of one default-config, batch-2 train step (inputs and params
 # excluded): about 51 MiB while the tape held every closure until it was
 # dropped, about 30 MiB with closures dropped as they replay, about 25 MiB
-# once the attention gate held no (HW, HW) array beyond one block of rows.
+# once the attention gate held no (HW, HW) array beyond one block of rows,
+# about 21-24 MiB with rules that hold cells and two lanes running at once.
 STEP_PEAK_MIB = 32
 
+# The traced bytes alive right after that step's taped forward: about 20 MiB
+# while rules held the Values they add gradients into, so every op output
+# stayed alive until the backward; about 11 MiB with rules holding only the
+# arrays they read and gradient cells.
+FORWARD_ALIVE_MIB = 14
 
-def test_train_step_traced_peak():
+
+def _default_step():
+    """One default-config, batch-2 train step, with a hook run right after its taped forward."""
     cfg = NeckConfig()
     rng = Rng(0)
     pin = synthetic_pyramid(cfg, 2, rng.split(1))
     params = init_params(cfg, rng.split(2))
     weights = [rng.normal((2, cfg.pyramid_width, cfg.base_height // d, cfg.base_width // d)) for d in (1, 2, 4)]
 
-    def step() -> int:
+    def step(after_forward=lambda: None) -> int:
         tape = Tape()
         out = neck_forward(pin, params, cfg, tape)
+        after_forward()
         loss = add(weighted_sum(out.p3, weights[0], tape), weighted_sum(out.p4, weights[1], tape), tape)
         loss = add(loss, weighted_sum(out.p5, weights[2], tape), tape)
         loss.grad = np.ones(())
@@ -125,7 +137,12 @@ def test_train_step_traced_peak():
         params.zero_grad()
         return len(tape)
 
-    step()  # warm-up: lazy set-up is not what this bounds
+    step()  # warm-up: lazy set-up is not what the tests bound
+    return step
+
+
+def test_train_step_traced_peak():
+    step = _default_step()
     tracemalloc.start()
     try:
         records = step()
@@ -134,6 +151,17 @@ def test_train_step_traced_peak():
         tracemalloc.stop()
     assert records == 60
     assert peak < STEP_PEAK_MIB << 20, f"one train step peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_taped_forward_keeps_only_what_rules_read():
+    step = _default_step()
+    alive = []
+    tracemalloc.start()
+    try:
+        step(lambda: alive.append(tracemalloc.get_traced_memory()[0]))
+    finally:
+        tracemalloc.stop()
+    assert alive[0] < FORWARD_ALIVE_MIB << 20, f"{alive[0] / 2**20:.1f} MiB alive after a taped forward"
 
 
 # The traced peak of one attention-gate forward and backward at 40×40 tokens,

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from fusionneck.convkit import ConvKernel, conv2d, pointwise_conv
 from fusionneck import attention, convkit, tensor, verify
 from fusionneck.errors import ConfigError, ContractError, ParamsIOError, ShapeError
 from fusionneck.neck import (
+    LANE_MIN_ELEMENTS,
     PARAMS_FORMAT_VERSION,
     _params_from_arrays,
     NeckConfig,
@@ -126,6 +129,12 @@ class TestConfig:
 
     def test_int_init_sigma_accepted(self):
         assert NeckConfig.from_dict({"init_sigma": 0}).init_sigma == 0
+
+    def test_int_init_sigma_is_stored_as_a_float(self):
+        """Equal configs have one echo: an int sigma reads back as the float it equals."""
+        cfg = NeckConfig.from_dict({"init_sigma": 1})
+        assert type(cfg.init_sigma) is float and cfg == NeckConfig(init_sigma=1.0)
+        assert json.dumps(cfg.to_dict()) == json.dumps(NeckConfig(init_sigma=1.0).to_dict())
 
     def test_register_count_is_not_a_key(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -390,11 +399,15 @@ class TestArms:
         assert grad_check(pyramid_loss(pin, params, cfg), params.values(), verify.NECK_EPS) < verify.NECK_TOL
 
 
-def _zero_buffer_accum(value, grad):
-    """Gradient accumulation as first written: a zeroed buffer, then ``+=``."""
-    if value.grad is None:
-        value.grad = np.zeros_like(value.data)
-    value.grad += grad
+def _zero_buffer_accum(target, grad):
+    """Gradient accumulation as first written: a zeroed buffer, then ``+=``.
+
+    The buffer takes its shape from ``grad``, which has the target's shape
+    in every rule, since rules hand a gradient cell that holds no data.
+    """
+    if target.grad is None:
+        target.grad = np.zeros(grad.shape)
+    target.grad += grad
 
 
 def _keep_all_replay(tape):
@@ -403,8 +416,8 @@ def _keep_all_replay(tape):
         fn()
 
 
-def _step_gradients(cfg, replay=Tape.backward):
-    """Every param's and input's gradient from one weighted-sum train step at batch 2."""
+def _taped_step(cfg, replay=Tape.backward):
+    """p3, p4, p5, then every param's and input's gradient, of one weighted-sum train step at batch 2; and its tape."""
     rng = Rng(0)
     pin = synthetic_pyramid(cfg, 2, rng.split(1))
     params = init_params(cfg, rng.split(2))
@@ -416,7 +429,13 @@ def _step_gradients(cfg, replay=Tape.backward):
     loss = add(loss, weighted_sum(out.p5, weights[2], tape), tape)
     loss.grad = np.ones(())
     replay(tape)
-    return [v.grad for v in params.values()] + [pin.level(n).grad for n in (3, 4, 5)]
+    outputs = [out.p3.data, out.p4.data, out.p5.data]
+    return outputs + [v.grad for v in params.values()] + [pin.level(n).grad for n in (3, 4, 5)], tape
+
+
+def _step_gradients(cfg, replay=Tape.backward):
+    """Every param's and input's gradient from one weighted-sum train step at batch 2."""
+    return _taped_step(cfg, replay)[0][3:]
 
 
 # the ablation arms, each at the default config
@@ -464,6 +483,65 @@ class TestGradientAccumulation:
         assert len(grads) > len(parameter_spec(cfg)) + 3  # op outputs too
         for i, a in enumerate(grads):
             assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
+
+
+def _count_lane_runs(monkeypatch) -> list:
+    """Record each ``fork_join`` that runs two threads (one per forward and one per backward)."""
+    runs = []
+    concurrently = tensor._concurrently
+    monkeypatch.setattr(tensor, "_concurrently", lambda first, second: runs.append(1) or concurrently(first, second))
+    return runs
+
+
+class TestLanes:
+    """A taped forward of a default-size neck runs the finest level beside the coarse path."""
+
+    @pytest.mark.skipif(not tensor._lanes(), reason="lanes need two usable CPUs and OpenBLAS's thread-count functions")
+    @pytest.mark.parametrize("arm", DEFAULT_ARMS)
+    def test_lanes_equal_the_run_in_sequence_bit_for_bit(self, monkeypatch, arm):
+        cfg = NeckConfig(**ARMS[arm][0])
+        start = threading.active_count()
+        runs = _count_lane_runs(monkeypatch)
+        forked, tape = _taped_step(cfg)
+        assert len(runs) == 2 and threading.active_count() == start
+        monkeypatch.setattr(tensor, "_lanes", lambda: False)
+        sequential, sequential_tape = _taped_step(cfg)
+        assert len(runs) == 2 and len(tape) == len(sequential_tape)
+        assert len(forked) == ARMS[arm][1][0] + 6
+        for a, b in zip(forked, sequential):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.skipif(not tensor._lanes(), reason="lanes need two usable CPUs and OpenBLAS's thread-count functions")
+    def test_lanes_under_a_short_switch_interval(self, monkeypatch):
+        """Threads switching every microsecond lose no gradient update: the step still equals the sequence."""
+        cfg = NeckConfig()
+        runs = _count_lane_runs(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            forked, _ = _taped_step(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs) == 2
+        monkeypatch.setattr(tensor, "_lanes", lambda: False)
+        for a, b in zip(forked, _taped_step(cfg)[0]):
+            assert a.tobytes() == b.tobytes()
+
+    def test_default_step_counts_every_closure_and_replays_once(self):
+        _, tape = _taped_step(NeckConfig())
+        assert len(tape) == 60
+        with pytest.raises(ContractError, match="a tape replays once"):
+            tape.backward()
+
+    def test_no_lanes_without_a_tape_or_below_the_size_rule(self, monkeypatch):
+        runs = _count_lane_runs(monkeypatch)
+        cfg = NeckConfig()
+        rng = Rng(2)
+        neck_forward(synthetic_pyramid(cfg, 2, rng.split(1)), init_params(cfg, rng.split(2)), cfg)
+        tiny = small_cfg()  # a finest map of 2 * 4 * 8 * 8 elements
+        assert 2 * tiny.pyramid_width * tiny.base_height * tiny.base_width < LANE_MIN_ELEMENTS
+        _taped_step(tiny)
+        assert runs == []
 
 
 class TestInitParams:

@@ -5,6 +5,7 @@ import math
 import os
 import signal
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fusionneck.tensor import (
     _accum_own,
     add,
     concat_channels,
+    fork_join,
     global_avg_pool,
     grad_check,
     logistic,
@@ -344,6 +346,146 @@ class TestLogistic:
         assert logistic(Tensor4(x)).data.tobytes() == expected.tobytes()
 
 
+needs_lanes = pytest.mark.skipif(
+    tensor._usable_cpus() < 2 or tensor._blas_threads() is None,
+    reason="fork_join runs its lanes on two usable CPUs with an OpenBLAS whose thread count can be set",
+)
+
+
+def _lane(x: Tensor4, fault=None):
+    """A lane for ``fork_join``: logistic(x) * x, recorded on the lane's tape, after ``fault()`` if given."""
+    def run(tape):
+        if fault is not None:
+            fault()
+        return mul(logistic(x, tape), x, tape)
+    return run
+
+
+class LaneError(Exception):
+    pass
+
+
+class LabelTape(Tape):
+    """A tape subclass whose constructor takes an argument, as a tracer's tape does."""
+
+    def __init__(self, label: str) -> None:
+        super().__init__()
+        self.label = label
+        self.kinds: list[tuple[str, str]] = []
+
+    def record(self, fn) -> None:
+        self.kinds.append((self.label, threading.current_thread().name))
+        super().record(fn)
+
+
+class TestForkJoin:
+    def _pair(self):
+        rng = Rng(31)
+        return Tensor4(rng.normal((1, 2, 3, 3))), Tensor4(rng.normal((1, 2, 3, 3)))
+
+    def _step(self, tape):
+        x, y = self._pair()
+        a, b = fork_join(_lane(x), _lane(y), tape)
+        loss = add(sum_all(a, tape), sum_all(b, tape), tape)
+        loss.grad = np.ones(())
+        tape.backward()
+        return [a.data, b.data, x.grad, y.grad]
+
+    @needs_lanes
+    def test_lanes_equal_the_run_in_sequence_bit_for_bit(self, monkeypatch):
+        start = threading.active_count()
+        forked = self._step(Tape())
+        assert threading.active_count() == start
+        monkeypatch.setattr(tensor, "_lanes", lambda: False)
+        sequential = self._step(Tape())
+        for a, b in zip(forked, sequential):
+            assert a.tobytes() == b.tobytes()
+
+    @needs_lanes
+    def test_one_entry_counts_every_closure_and_replays_once(self):
+        x, y = self._pair()
+        tape = Tape()
+        fork_join(_lane(x), _lane(y), tape)
+        assert len(tape._records) == 1 and len(tape) == 4
+        tape.backward()
+        assert len(tape) == 4
+        with pytest.raises(ContractError, match="a tape replays once"):
+            tape.backward()
+
+    @needs_lanes
+    def test_lanes_record_on_child_tapes_of_the_callers_type(self):
+        """Each lane gets its own tape of the caller's type, sharing the caller's other state."""
+        x, y = self._pair()
+        tape = LabelTape("step")
+        seen = []
+        fork_join(lambda t: seen.append(t) or _lane(x)(t), lambda t: seen.append(t) or _lane(y)(t), tape)
+        assert len(seen) == 2 and seen[0] is not seen[1]
+        assert all(type(t) is LabelTape and t is not tape and t.label == "step" for t in seen)
+        main = threading.current_thread().name
+        assert sorted(tape.kinds) == sorted([("step", main)] * 2 + [("step", "fusionneck-lane")] * 2)
+        assert len(tape._records) == 1 and len(tape) == 4
+
+    @needs_lanes
+    def test_blas_runs_one_thread_in_the_lanes_only(self):
+        _, get_threads = tensor._blas_threads()
+        before = get_threads()
+        seen = []
+        fork_join(lambda t: seen.append(get_threads()), lambda t: seen.append(get_threads()), Tape())
+        assert seen == [1, 1] and get_threads() == before
+
+    @needs_lanes
+    @pytest.mark.parametrize("failing", ["first", "second", "both"])
+    def test_error_arrives_after_both_lanes_end(self, failing):
+        """The error keeps its type and message; with both failing, the first lane's wins."""
+        x, y = self._pair()
+        ended = []
+
+        def fault(name):
+            def raise_or_end():
+                if failing in (name, "both"):
+                    raise LaneError(f"{name} lane failed")
+                ended.append(name)
+            return raise_or_end
+
+        start = threading.active_count()
+        tape = Tape()
+        with pytest.raises(LaneError, match="second" if failing == "second" else "first"):
+            fork_join(_lane(x, fault("first")), _lane(y, fault("second")), tape)
+        assert threading.active_count() == start
+        assert ended == {"first": ["second"], "second": ["first"], "both": []}[failing]
+        assert len(tape) == 0
+
+    @needs_lanes
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_backward_error_arrives_after_both_lanes_end(self, failing):
+        ran = []
+
+        def lane(name):
+            def rule():
+                if name == failing:
+                    raise LaneError(f"{name} rule failed")
+                ran.append(name)
+            return lambda tape: tape.record(rule)
+
+        tape = Tape()
+        fork_join(lane("first"), lane("second"), tape)
+        start = threading.active_count()
+        with pytest.raises(LaneError, match=f"{failing} rule failed"):
+            tape.backward()
+        assert threading.active_count() == start
+        assert ran == ["second" if failing == "first" else "first"]
+
+    def test_without_two_cpus_the_functions_run_in_sequence_on_the_callers_tape(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_usable_cpus", lambda: 1)
+        order = []
+        tape = LabelTape("step")
+        x, y = self._pair()
+        a, b = fork_join(lambda t: order.append(t) or _lane(x)(t), lambda t: order.append(t) or _lane(y)(t), tape)
+        assert order == [tape, tape] and len(tape._records) == len(tape) == 4
+        main = threading.current_thread().name
+        assert tape.kinds == [("step", main)] * 4
+
+
 TEST_PID = os.getpid()
 
 
@@ -506,3 +648,10 @@ class TestSplitSweep:
     def test_short_sweep_stays_in_process(self):
         assert tensor._sweep_processes(0.0) == 1
         assert tensor._sweep_processes(60.0) == len(os.sched_getaffinity(0))
+
+    def test_sweep_and_lanes_count_cpus_alike(self, monkeypatch):
+        """One helper counts the usable CPUs for the sweep split and for ``fork_join``'s lanes."""
+        monkeypatch.setattr(tensor, "_usable_cpus", lambda: 3)
+        assert tensor._sweep_processes(60.0) == 3
+        monkeypatch.setattr(tensor, "_usable_cpus", lambda: 1)
+        assert tensor._sweep_processes(60.0) == 1 and not tensor._lanes()
