@@ -33,6 +33,7 @@ from .errors import ConfigError, EvaluationError, FusionNeckError, ShapeError
 from .neck import (
     LEVELS,
     NeckConfig,
+    init_and_forward,
     init_params,
     load_params,
     neck_forward,
@@ -145,15 +146,15 @@ def cmd_forward(cfg: RunConfig) -> dict:
     """Run one seeded forward pass and return the report document."""
     rng = Rng(cfg.seed)
     pin = synthetic_pyramid(cfg.neck, cfg.batch, rng.split(1))
-    if cfg.params_in:
-        params = load_params(Path(cfg.params_in).read_bytes(), cfg.neck)
-    else:
-        params = init_params(cfg.neck, rng.split(2))
-    if cfg.params_out:
-        Path(cfg.params_out).write_bytes(save_params(params))
+    params = load_params(Path(cfg.params_in).read_bytes(), cfg.neck) if cfg.params_in else None
     trace: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names the level instead
-        out = neck_forward(pin, params, cfg.neck, trace=trace)
+        if params is None:  # the draw runs beside the finest level
+            params, out = init_and_forward(pin, cfg.neck, rng.split(2), trace=trace)
+        else:
+            out = neck_forward(pin, params, cfg.neck, trace=trace)
+    if cfg.params_out:  # before the finiteness check: a non-finite draw is named by its tensor
+        Path(cfg.params_out).write_bytes(save_params(params))
     report = {"format_version": REPORT_FORMAT_VERSION, "config": cfg.echo(), "levels": {}, "checksums": {}}
     for n in LEVELS:
         name, level = f"p{n}", out.level(n)

@@ -66,9 +66,10 @@ ATROUS_MODES = ("standard", "atrous", "attention_atrous")
 LEVELS = (3, 4, 5)
 STEPS = ("to4", "to3")
 
-# A taped forward runs the finest level beside the coarse path only when its
-# map holds this many elements: a thread start plus join costs 105-145 µs on
-# a 2-CPU VM, more than a tiny neck's whole finest level.
+# A taped forward, and ``init_and_forward``, run the finest level beside the
+# coarse path only when its map holds this many elements: a thread start plus
+# join costs 105-145 µs on a 2-CPU VM, more than a tiny neck's whole finest
+# level.
 LANE_MIN_ELEMENTS = 1 << 15
 
 
@@ -327,13 +328,24 @@ def _params_from_arrays(cfg: NeckConfig, arrays: dict[str, np.ndarray]) -> NeckP
 
 def init_params(cfg: NeckConfig, rng: Rng) -> NeckParams:
     """Gaussian(0, init_sigma²) weights, zero biases, drawn in canonical order."""
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in parameter_spec(cfg):
-        if name.endswith(".bias"):
-            arrays[name] = np.zeros(shape)
-        else:
-            arrays[name] = rng.normal(shape, cfg.init_sigma)
+    arrays = _allocate(cfg)
+    _draw(arrays, list(arrays), rng, cfg.init_sigma)
     return _params_from_arrays(cfg, arrays)
+
+
+def _allocate(cfg: NeckConfig) -> dict[str, np.ndarray]:
+    """Every parameter array of the arm in spec order: biases zero, weights not yet drawn."""
+    return {
+        name: np.zeros(shape) if name.endswith(".bias") else np.empty(shape)
+        for name, shape in parameter_spec(cfg)
+    }
+
+
+def _draw(arrays: dict[str, np.ndarray], names: list[str], rng: Rng, sigma: float) -> None:
+    """Draw the weights among ``names``, in their order, into their arrays; biases stay zero."""
+    for name in names:
+        if not name.endswith(".bias"):
+            rng.fill_normal(arrays[name], sigma)
 
 
 def parallel_atrous_block(x: Tensor4, level: LevelParams, tape: Tape | None = None) -> Tensor4:
@@ -426,26 +438,74 @@ def neck_forward(
         raise ContractError(f"params were built for another config; keys differ: {keys}")
     _validate_input(pin, cfg)
 
-    def lateral(n: int, t: Tape | None) -> Tensor4:
-        level = params.levels[n]
-        return parallel_atrous_block(pointwise_conv(pin.level(n), level.lateral, t), level, t)
-
     def coarse(t: Tape | None) -> tuple[Tensor4, Tensor4, Tensor4]:
-        p5 = lateral(5, t)
-        t4 = attention_upsample(p5, params.steps["to4"], cfg, t, trace, "to4")
-        p4 = add(lateral(4, t), t4, t)
+        p5, p4 = _p5_p4(pin, params, cfg, t, trace)
         return p5, p4, attention_upsample(p4, params.steps["to3"], cfg, t, trace, "to3")
 
     def finest(t: Tape | None) -> Tensor4:
-        return lateral(3, t)
+        return _lateral(pin, params, 3, t)
 
-    b, _, h, w = pin.c3.dims
-    if tape is not None and b * cfg.pyramid_width * h * w >= LANE_MIN_ELEMENTS:
+    if tape is not None and _lane_sized(pin, cfg):
         (p5, p4, t3), l3 = fork_join(coarse, finest, tape)
     else:
         (p5, p4, t3), l3 = coarse(tape), finest(tape)
-    p3 = add(l3, t3, tape)
-    return PyramidOut(p3, p4, p5)
+    return PyramidOut(add(l3, t3, tape), p4, p5)
+
+
+def init_and_forward(
+    pin: PyramidIn, cfg: NeckConfig, rng: Rng, trace: dict | None = None
+) -> tuple[NeckParams, PyramidOut]:
+    """``init_params(cfg, rng)``, then a tape-less ``neck_forward`` with them, equal bit for bit.
+
+    ``parameter_spec`` lists level 3's tensors first.  This thread allocates
+    every parameter array and draws level 3's weights; then it runs the
+    finest level while a ``fork_join`` lane draws every later weight, in spec
+    order, into those same arrays and runs p5, ``to4`` and p4.  ``to3`` and
+    the final sum run after the join.  The draw (some 14 ms of a default
+    batch-2 forward) thus hides beside the finest level.  A finest map below
+    ``LANE_MIN_ELEMENTS`` elements runs the same steps in sequence.
+    """
+    _validate_input(pin, cfg)
+    arrays = _allocate(cfg)
+    params = _params_from_arrays(cfg, arrays)
+    names = list(arrays)
+    split = sum(name.startswith("level3.") for name in names)
+    _draw(arrays, names[:split], rng, cfg.init_sigma)
+
+    def finest(_: None) -> Tensor4:
+        return _lateral(pin, params, 3, None)
+
+    def coarse(_: None) -> tuple[Tensor4, Tensor4]:
+        _draw(arrays, names[split:], rng, cfg.init_sigma)
+        return _p5_p4(pin, params, cfg, None, trace)
+
+    if _lane_sized(pin, cfg):
+        l3, (p5, p4) = fork_join(finest, coarse, None)
+    else:
+        l3, (p5, p4) = finest(None), coarse(None)
+    t3 = attention_upsample(p4, params.steps["to3"], cfg, None, trace, "to3")
+    return params, PyramidOut(add(l3, t3), p4, p5)
+
+
+def _lane_sized(pin: PyramidIn, cfg: NeckConfig) -> bool:
+    """Whether the finest map holds at least ``LANE_MIN_ELEMENTS`` elements, so lanes pay."""
+    b, _, h, w = pin.c3.dims
+    return b * cfg.pyramid_width * h * w >= LANE_MIN_ELEMENTS
+
+
+def _lateral(pin: PyramidIn, params: NeckParams, n: int, tape: Tape | None) -> Tensor4:
+    """Level ``n``'s lateral projection and atrous block."""
+    level = params.levels[n]
+    return parallel_atrous_block(pointwise_conv(pin.level(n), level.lateral, tape), level, tape)
+
+
+def _p5_p4(
+    pin: PyramidIn, params: NeckParams, cfg: NeckConfig, tape: Tape | None, trace: dict | None
+) -> tuple[Tensor4, Tensor4]:
+    """The coarse path up to p4: p5, then p4 = its lateral plus the ``to4`` step of p5."""
+    p5 = _lateral(pin, params, 5, tape)
+    t4 = attention_upsample(p5, params.steps["to4"], cfg, tape, trace, "to4")
+    return p5, add(_lateral(pin, params, 4, tape), t4, tape)
 
 
 def synthetic_pyramid(cfg: NeckConfig, batch: int, rng: Rng) -> PyramidIn:

@@ -17,12 +17,21 @@ the arrays its rule reads and the cells it reads or writes, never a whole
 ``Value``: an operation's output, or an input that a rule only adds a
 gradient into, is freed as soon as the forward drops it.
 
-``fork_join`` runs two independent sub-computations on two threads, each on
-a child tape of the caller's tape type, and records one entry whose backward
-replays both child tapes on two threads again.  OpenBLAS is pinned to one
-thread while, and only while, both lanes run: on a 2-CPU host two lanes of
-single-threaded products beat one lane of two-threaded ones, while outside
-the lanes the library keeps its own thread count.
+``fork_join`` runs two independent sub-computations on two threads.  Given a
+tape, each runs on a child tape of the caller's tape type, and the caller's
+tape gets one entry whose backward replays both child tapes on two threads
+again; without one, the two run tape-less.  ``neck_forward`` runs its lanes
+only with a tape, ``neck.init_and_forward`` (the parameter draw beside the
+finest level, ``fusionneck forward`` without ``--params-in``) without one.
+
+Importing this module pins OpenBLAS to one thread for the whole process, so
+the lanes own the second CPU.  After any threaded product, OpenBLAS's idle
+worker spins on a CPU for about 135 ms: a process that ran one (256, 16) by
+(16, 256) product and then slept 100 ms had used 100 ms of CPU, and 0.1 ms
+with the pin.  A spinner beside two lanes takes the CPU one of them needs.
+The pin also holds for the caller's own NumPy products, on any thread: they
+run on one thread after ``import fusionneck``, as the library's own products
+outside the lanes do (a ``--params-in`` forward, say, runs in sequence).
 
 ``grad_check`` splits its finite-difference sweep across forked worker
 processes on a Linux host with more than one usable CPU, so the function it
@@ -91,6 +100,51 @@ def _keep_freed_memory() -> None:
 
 
 _keep_freed_memory()
+
+
+# OpenBLAS's thread-count setter and getter, by the names its builds export
+_BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """The loaded OpenBLAS's (set, get) thread-count functions, looked up once; None without them.
+
+    The library is found among the process's mapped files, as a shared
+    object with "blas" in its path (Linux only).
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "blas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _BLAS_THREAD_FUNCTIONS:
+            setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                return setter, getter
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pin OpenBLAS to one thread for the whole process (see above); without its setter, change nothing."""
+    threads = _blas_threads()
+    if threads is not None:
+        threads[0](1)
+
+
+_one_blas_thread()
 
 
 class Tape:
@@ -234,10 +288,14 @@ class Rng:
         return Rng(self.seed, self._path + (index,))
 
     def normal(self, shape, sigma: float = 1.0) -> np.ndarray:
-        draw = self._gen.standard_normal(shape)
+        return self.fill_normal(np.empty(shape), sigma)
+
+    def fill_normal(self, out: np.ndarray, sigma: float = 1.0) -> np.ndarray:
+        """``normal(out.shape, sigma)``, bit for bit, drawn into ``out`` (C-contiguous float64) and returned."""
+        self._gen.standard_normal(out=out)
         with np.errstate(over="ignore"):  # a sigma near the float limit gives inf, which callers check
-            draw *= float(sigma)  # in place: no second array the size of every parameter tensor
-        return draw
+            out *= float(sigma)  # in place: no second array the size of every parameter tensor
+        return out
 
     def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
         return self._gen.uniform(low, high, shape)
@@ -422,22 +480,27 @@ def weighted_sum(v: Value, weights: np.ndarray, tape: Tape | None = None) -> Val
     return out
 
 
-def fork_join(first: Callable[[Tape], T1], second: Callable[[Tape], T2], tape: Tape) -> tuple[T1, T2]:
+def fork_join(
+    first: Callable[[Tape | None], T1], second: Callable[[Tape | None], T2], tape: Tape | None
+) -> tuple[T1, T2]:
     """``(first(t1), second(t2))`` computed on two threads, t1 and t2 child tapes of ``tape``'s type.
 
     The two functions must be independent: neither may read what the other
     makes, nor may both record rules that write one gradient cell, so the
     order in which the lanes interleave changes no bit.  ``tape`` gets one
     entry that replays t1 and t2 on two threads again; ``len(tape)`` counts
-    their closures.  Each lane runs in a copy of the caller's context (NumPy's
-    ``errstate`` included), an exception is raised only once both lanes have
-    ended, ``first``'s before ``second``'s as a run in sequence would raise
-    them, and no thread outlives the call.  Without two usable CPUs or an
-    OpenBLAS whose thread count can be set (see ``_lanes``), the functions
-    run one after the other on ``tape`` itself.
+    their closures.  With ``tape`` None, both run tape-less (t1 and t2 are
+    None) and nothing is recorded.  Each lane runs in a copy of the caller's
+    context (NumPy's ``errstate`` included), an exception is raised only once
+    both lanes have ended, ``first``'s before ``second``'s as a run in
+    sequence would raise them, and no thread outlives the call.  Without two
+    usable CPUs or an OpenBLAS pinned to one thread (see ``_lanes``), the
+    functions run one after the other on ``tape`` itself.
     """
     if not _lanes():
         return first(tape), second(tape)
+    if tape is None:
+        return _concurrently(functools.partial(first, None), functools.partial(second, None))
     t1, t2 = tape._child(), tape._child()
     results = _concurrently(functools.partial(first, t1), functools.partial(second, t2))
 
@@ -451,15 +514,15 @@ def fork_join(first: Callable[[Tape], T1], second: Callable[[Tape], T2], tape: T
 
 
 def _lanes() -> bool:
-    """Whether ``fork_join`` runs two threads: two usable CPUs and OpenBLAS's thread-count functions."""
+    """Whether ``fork_join`` runs two threads: two usable CPUs and an OpenBLAS pinned to one thread."""
     return _usable_cpus() >= 2 and _blas_threads() is not None
 
 
 def _concurrently(first: Callable[[], T1], second: Callable[[], T2]) -> tuple[T1, T2]:
-    """``first()`` on this thread while ``second()`` runs on a new one, OpenBLAS on one thread meanwhile.
+    """``first()`` on this thread while ``second()`` runs on a new one.
 
-    The BLAS thread count is restored and the new thread joined before
-    anything is returned or raised; ``first``'s exception wins.
+    The new thread is joined before anything is returned or raised;
+    ``first``'s exception wins.
     """
     outcome: dict = {}
     context = contextvars.copy_context()
@@ -470,56 +533,15 @@ def _concurrently(first: Callable[[], T1], second: Callable[[], T2]) -> tuple[T1
         except BaseException as exc:  # raised in the caller once both lanes have ended
             outcome["error"] = exc
 
-    set_threads, get_threads = _blas_threads()
-    threads = get_threads()
-    set_threads(1)
+    thread = threading.Thread(target=lane, name="fusionneck-lane")
+    thread.start()
     try:
-        thread = threading.Thread(target=lane, name="fusionneck-lane")
-        thread.start()
-        try:
-            value = first()
-        finally:
-            thread.join()
+        value = first()
     finally:
-        set_threads(threads)
+        thread.join()
     if "error" in outcome:
         raise outcome.pop("error")
     return value, outcome["value"]
-
-
-# OpenBLAS's thread-count setter and getter, by the names its builds export
-_BLAS_THREAD_FUNCTIONS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-@functools.cache
-def _blas_threads() -> tuple[Callable[[int], None], Callable[[], int]] | None:
-    """The loaded OpenBLAS's (set, get) thread-count functions, looked up once; None without them.
-
-    The library is found among the process's mapped files, as a shared
-    object with "blas" in its path (Linux only).
-    """
-    try:
-        with open("/proc/self/maps") as maps:
-            libs = sorted({line.split()[-1] for line in maps if "blas" in line.lower() and ".so" in line})
-    except OSError:
-        return None
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for set_name, get_name in _BLAS_THREAD_FUNCTIONS:
-            setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = (ctypes.c_int,), None
-                getter.argtypes, getter.restype = (), ctypes.c_int
-                return setter, getter
-    return None
 
 
 def grad_check(

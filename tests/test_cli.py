@@ -228,15 +228,21 @@ class TestForward:
         assert resolve_run(args) == (neck, seed, batch)
 
     def test_shape_error_maps_to_exit_3(self, monkeypatch, tmp_path, capsys):
+        """On both forward paths: drawn params (``init_and_forward``) and ``--params-in`` (``neck_forward``)."""
         import fusionneck.cli as cli_mod
 
         def boom(*args, **kwargs):
             raise ShapeError("forced shape failure")
 
-        monkeypatch.setattr(cli_mod, "neck_forward", boom)
-        code = main(["forward", *SMALL, "--report", str(tmp_path / "r.json")])
-        assert code == EXIT_SHAPE
-        assert "shape error" in capsys.readouterr().err
+        pfile = tmp_path / "p.bin"
+        assert main(["params", "init", *SMALL, "--out", str(pfile)]) == EXIT_OK
+        for patched, extra in (("init_and_forward", []), ("neck_forward", ["--params-in", str(pfile)])):
+            with monkeypatch.context() as m:
+                m.setattr(cli_mod, patched, boom)
+                code = main(["forward", *SMALL, *extra, "--report", str(tmp_path / "r.json")])
+            assert code == EXIT_SHAPE, patched
+            assert capsys.readouterr().err == "shape error: forced shape failure\n"
+            assert not (tmp_path / "r.json").exists()
 
 
 class TestParams:

@@ -7,7 +7,9 @@ holds the arrays it reads and gradient cells, not the Values it adds
 gradients into, so op outputs no rule reads are freed during the forward;
 the traced bytes alive right after a taped forward bound that.  The
 attention gate keeps no (HW, HW) array beyond one block of query rows; a
-40×40 forward and backward bounds that.
+40×40 forward and backward bounds that.  ``fusionneck forward`` draws the
+coarse levels' parameters on a lane beside the finest level, so the two
+lanes' temporaries overlap; the traced peak of one default run bounds that.
 
 glibc heap policy, and what it must not change:
 
@@ -31,6 +33,7 @@ import numpy as np
 import pytest
 
 from fusionneck.attention import MhsaParams, mhsa_forward
+from fusionneck.cli import RunConfig, cmd_forward
 from fusionneck.detmetrics import evaluate_records, load_detections, load_ground_truths
 from fusionneck.neck import NeckConfig, init_params, neck_forward, synthetic_pyramid
 from fusionneck.tensor import Rng, Tape, Tensor4, add, sum_all, weighted_sum
@@ -162,6 +165,26 @@ def test_taped_forward_keeps_only_what_rules_read():
     finally:
         tracemalloc.stop()
     assert alive[0] < FORWARD_ALIVE_MIB << 20, f"{alive[0] / 2**20:.1f} MiB alive after a taped forward"
+
+
+# The traced peak of one default ``cli.cmd_forward`` (batch 2, parameters
+# drawn, report built), inputs and parameters included: 15.8 MiB with the draw
+# and the forward in sequence, 15.2-18.0 MiB over 40 runs with the draw and
+# the coarse path on a lane beside the finest level.
+FORWARD_PEAK_MIB = 20
+
+
+def test_default_forward_traced_peak():
+    cfg = RunConfig(NeckConfig(), 0, 2, report_path=None, params_in=None, params_out=None)
+    cmd_forward(cfg)  # warm-up: lazy set-up is not what the test bounds
+    tracemalloc.start()
+    try:
+        report = cmd_forward(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(report["levels"]) == ["p3", "p4", "p5"]
+    assert peak < FORWARD_PEAK_MIB << 20, f"one default forward peaked at {peak / 2**20:.1f} MiB"
 
 
 # The traced peak of one attention-gate forward and backward at 40×40 tokens,

@@ -21,6 +21,7 @@ from fusionneck.neck import (
     _params_from_arrays,
     NeckConfig,
     PyramidIn,
+    init_and_forward,
     init_params,
     load_params,
     read_manifest,
@@ -542,6 +543,96 @@ class TestLanes:
         assert 2 * tiny.pyramid_width * tiny.base_height * tiny.base_width < LANE_MIN_ELEMENTS
         _taped_step(tiny)
         assert runs == []
+
+
+def _forward_bytes(params, out, trace) -> list:
+    """(name, dtype, shape, bytes) of every param, output level and traced array, in a fixed order."""
+    arrays = [(name, v.data) for name, v in params.named_values()]
+    arrays += [(f"p{n}", out.level(n).data) for n in (3, 4, 5)]
+    for step, entry in sorted(trace.items()):
+        arrays += [(f"{step}.mass", entry["mass"]), (f"{step}.mhsa_output", entry["mhsa_output"].data)]
+    return [(name, a.dtype, a.shape, a.tobytes()) for name, a in arrays]
+
+
+def _drawn_and_forward(cfg, seed=4):
+    """``init_and_forward`` at batch 2, and ``init_params`` plus a tape-less ``neck_forward``, as ``_forward_bytes``."""
+    rng = Rng(seed)
+    pin = synthetic_pyramid(cfg, 2, rng.split(1))
+    trace: dict = {}
+    together = _forward_bytes(*init_and_forward(pin, cfg, rng.split(2), trace), trace)
+    params = init_params(cfg, rng.split(2))
+    trace = {}
+    apart = _forward_bytes(params, neck_forward(pin, params, cfg, trace=trace), trace)
+    return together, apart
+
+
+class TestInitAndForward:
+    """The draw beside the finest level equals ``init_params`` then a tape-less ``neck_forward``."""
+
+    @pytest.mark.parametrize("arm", DEFAULT_ARMS)
+    @pytest.mark.parametrize("lanes", [True, False], ids=["lanes", "sequence"])
+    def test_equals_init_params_then_neck_forward_bit_for_bit(self, monkeypatch, arm, lanes):
+        if lanes and not tensor._lanes():
+            pytest.skip("lanes need two usable CPUs and OpenBLAS's thread-count functions")
+        if not lanes:
+            monkeypatch.setattr(tensor, "_lanes", lambda: False)
+        cfg = NeckConfig(**ARMS[arm][0])
+        runs = _count_lane_runs(monkeypatch)
+        start = threading.active_count()
+        together, apart = _drawn_and_forward(cfg)
+        assert runs == ([1] if lanes else []) and threading.active_count() == start
+        traced = 2 * 2 if cfg.use_mhsa else 0
+        assert len(together) == ARMS[arm][1][0] + 3 + traced
+        assert together == apart
+
+    @pytest.mark.skipif(not tensor._lanes(), reason="lanes need two usable CPUs and OpenBLAS's thread-count functions")
+    def test_lanes_under_a_short_switch_interval(self, monkeypatch):
+        """Threads switching every microsecond lose no draw and no trace entry."""
+        runs = _count_lane_runs(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            together, apart = _drawn_and_forward(NeckConfig())
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [1] and together == apart
+
+    def test_below_the_size_rule_runs_in_sequence(self, monkeypatch):
+        tiny = small_cfg()  # a finest map of 2 * 4 * 8 * 8 elements
+        assert 2 * tiny.pyramid_width * tiny.base_height * tiny.base_width < LANE_MIN_ELEMENTS
+        runs = _count_lane_runs(monkeypatch)
+        together, apart = _drawn_and_forward(tiny)
+        assert runs == [] and together == apart
+
+    @pytest.mark.skipif(not tensor._lanes(), reason="lanes need two usable CPUs and OpenBLAS's thread-count functions")
+    def test_lane_draws_the_coarse_tensors(self, monkeypatch):
+        """Level 3's weights are drawn on the calling thread, every later one on the lane, in spec order."""
+        cfg = NeckConfig()
+        drawn = []
+        fill = Rng.fill_normal
+
+        def record(rng, out, sigma=1.0):
+            drawn.append((out.shape, threading.current_thread().name))
+            return fill(rng, out, sigma)
+
+        rng = Rng(4)
+        pin = synthetic_pyramid(cfg, 2, rng.split(1))
+        monkeypatch.setattr(Rng, "fill_normal", record)
+        init_and_forward(pin, cfg, rng.split(2))
+        weights = [(name, shape) for name, shape in parameter_spec(cfg) if not name.endswith(".bias")]
+        assert [shape for shape, _ in drawn] == [shape for _, shape in weights]
+        main = threading.current_thread().name
+        assert [thread for _, thread in drawn] == [
+            main if name.startswith("level3.") else "fusionneck-lane" for name, _ in weights
+        ]
+
+    def test_invalid_input_raises_before_any_draw(self, monkeypatch):
+        cfg = small_cfg()
+        rng = Rng(4)
+        pin = synthetic_pyramid(cfg, 2, rng.split(1))
+        monkeypatch.setattr(Rng, "fill_normal", lambda *args: pytest.fail("drew before validating the input"))
+        with pytest.raises(ShapeError, match="c4: expected shape"):
+            init_and_forward(PyramidIn(pin.c3, pin.c5, pin.c5), cfg, rng.split(2))
 
 
 class TestInitParams:

@@ -6,6 +6,7 @@ import os
 import signal
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,19 @@ class TestRng:
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(13, spawn_key=(2,))))
         expected = float(sigma) * gen.standard_normal(shape)
         assert np.asarray(Rng(13).split(2).normal(shape, sigma)).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 1, 1, 5), (), (64, 64)])
+    @pytest.mark.parametrize("sigma", [1.0, 0.45, 2, 1e308])
+    def test_fill_into_a_callers_array_equals_a_fresh_draw(self, shape, sigma):
+        """``fill_normal`` writes the bits ``normal`` returns into the given array, infs from 1e308 included."""
+        out = np.full(shape, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow to inf warns nothing
+            assert Rng(13).split(2).fill_normal(out, sigma) is out
+            expected = Rng(13).split(2).normal(shape, sigma)
+        assert out.tobytes() == np.asarray(expected).tobytes()
+        if sigma == 1e308 and out.size > 1000:
+            assert np.isinf(out).any() and np.isfinite(out).any()
 
     def test_negative_seed_or_split_index_refused(self):
         with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
@@ -426,12 +440,14 @@ class TestForkJoin:
         assert len(tape._records) == 1 and len(tape) == 4
 
     @needs_lanes
-    def test_blas_runs_one_thread_in_the_lanes_only(self):
+    def test_blas_runs_one_thread_after_import_and_after_the_lanes(self):
+        """Importing the library pins OpenBLAS to one thread for good: the lanes, taped or not, keep it."""
         _, get_threads = tensor._blas_threads()
-        before = get_threads()
+        assert get_threads() == 1
         seen = []
-        fork_join(lambda t: seen.append(get_threads()), lambda t: seen.append(get_threads()), Tape())
-        assert seen == [1, 1] and get_threads() == before
+        for tape in (Tape(), None):
+            fork_join(lambda t: seen.append(get_threads()), lambda t: seen.append(get_threads()), tape)
+        assert seen == [1] * 4 and get_threads() == 1
 
     @needs_lanes
     @pytest.mark.parametrize("failing", ["first", "second", "both"])
