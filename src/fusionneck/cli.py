@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,6 +38,7 @@ from .neck import (
     init_params,
     load_params,
     neck_forward,
+    parameter_spec,
     read_manifest,
     save_params,
     synthetic_pyramid,
@@ -100,7 +102,7 @@ def resolve_run(args: argparse.Namespace) -> tuple[NeckConfig, int, int]:
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+        except (OSError, ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or int digits; deep nesting
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object, got {type(loaded).__name__}")
@@ -117,7 +119,17 @@ def resolve_run(args: argparse.Namespace) -> tuple[NeckConfig, int, int]:
             raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
     if batch < 1:
         raise ConfigError(f"batch must be >= 1, got {batch}")
-    return NeckConfig.from_dict(values), seed, batch
+    neck = NeckConfig.from_dict(values)
+    _refuse_unaddressable(neck, batch)
+    return neck, seed, batch
+
+
+def _refuse_unaddressable(neck: NeckConfig, batch: int) -> None:
+    """Name the first parameter or input array too large for NumPy to address, before any is allocated."""
+    inputs = [(f"input c{n}", (batch, c, *neck.level_hw(n))) for n, c in zip(LEVELS, neck.in_channels)]
+    for what, shape in [(f"parameter {name}", shape) for name, shape in parameter_spec(neck)] + inputs:
+        if 8 * math.prod(shape) > np.iinfo(np.intp).max:  # where NumPy raises a bare ValueError
+            raise ConfigError(f"{what} of shape {shape} takes more bytes than NumPy can address")
 
 
 @dataclasses.dataclass

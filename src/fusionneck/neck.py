@@ -28,6 +28,7 @@ the params hold.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -66,10 +67,9 @@ ATROUS_MODES = ("standard", "atrous", "attention_atrous")
 LEVELS = (3, 4, 5)
 STEPS = ("to4", "to3")
 
-# A taped forward, and ``init_and_forward``, run the finest level beside the
-# coarse path only when its map holds this many elements: a thread start plus
-# join costs 105-145 µs on a 2-CPU VM, more than a tiny neck's whole finest
-# level.
+# Every forward, taped or not, runs the finest level beside the coarse path
+# only when its map holds this many elements: a thread start plus join costs
+# 105-145 µs on a 2-CPU VM, more than a tiny neck's whole finest level.
 LANE_MIN_ELEMENTS = 1 << 15
 
 
@@ -427,29 +427,18 @@ def neck_forward(
     ``mhsa_forward`` traces (``mass`` and ``mhsa_output``) under its name.
 
     The finest level's lateral conv and atrous block do not depend on the
-    coarse path (p5, ``to4``, p4, ``to3``) until the final sum.  Given a tape
-    and a finest map of at least ``LANE_MIN_ELEMENTS`` elements, the two run
-    as the lanes of ``fork_join``; otherwise the coarse path runs first, then
-    the finest level.  Outputs and gradients are the same bit for bit.  The
-    lanes share no value, because ``params`` holds one ``Value`` per name.
+    coarse path (p5, ``to4``, p4, ``to3``) until the final sum.  Given a
+    finest map of at least ``LANE_MIN_ELEMENTS`` elements, with or without a
+    tape, the two run as the lanes of ``fork_join``, the coarse path on the
+    new thread; otherwise the finest level runs first, then the coarse path.
+    Outputs and gradients are the same bit for bit.  The lanes share no
+    value, because ``params`` holds one ``Value`` per name.
     """
     if params.config != cfg:
         keys = _differing_keys(params.config.to_dict(), cfg.to_dict())
         raise ContractError(f"params were built for another config; keys differ: {keys}")
     _validate_input(pin, cfg)
-
-    def coarse(t: Tape | None) -> tuple[Tensor4, Tensor4, Tensor4]:
-        p5, p4 = _p5_p4(pin, params, cfg, t, trace)
-        return p5, p4, attention_upsample(p4, params.steps["to3"], cfg, t, trace, "to3")
-
-    def finest(t: Tape | None) -> Tensor4:
-        return _lateral(pin, params, 3, t)
-
-    if tape is not None and _lane_sized(pin, cfg):
-        (p5, p4, t3), l3 = fork_join(coarse, finest, tape)
-    else:
-        (p5, p4, t3), l3 = coarse(tape), finest(tape)
-    return PyramidOut(add(l3, t3, tape), p4, p5)
+    return _top_down(pin, params, cfg, tape, trace)
 
 
 def init_and_forward(
@@ -458,54 +447,47 @@ def init_and_forward(
     """``init_params(cfg, rng)``, then a tape-less ``neck_forward`` with them, equal bit for bit.
 
     ``parameter_spec`` lists level 3's tensors first.  This thread allocates
-    every parameter array and draws level 3's weights; then it runs the
-    finest level while a ``fork_join`` lane draws every later weight, in spec
-    order, into those same arrays and runs p5, ``to4`` and p4.  ``to3`` and
-    the final sum run after the join.  The draw (some 14 ms of a default
-    batch-2 forward) thus hides beside the finest level.  A finest map below
-    ``LANE_MIN_ELEMENTS`` elements runs the same steps in sequence.
+    every parameter array and draws level 3's weights; every later weight is
+    drawn, in spec order into those same arrays, at the head of
+    ``neck_forward``'s coarse lane.  The draw (some 14 ms of a default batch-2
+    forward) thus hides beside the finest level.
     """
     _validate_input(pin, cfg)
     arrays = _allocate(cfg)
-    params = _params_from_arrays(cfg, arrays)
     names = list(arrays)
     split = sum(name.startswith("level3.") for name in names)
     _draw(arrays, names[:split], rng, cfg.init_sigma)
-
-    def finest(_: None) -> Tensor4:
-        return _lateral(pin, params, 3, None)
-
-    def coarse(_: None) -> tuple[Tensor4, Tensor4]:
-        _draw(arrays, names[split:], rng, cfg.init_sigma)
-        return _p5_p4(pin, params, cfg, None, trace)
-
-    if _lane_sized(pin, cfg):
-        l3, (p5, p4) = fork_join(finest, coarse, None)
-    else:
-        l3, (p5, p4) = finest(None), coarse(None)
-    t3 = attention_upsample(p4, params.steps["to3"], cfg, None, trace, "to3")
-    return params, PyramidOut(add(l3, t3), p4, p5)
+    params = _params_from_arrays(cfg, arrays)
+    rest = functools.partial(_draw, arrays, names[split:], rng, cfg.init_sigma)
+    return params, _top_down(pin, params, cfg, None, trace, rest)
 
 
-def _lane_sized(pin: PyramidIn, cfg: NeckConfig) -> bool:
-    """Whether the finest map holds at least ``LANE_MIN_ELEMENTS`` elements, so lanes pay."""
+def _top_down(
+    pin: PyramidIn, params: NeckParams, cfg: NeckConfig, tape: Tape | None, trace: dict | None, draw=lambda: None
+) -> PyramidOut:
+    """``neck_forward`` on checked inputs: the finest level in one lane, ``draw()`` then the coarse path in the other."""
+    finest = functools.partial(_lateral, pin, params, 3)
+
+    def coarse(t: Tape | None) -> tuple[Tensor4, Tensor4, Tensor4]:
+        draw()
+        p5 = _lateral(pin, params, 5, t)
+        t4 = attention_upsample(p5, params.steps["to4"], cfg, t, trace, "to4")
+        p4 = add(_lateral(pin, params, 4, t), t4, t)
+        del t4  # freed before to3, which sets the traced peak of a drawn forward
+        return p5, p4, attention_upsample(p4, params.steps["to3"], cfg, t, trace, "to3")
+
     b, _, h, w = pin.c3.dims
-    return b * cfg.pyramid_width * h * w >= LANE_MIN_ELEMENTS
+    if b * cfg.pyramid_width * h * w >= LANE_MIN_ELEMENTS:
+        l3, (p5, p4, t3) = fork_join(finest, coarse, tape)
+    else:
+        l3, (p5, p4, t3) = finest(tape), coarse(tape)
+    return PyramidOut(add(l3, t3, tape), p4, p5)
 
 
 def _lateral(pin: PyramidIn, params: NeckParams, n: int, tape: Tape | None) -> Tensor4:
     """Level ``n``'s lateral projection and atrous block."""
     level = params.levels[n]
     return parallel_atrous_block(pointwise_conv(pin.level(n), level.lateral, tape), level, tape)
-
-
-def _p5_p4(
-    pin: PyramidIn, params: NeckParams, cfg: NeckConfig, tape: Tape | None, trace: dict | None
-) -> tuple[Tensor4, Tensor4]:
-    """The coarse path up to p4: p5, then p4 = its lateral plus the ``to4`` step of p5."""
-    p5 = _lateral(pin, params, 5, tape)
-    t4 = attention_upsample(p5, params.steps["to4"], cfg, tape, trace, "to4")
-    return p5, add(_lateral(pin, params, 4, tape), t4, tape)
 
 
 def synthetic_pyramid(cfg: NeckConfig, batch: int, rng: Rng) -> PyramidIn:
@@ -576,8 +558,8 @@ def read_manifest(stream: bytes) -> tuple[dict, bytes]:
         raise ParamsIOError("truncated manifest")
     try:
         manifest = json.loads(manifest_bytes)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParamsIOError(f"manifest is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an int over the digit limit, deep nesting
+        raise ParamsIOError(f"manifest cannot be read as JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ParamsIOError(f"manifest must be a JSON object, got {type(manifest).__name__}")
     if not isinstance(manifest.get("config"), dict):

@@ -20,9 +20,9 @@ gradient into, is freed as soon as the forward drops it.
 ``fork_join`` runs two independent sub-computations on two threads.  Given a
 tape, each runs on a child tape of the caller's tape type, and the caller's
 tape gets one entry whose backward replays both child tapes on two threads
-again; without one, the two run tape-less.  ``neck_forward`` runs its lanes
-only with a tape, ``neck.init_and_forward`` (the parameter draw beside the
-finest level, ``fusionneck forward`` without ``--params-in``) without one.
+again; without one, the two run tape-less.  Every lane-sized neck forward,
+taped or not, runs the finest level here and the whole coarse path, headed
+by the parameter draw of ``neck.init_and_forward``, on the new thread.
 
 Importing this module pins OpenBLAS to one thread for the whole process, so
 the lanes own the second CPU.  After any threaded product, OpenBLAS's idle
@@ -31,7 +31,7 @@ worker spins on a CPU for about 135 ms: a process that ran one (256, 16) by
 with the pin.  A spinner beside two lanes takes the CPU one of them needs.
 The pin also holds for the caller's own NumPy products, on any thread: they
 run on one thread after ``import fusionneck``, as the library's own products
-outside the lanes do (a ``--params-in`` forward, say, runs in sequence).
+outside the lanes do (a tiny neck's forward, say, runs in sequence).
 
 ``grad_check`` splits its finite-difference sweep across forked worker
 processes on a Linux host with more than one usable CPU, so the function it
@@ -495,7 +495,8 @@ def fork_join(
     both lanes have ended, ``first``'s before ``second``'s as a run in
     sequence would raise them, and no thread outlives the call.  Without two
     usable CPUs or an OpenBLAS pinned to one thread (see ``_lanes``), the
-    functions run one after the other on ``tape`` itself.
+    functions run one after the other on ``tape`` itself.  A neck forward
+    passes the finest level as ``first``, the coarse path as ``second``.
     """
     if not _lanes():
         return first(tape), second(tape)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faults import corrupted
-from fusionneck import verify
+from fusionneck import cli, verify
 from fusionneck.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INPUT,
@@ -427,6 +427,48 @@ class TestParams:
         code = main(["forward", *SMALL, "--params-in", str(pfile),
                      "--report", str(tmp_path / "r.json")])
         assert code == EXIT_INPUT
+
+
+def _stream_of(manifest: bytes) -> bytes:
+    return f"fusionneck-params {PARAMS_FORMAT_VERSION} {len(manifest)}\n".encode("ascii") + manifest
+
+
+NESTED = b"[" * 100_000  # deeper than the JSON decoder's recursion limit
+LONG_INT = b'{"config": {}, "tensors": [' + b"7" * 5000 + b"]}"  # beyond the int-digit limit
+HUGE = str(2 ** 62)
+
+
+class TestInputLimits:
+    """Input that the JSON decoder or NumPy cannot take ends in exit 2 and one error line, never a traceback."""
+
+    @pytest.mark.parametrize("name, data, argv", [
+        ("cfg.json", NESTED, ["forward", "--config", "cfg.json", "--report", "r.json"]),
+        ("p.bin", _stream_of(NESTED), ["params", "inspect", "p.bin"]),
+        ("p.bin", _stream_of(NESTED), ["forward", *SMALL, "--params-in", "p.bin", "--report", "r.json"]),
+        ("p.bin", _stream_of(LONG_INT), ["params", "inspect", "p.bin"]),
+    ], ids=["config-nesting", "inspect-nesting", "params-in-nesting", "inspect-int-digits"])
+    def test_json_beyond_the_decoders_limits_exits_2(self, tmp_path, monkeypatch, capsys, name, data, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_bytes(data)
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == [name]
+
+    @pytest.mark.parametrize("argv, array", [
+        (["forward", "--height", HUGE, "--width", "4", "--report", "r.json"], "parameter step_to4.registers.r_qk"),
+        (["params", "init", "--height", HUGE, "--width", "4", "--out", "p.bin"], "parameter step_to4.registers.r_qk"),
+        (["forward", "--batch", HUGE, "--report", "r.json"], "input c3"),
+    ], ids=["forward-height", "params-init-height", "forward-batch"])
+    def test_unaddressable_size_exits_2_naming_the_array(self, tmp_path, monkeypatch, capsys, argv, array):
+        """Refused when the run is resolved, before anything is allocated."""
+        monkeypatch.chdir(tmp_path)
+        for name in ("synthetic_pyramid", "init_params", "init_and_forward"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("allocated before the size check"))
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {array} of shape (") and err.count("\n") == 1
+        assert "than NumPy can address" in err and os.listdir(tmp_path) == []
 
 
 class TestVerify:

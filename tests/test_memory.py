@@ -169,8 +169,10 @@ def test_taped_forward_keeps_only_what_rules_read():
 
 # The traced peak of one default ``cli.cmd_forward`` (batch 2, parameters
 # drawn, report built), inputs and parameters included: 15.8 MiB with the draw
-# and the forward in sequence, 15.2-18.0 MiB over 40 runs with the draw and
-# the coarse path on a lane beside the finest level.
+# and the forward in sequence; 15.2-18.0 MiB over 40 runs with the draw, p5,
+# ``to4`` and p4 on a lane beside the finest level; and with ``to3`` in that
+# lane too, at most 19.24 MiB (median 17.94) over 500 runs at 5 ms and 0.1 ms
+# thread switch intervals, a fixed ceiling.
 FORWARD_PEAK_MIB = 20
 
 

@@ -494,55 +494,11 @@ def _count_lane_runs(monkeypatch) -> list:
     return runs
 
 
-class TestLanes:
-    """A taped forward of a default-size neck runs the finest level beside the coarse path."""
-
-    @pytest.mark.skipif(not tensor._lanes(), reason="lanes need two usable CPUs and OpenBLAS's thread-count functions")
-    @pytest.mark.parametrize("arm", DEFAULT_ARMS)
-    def test_lanes_equal_the_run_in_sequence_bit_for_bit(self, monkeypatch, arm):
-        cfg = NeckConfig(**ARMS[arm][0])
-        start = threading.active_count()
-        runs = _count_lane_runs(monkeypatch)
-        forked, tape = _taped_step(cfg)
-        assert len(runs) == 2 and threading.active_count() == start
-        monkeypatch.setattr(tensor, "_lanes", lambda: False)
-        sequential, sequential_tape = _taped_step(cfg)
-        assert len(runs) == 2 and len(tape) == len(sequential_tape)
-        assert len(forked) == ARMS[arm][1][0] + 6
-        for a, b in zip(forked, sequential):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-    @pytest.mark.skipif(not tensor._lanes(), reason="lanes need two usable CPUs and OpenBLAS's thread-count functions")
-    def test_lanes_under_a_short_switch_interval(self, monkeypatch):
-        """Threads switching every microsecond lose no gradient update: the step still equals the sequence."""
-        cfg = NeckConfig()
-        runs = _count_lane_runs(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            forked, _ = _taped_step(cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(runs) == 2
-        monkeypatch.setattr(tensor, "_lanes", lambda: False)
-        for a, b in zip(forked, _taped_step(cfg)[0]):
-            assert a.tobytes() == b.tobytes()
-
-    def test_default_step_counts_every_closure_and_replays_once(self):
-        _, tape = _taped_step(NeckConfig())
-        assert len(tape) == 60
-        with pytest.raises(ContractError, match="a tape replays once"):
-            tape.backward()
-
-    def test_no_lanes_without_a_tape_or_below_the_size_rule(self, monkeypatch):
-        runs = _count_lane_runs(monkeypatch)
-        cfg = NeckConfig()
-        rng = Rng(2)
-        neck_forward(synthetic_pyramid(cfg, 2, rng.split(1)), init_params(cfg, rng.split(2)), cfg)
-        tiny = small_cfg()  # a finest map of 2 * 4 * 8 * 8 elements
-        assert 2 * tiny.pyramid_width * tiny.base_height * tiny.base_width < LANE_MIN_ELEMENTS
-        _taped_step(tiny)
-        assert runs == []
+def _in_sequence(monkeypatch, run, cfg):
+    """``run(cfg)`` with ``fork_join``'s lanes off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor, "_lanes", lambda: False)
+        return run(cfg)
 
 
 def _forward_bytes(params, out, trace) -> list:
@@ -554,57 +510,115 @@ def _forward_bytes(params, out, trace) -> list:
     return [(name, a.dtype, a.shape, a.tobytes()) for name, a in arrays]
 
 
-def _drawn_and_forward(cfg, seed=4):
-    """``init_and_forward`` at batch 2, and ``init_params`` plus a tape-less ``neck_forward``, as ``_forward_bytes``."""
+def _tapeless_forward(cfg, seed=4):
+    """``init_params`` then a tape-less, traced ``neck_forward`` at batch 2, as ``_forward_bytes``."""
+    rng = Rng(seed)
+    pin = synthetic_pyramid(cfg, 2, rng.split(1))
+    params, trace = init_params(cfg, rng.split(2)), {}
+    return _forward_bytes(params, neck_forward(pin, params, cfg, trace=trace), trace)
+
+
+def _drawn_forward(cfg, seed=4):
+    """The same draws and forward through ``init_and_forward``, as ``_forward_bytes``."""
     rng = Rng(seed)
     pin = synthetic_pyramid(cfg, 2, rng.split(1))
     trace: dict = {}
-    together = _forward_bytes(*init_and_forward(pin, cfg, rng.split(2), trace), trace)
-    params = init_params(cfg, rng.split(2))
-    trace = {}
-    apart = _forward_bytes(params, neck_forward(pin, params, cfg, trace=trace), trace)
-    return together, apart
+    return _forward_bytes(*init_and_forward(pin, cfg, rng.split(2), trace), trace)
+
+
+def _taped_bytes(cfg) -> list:
+    """``_taped_step``'s outputs and gradients as (dtype, shape, bytes)."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in _taped_step(cfg)[0]]
+
+
+class TestLanes:
+    """Every forward of a default-size neck, taped or not, runs the finest level beside the coarse path."""
+
+    @pytest.mark.needs_lanes
+    @pytest.mark.parametrize("arm", DEFAULT_ARMS)
+    def test_lanes_equal_the_run_in_sequence_bit_for_bit(self, monkeypatch, arm):
+        """A taped step runs two lanes and a tape-less forward one; each equals its run in sequence."""
+        cfg = NeckConfig(**ARMS[arm][0])
+        start = threading.active_count()
+        runs = _count_lane_runs(monkeypatch)
+        forked, tape = _taped_step(cfg)
+        assert len(runs) == 2 and threading.active_count() == start
+        tapeless = _tapeless_forward(cfg)
+        assert len(runs) == 3 and threading.active_count() == start
+        assert len(tapeless) == ARMS[arm][1][0] + 3 + (2 * 2 if cfg.use_mhsa else 0)
+        monkeypatch.setattr(tensor, "_lanes", lambda: False)
+        sequential, sequential_tape = _taped_step(cfg)
+        assert len(runs) == 3 and len(tape) == len(sequential_tape)
+        assert len(forked) == ARMS[arm][1][0] + 6
+        for a, b in zip(forked, sequential):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert tapeless == _tapeless_forward(cfg)
+
+    @pytest.mark.needs_lanes
+    def test_lanes_under_a_short_switch_interval(self, monkeypatch):
+        """Threads switching every microsecond lose no gradient update, draw or trace entry.
+
+        A taped step, a tape-less forward and ``init_and_forward`` each still
+        equal their reference run in sequence.
+        """
+        cfg = NeckConfig()
+        runs = _count_lane_runs(monkeypatch)
+        for run, reference, lane_runs in (
+            (_taped_bytes, _taped_bytes, 2),
+            (_tapeless_forward, _tapeless_forward, 1),
+            (_drawn_forward, _tapeless_forward, 1),
+        ):
+            runs.clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                forked = run(cfg)
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(runs) == lane_runs
+            assert forked == _in_sequence(monkeypatch, reference, cfg)
+
+    def test_default_step_counts_every_closure_and_replays_once(self):
+        _, tape = _taped_step(NeckConfig())
+        assert len(tape) == 60
+        with pytest.raises(ContractError, match="a tape replays once"):
+            tape.backward()
+
+    def test_no_lanes_below_the_size_rule(self, monkeypatch):
+        runs = _count_lane_runs(monkeypatch)
+        tiny = small_cfg()  # a finest map of 2 * 4 * 8 * 8 elements
+        assert 2 * tiny.pyramid_width * tiny.base_height * tiny.base_width < LANE_MIN_ELEMENTS
+        _taped_step(tiny)
+        assert runs == []
 
 
 class TestInitAndForward:
-    """The draw beside the finest level equals ``init_params`` then a tape-less ``neck_forward``."""
+    """The draw at the head of the coarse lane equals ``init_params`` then a tape-less ``neck_forward``."""
 
     @pytest.mark.parametrize("arm", DEFAULT_ARMS)
-    @pytest.mark.parametrize("lanes", [True, False], ids=["lanes", "sequence"])
+    @pytest.mark.parametrize("lanes", [pytest.param(True, marks=pytest.mark.needs_lanes), False],
+                             ids=["lanes", "sequence"])
     def test_equals_init_params_then_neck_forward_bit_for_bit(self, monkeypatch, arm, lanes):
-        if lanes and not tensor._lanes():
-            pytest.skip("lanes need two usable CPUs and OpenBLAS's thread-count functions")
+        """With lanes it runs exactly one; the reference runs in sequence."""
         if not lanes:
             monkeypatch.setattr(tensor, "_lanes", lambda: False)
         cfg = NeckConfig(**ARMS[arm][0])
         runs = _count_lane_runs(monkeypatch)
         start = threading.active_count()
-        together, apart = _drawn_and_forward(cfg)
+        together = _drawn_forward(cfg)
         assert runs == ([1] if lanes else []) and threading.active_count() == start
         traced = 2 * 2 if cfg.use_mhsa else 0
         assert len(together) == ARMS[arm][1][0] + 3 + traced
-        assert together == apart
-
-    @pytest.mark.skipif(not tensor._lanes(), reason="lanes need two usable CPUs and OpenBLAS's thread-count functions")
-    def test_lanes_under_a_short_switch_interval(self, monkeypatch):
-        """Threads switching every microsecond lose no draw and no trace entry."""
-        runs = _count_lane_runs(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            together, apart = _drawn_and_forward(NeckConfig())
-        finally:
-            sys.setswitchinterval(interval)
-        assert runs == [1] and together == apart
+        assert together == _in_sequence(monkeypatch, _tapeless_forward, cfg)
 
     def test_below_the_size_rule_runs_in_sequence(self, monkeypatch):
         tiny = small_cfg()  # a finest map of 2 * 4 * 8 * 8 elements
         assert 2 * tiny.pyramid_width * tiny.base_height * tiny.base_width < LANE_MIN_ELEMENTS
         runs = _count_lane_runs(monkeypatch)
-        together, apart = _drawn_and_forward(tiny)
+        together, apart = _drawn_forward(tiny), _tapeless_forward(tiny)
         assert runs == [] and together == apart
 
-    @pytest.mark.skipif(not tensor._lanes(), reason="lanes need two usable CPUs and OpenBLAS's thread-count functions")
+    @pytest.mark.needs_lanes
     def test_lane_draws_the_coarse_tensors(self, monkeypatch):
         """Level 3's weights are drawn on the calling thread, every later one on the lane, in spec order."""
         cfg = NeckConfig()

@@ -360,12 +360,6 @@ class TestLogistic:
         assert logistic(Tensor4(x)).data.tobytes() == expected.tobytes()
 
 
-needs_lanes = pytest.mark.skipif(
-    tensor._usable_cpus() < 2 or tensor._blas_threads() is None,
-    reason="fork_join runs its lanes on two usable CPUs with an OpenBLAS whose thread count can be set",
-)
-
-
 def _lane(x: Tensor4, fault=None):
     """A lane for ``fork_join``: logistic(x) * x, recorded on the lane's tape, after ``fault()`` if given."""
     def run(tape):
@@ -405,7 +399,7 @@ class TestForkJoin:
         tape.backward()
         return [a.data, b.data, x.grad, y.grad]
 
-    @needs_lanes
+    @pytest.mark.needs_lanes
     def test_lanes_equal_the_run_in_sequence_bit_for_bit(self, monkeypatch):
         start = threading.active_count()
         forked = self._step(Tape())
@@ -415,7 +409,7 @@ class TestForkJoin:
         for a, b in zip(forked, sequential):
             assert a.tobytes() == b.tobytes()
 
-    @needs_lanes
+    @pytest.mark.needs_lanes
     def test_one_entry_counts_every_closure_and_replays_once(self):
         x, y = self._pair()
         tape = Tape()
@@ -426,7 +420,7 @@ class TestForkJoin:
         with pytest.raises(ContractError, match="a tape replays once"):
             tape.backward()
 
-    @needs_lanes
+    @pytest.mark.needs_lanes
     def test_lanes_record_on_child_tapes_of_the_callers_type(self):
         """Each lane gets its own tape of the caller's type, sharing the caller's other state."""
         x, y = self._pair()
@@ -439,7 +433,7 @@ class TestForkJoin:
         assert sorted(tape.kinds) == sorted([("step", main)] * 2 + [("step", "fusionneck-lane")] * 2)
         assert len(tape._records) == 1 and len(tape) == 4
 
-    @needs_lanes
+    @pytest.mark.needs_lanes
     def test_blas_runs_one_thread_after_import_and_after_the_lanes(self):
         """Importing the library pins OpenBLAS to one thread for good: the lanes, taped or not, keep it."""
         _, get_threads = tensor._blas_threads()
@@ -449,7 +443,7 @@ class TestForkJoin:
             fork_join(lambda t: seen.append(get_threads()), lambda t: seen.append(get_threads()), tape)
         assert seen == [1] * 4 and get_threads() == 1
 
-    @needs_lanes
+    @pytest.mark.needs_lanes
     @pytest.mark.parametrize("failing", ["first", "second", "both"])
     def test_error_arrives_after_both_lanes_end(self, failing):
         """The error keeps its type and message; with both failing, the first lane's wins."""
@@ -471,7 +465,7 @@ class TestForkJoin:
         assert ended == {"first": ["second"], "second": ["first"], "both": []}[failing]
         assert len(tape) == 0
 
-    @needs_lanes
+    @pytest.mark.needs_lanes
     @pytest.mark.parametrize("failing", ["first", "second"])
     def test_backward_error_arrives_after_both_lanes_end(self, failing):
         ran = []
