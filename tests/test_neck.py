@@ -531,6 +531,23 @@ def _taped_bytes(cfg) -> list:
     return [(a.dtype, a.shape, a.tobytes()) for a in _taped_step(cfg)[0]]
 
 
+def _check_short_switch_interval(monkeypatch, cases):
+    """For each (run, reference, lane_runs): ``run`` of a default neck under a 1 us switch interval
+    forks ``lane_runs`` lanes and equals ``reference`` run in sequence."""
+    cfg = NeckConfig()
+    runs = _count_lane_runs(monkeypatch)
+    for run, reference, lane_runs in cases:
+        runs.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            forked = run(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs) == lane_runs
+        assert forked == _in_sequence(monkeypatch, reference, cfg)
+
+
 class TestLanes:
     """Every forward of a default-size neck, taped or not, runs the finest level beside the coarse path."""
 
@@ -556,27 +573,12 @@ class TestLanes:
 
     @pytest.mark.needs_lanes
     def test_lanes_under_a_short_switch_interval(self, monkeypatch):
-        """Threads switching every microsecond lose no gradient update, draw or trace entry.
+        """Threads switching every microsecond lose no gradient update or trace entry.
 
-        A taped step, a tape-less forward and ``init_and_forward`` each still
-        equal their reference run in sequence.
+        A taped step and a tape-less forward each still equal their run in sequence.
         """
-        cfg = NeckConfig()
-        runs = _count_lane_runs(monkeypatch)
-        for run, reference, lane_runs in (
-            (_taped_bytes, _taped_bytes, 2),
-            (_tapeless_forward, _tapeless_forward, 1),
-            (_drawn_forward, _tapeless_forward, 1),
-        ):
-            runs.clear()
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                forked = run(cfg)
-            finally:
-                sys.setswitchinterval(interval)
-            assert len(runs) == lane_runs
-            assert forked == _in_sequence(monkeypatch, reference, cfg)
+        _check_short_switch_interval(monkeypatch, ((_taped_bytes, _taped_bytes, 2),
+                                                   (_tapeless_forward, _tapeless_forward, 1)))
 
     def test_default_step_counts_every_closure_and_replays_once(self):
         _, tape = _taped_step(NeckConfig())
@@ -610,6 +612,11 @@ class TestInitAndForward:
         traced = 2 * 2 if cfg.use_mhsa else 0
         assert len(together) == ARMS[arm][1][0] + 3 + traced
         assert together == _in_sequence(monkeypatch, _tapeless_forward, cfg)
+
+    @pytest.mark.needs_lanes
+    def test_lanes_under_a_short_switch_interval(self, monkeypatch):
+        """Threads switching every microsecond lose no draw and no trace entry."""
+        _check_short_switch_interval(monkeypatch, ((_drawn_forward, _tapeless_forward, 1),))
 
     def test_below_the_size_rule_runs_in_sequence(self, monkeypatch):
         tiny = small_cfg()  # a finest map of 2 * 4 * 8 * 8 elements
