@@ -9,9 +9,10 @@ The neck reads attention only through its spatial mean, so ``mhsa_forward``
 is that pooled gate as one primitive: the whole batch and all heads go
 through stacked array products, blocks of query rows are softmaxed and
 folded into the per-token attention mass, and the tape gets a single
-hand-written backward rule that recomputes each block.  No (HW, HW)
-attention array outlives one block.  Also provides the concurrent
-spatial/channel gate used to recalibrate fused multi-dilation features.
+hand-written backward rule, recorded through ``tensor._record``, that
+recomputes each block.  No (HW, HW) attention array outlives one block.
+Also provides the concurrent spatial/channel gate used to recalibrate fused
+multi-dilation features.
 
 ``MhsaParams`` (the projections and the registers, one record) and
 ``ScseParams`` hold the arrays they are given and check their shapes once,
@@ -28,11 +29,13 @@ import numpy as np
 from .convkit import ConvKernel, pointwise_conv
 from .errors import ContractError, ShapeError
 from .tensor import (
+    GradCell,
     Tape,
     Tensor4,
     Value,
     _accum,
     _accum_own,
+    _record,
     add,
     global_avg_pool,
     logistic,
@@ -169,39 +172,35 @@ def mhsa_forward(
     if trace is not None:
         trace["mass"] = mass
         trace["mhsa_output"] = Tensor4(per_token.transpose(0, 1, 3, 2).reshape(b, c, h, w))
-    if tape is not None:
-        gx, gw_qkv, gout = x.cell(), p.w_qkv.cell(), out.cell()
-        g_rqk, g_rv = (None, None) if r_qk is None else (p.r_qk.cell(), p.r_v.cell())
+    if tape is None:
+        return out
 
-        def backward() -> None:
-            g = gout.grad
-            if g is None:
-                return
-            g = g.reshape(b, heads, 1, d_head)
-            dv = mass[..., None] * g  # (B, heads, HW, d_head)
-            u = (g @ v.swapaxes(-1, -2)) / hw  # (B, heads, 1, HW): d mass over HW
-            dq = np.empty_like(dv)
-            dk = np.zeros_like(dv)
-            d_rqk = None if r_qk is None else np.empty(r_qk.shape)
-            for start in range(0, hw, block_rows):
-                rows = slice(start, start + block_rows)
-                a = _attention_block(q, k, r_qk, rows, scale)
-                ds = u - a @ u.swapaxes(-1, -2)  # d scores of the block, scaled below
-                ds *= a
-                ds *= scale
-                dq[:, :, rows] = ds @ k
-                dk += ds.swapaxes(-1, -2) @ q[:, :, rows]
-                if d_rqk is not None:
-                    d_rqk[:, rows] = ds.sum(axis=0)
-            dqkv = np.stack([dq, dk, dv])  # (3, B, heads, HW, d_head)
-            dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(b * hw, 3 * c)  # as the projection product
-            _accum(gw_qkv, (tokens.T @ dqkv).reshape(c, 3, c).transpose(1, 0, 2))
-            _accum(gx, (dqkv @ w_qkv.T).reshape(b, hw, c).transpose(0, 2, 1).reshape(b, c, h, w))
+    def backward(g: np.ndarray, cells: list[GradCell]) -> None:
+        gx, gw_qkv, *registers = cells  # r_qk's and r_v's cells when p holds registers
+        g = g.reshape(b, heads, 1, d_head)
+        dv = mass[..., None] * g  # (B, heads, HW, d_head)
+        u = (g @ v.swapaxes(-1, -2)) / hw  # (B, heads, 1, HW): d mass over HW
+        dq = np.empty_like(dv)
+        dk = np.zeros_like(dv)
+        d_rqk = None if r_qk is None else np.empty(r_qk.shape)
+        for start in range(0, hw, block_rows):
+            rows = slice(start, start + block_rows)
+            a = _attention_block(q, k, r_qk, rows, scale)
+            ds = u - a @ u.swapaxes(-1, -2)  # d scores of the block, scaled below
+            ds *= a
+            ds *= scale
+            dq[:, :, rows] = ds @ k
+            dk += ds.swapaxes(-1, -2) @ q[:, :, rows]
             if d_rqk is not None:
-                _accum_own(g_rqk, d_rqk)
-                _accum(g_rv, dv.sum(axis=0).swapaxes(-1, -2))
-        tape.record(backward)
-    return out
+                d_rqk[:, rows] = ds.sum(axis=0)
+        dqkv = np.stack([dq, dk, dv])  # (3, B, heads, HW, d_head)
+        dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(b * hw, 3 * c)  # as the projection product
+        _accum(gw_qkv, (tokens.T @ dqkv).reshape(c, 3, c).transpose(1, 0, 2))
+        _accum(gx, (dqkv @ w_qkv.T).reshape(b, hw, c).transpose(0, 2, 1).reshape(b, c, h, w))
+        if d_rqk is not None:
+            _accum_own(registers[0], d_rqk)
+            _accum(registers[1], dv.sum(axis=0).swapaxes(-1, -2))
+    return _record(tape, out, backward, x, *p.values())
 
 
 class ScseParams:

@@ -125,9 +125,13 @@ def resolve_run(args: argparse.Namespace) -> tuple[NeckConfig, int, int]:
 
 
 def _refuse_unaddressable(neck: NeckConfig, batch: int) -> None:
-    """Name the first parameter or input array too large for NumPy to address, before any is allocated."""
-    inputs = [(f"input c{n}", (batch, c, *neck.level_hw(n))) for n, c in zip(LEVELS, neck.in_channels)]
-    for what, shape in [(f"parameter {name}", shape) for name, shape in parameter_spec(neck)] + inputs:
+    """Name the first parameter, input or padded map too large for NumPy to address, before any is allocated."""
+    arrays = [(f"parameter {name}", shape) for name, shape in parameter_spec(neck)]
+    arrays += [(f"input c{n}", (batch, c, *neck.level_hw(n))) for n, c in zip(LEVELS, neck.in_channels)]
+    if neck.atrous_mode != "standard":  # conv2d pads the finest map by the largest dilation
+        d, (h, w) = max(neck.dilations), neck.level_hw(3)
+        arrays.append((f"map padded for dilation {d}", (batch, neck.pyramid_width, h + 2 * d, w + 2 * d)))
+    for what, shape in arrays:
         if 8 * math.prod(shape) > np.iinfo(np.intp).max:  # where NumPy raises a bare ValueError
             raise ConfigError(f"{what} of shape {shape} takes more bytes than NumPy can address")
 

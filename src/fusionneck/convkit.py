@@ -13,8 +13,8 @@ d·(k−1)/2, so the output keeps the input's H×W.  The weight gradient sums
 g @ columnsᵀ over the same bands.  The input gradient is the same lowering
 run on g, with the kernel flipped and its channel axes swapped; the
 transpose of a same-size convolution is same-size too, so nothing is
-cropped.  Its tape entry holds no padded input and no columns: the backward
-builds them again.
+cropped.  Its rule holds no padded input and no columns: the backward builds
+them again.  Every primitive here records its rule through ``tensor._record``.
 ``pointwise_conv`` is its own primitive: one (O, C) @ (B, C, H·W) product,
 with a backward rule of three products of the same shapes.  ``deconv2x`` is
 a single (O·4, C) @ (B, C, H·W) product followed by a transpose that
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import Tape, Tensor4, Value, _accum, _accum_own
+from .tensor import GradCell, Tape, Tensor4, Value, _accum, _accum_own, _record
 
 # conv2d copies the columns of as many output rows at once as fit in this
 # many bytes (at least one row): a small map is one band, and the default
@@ -174,12 +174,9 @@ def conv2d(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tensor4:
     out = Tensor4(out_data.reshape(b, o, h, w))
     if tape is None:
         return out
-    gx, gweight, gbias, gout = x.cell(), k.weight.cell(), k.bias.cell(), out.cell()
 
-    def backward() -> None:
-        g = gout.grad
-        if g is None:
-            return
+    def backward(g: np.ndarray, cells: list[GradCell]) -> None:
+        gx, gweight, gbias = cells
         g = g.reshape(b, o, h * w)
         # the input is padded again here, so that the tape holds no padded copy
         window, rows = _tap_window(x_data, kh, kw, d)
@@ -195,9 +192,7 @@ def conv2d(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tensor4:
         wflip = w_data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
         grad_x = _lowered(g.reshape(b, o, h, w), wflip, kh, kw, d)
         _accum_own(gx, grad_x.reshape(b, c, h, w))
-
-    tape.record(backward)
-    return out
+    return _record(tape, out, backward, x, k.weight, k.bias)
 
 
 def pointwise_conv(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tensor4:
@@ -219,12 +214,9 @@ def pointwise_conv(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tenso
     out = Tensor4(out_data.reshape(b, o, h, w))
     if tape is None:
         return out
-    gx, gweight, gbias, gout = x.cell(), k.weight.cell(), k.bias.cell(), out.cell()
 
-    def backward() -> None:
-        g = gout.grad
-        if g is None:
-            return
+    def backward(g: np.ndarray, cells: list[GradCell]) -> None:
+        gx, gweight, gbias = cells
         g = g.reshape(b, o, h * w)
         gw = np.zeros((o, c))
         for gi, xi in zip(g, xm):
@@ -232,9 +224,7 @@ def pointwise_conv(x: Tensor4, k: ConvKernel, tape: Tape | None = None) -> Tenso
         _accum(gweight, gw.reshape(o, c, 1, 1))
         _accum(gbias, g.sum(axis=(0, 2)))
         _accum_own(gx, np.matmul(wmat.T, g).reshape(b, c, h, w))
-
-    tape.record(backward)
-    return out
+    return _record(tape, out, backward, x, k.weight, k.bias)
 
 
 def naive_conv2d(x: Tensor4, k: ConvKernel) -> Tensor4:
@@ -284,20 +274,17 @@ def deconv2x(x: Tensor4, k: DeconvKernel, tape: Tape | None = None) -> Tensor4:
     out_data = blocks.transpose(0, 1, 4, 2, 5, 3).reshape(b, o, 2 * h, 2 * w)
     out_data += k.bias.data[None, :, None, None]
     out = Tensor4(out_data)
-    if tape is not None:
-        gx, gweight, gbias, gout = x.cell(), k.weight.cell(), k.bias.cell(), out.cell()
+    if tape is None:
+        return out
 
-        def backward() -> None:
-            g = gout.grad
-            if g is None:
-                return
-            gm = g.reshape(b, o, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4).reshape(b, o * 4, h * w)
-            _accum(gx, (wmat.T @ gm).reshape(b, c, h, w))
-            gwmat = (gm @ xm.transpose(0, 2, 1)).sum(axis=0)
-            _accum(gweight, gwmat.reshape(o, 2, 2, c).transpose(3, 0, 1, 2))
-            _accum(gbias, g.sum(axis=(0, 2, 3)))
-        tape.record(backward)
-    return out
+    def backward(g: np.ndarray, cells: list[GradCell]) -> None:
+        gx, gweight, gbias = cells
+        gm = g.reshape(b, o, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4).reshape(b, o * 4, h * w)
+        _accum(gx, (wmat.T @ gm).reshape(b, c, h, w))
+        gwmat = (gm @ xm.transpose(0, 2, 1)).sum(axis=0)
+        _accum(gweight, gwmat.reshape(o, 2, 2, c).transpose(3, 0, 1, 2))
+        _accum(gbias, g.sum(axis=(0, 2, 3)))
+    return _record(tape, out, backward, x, k.weight, k.bias)
 
 
 def naive_deconv2x(x: Tensor4, k: DeconvKernel) -> Tensor4:

@@ -45,7 +45,8 @@ are immutable named tuples, checked on every construction, ``_make`` and
 ``_replace`` included (a record's box must be a ``Box``); like any tuple, a
 ``Box`` equals the plain 4-tuple of its corners.  ``evaluate_records`` reads
 only the ``image_id``, ``class_id``, ``box`` and ``score`` attributes, and a
-box as its four corners in order.
+box as its four corners in order.  It, ``average_precision`` and
+``brute_force_ap`` refuse a box whose area exceeds half the largest float.
 """
 
 from __future__ import annotations
@@ -233,6 +234,7 @@ def average_precision(
     No ground truths, or no detections, yields 0.
     """
     _check_thresh(iou_thresh)
+    _box_areas(dets), _box_areas(gts)
     if not gts or not dets:
         return 0.0
     return _interpolated_ap(_pr_points(dets, _gts_by_image(gts), iou_thresh))
@@ -253,6 +255,7 @@ def brute_force_ap(
     _check_thresh(iou_thresh)
     if len(dets) > 10:
         raise ContractError(f"brute_force_ap: limited to 10 detections, got {len(dets)}")
+    _box_areas(dets), _box_areas(gts)
     if not gts or not dets:
         return 0.0
     npos = len(gts)
@@ -318,13 +321,23 @@ def _boxes(records: Sequence) -> np.ndarray:
     return np.fromiter(corners, dtype=np.float64, count=4 * len(records)).reshape(len(records), 4).T
 
 
-def _size_buckets(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Box areas (``Box.area``'s operations) and their ``SIZE_BUCKETS`` index, -1 for none."""
-    areas = (boxes[2] - boxes[0]) * (boxes[3] - boxes[1])
+def _box_areas(records: Sequence, boxes: np.ndarray | None = None) -> np.ndarray:
+    """``Box.area`` of each record, ``boxes`` being ``_boxes(records)``; refuses an area above _MAX / 2 or NaN."""
+    boxes = _boxes(records) if boxes is None else boxes
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused below
+        areas = (boxes[2] - boxes[0]) * (boxes[3] - boxes[1])
+    bad = np.flatnonzero(~(areas <= _MAX / 2))  # so that no union of two boxes overflows
+    if len(bad):
+        raise ContractError(f"box area of {records[bad[0]]} exceeds half the largest float, so a union could overflow")
+    return areas
+
+
+def _size_buckets(areas: np.ndarray) -> np.ndarray:
+    """The ``SIZE_BUCKETS`` index of each area, -1 for none."""
     bucket = np.full(len(areas), -1)
     for b, (lo, hi) in enumerate(SIZE_BUCKETS.values()):
         bucket[(lo <= areas) & (areas < hi)] = b
-    return areas, bucket
+    return bucket
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -335,8 +348,9 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _pair_iou(a: np.ndarray, b: np.ndarray, area_a: np.ndarray, area_b: np.ndarray) -> np.ndarray:
     """``iou`` of the columns of two (4, n) box arrays, with its operations in its order."""
-    ix = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
-    iy = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
+    with np.errstate(over="ignore"):  # only a gap between far-apart boxes overflows, to -inf, read as 0
+        ix = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+        iy = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
     inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
     union = area_a + area_b - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
@@ -472,8 +486,9 @@ def evaluate_records(
         raise ContractError("evaluate_records: detection scores must lie in [0, 1]")
     rank = np.argsort(-d_score, kind="stable")
     d_cls, d_img, d_score = d_cls[rank], d_img[rank], d_score[rank]
-    d_box, g_box = _boxes(dets)[:, rank], _boxes(gts)
-    (d_area, d_bucket), (g_area, g_bucket) = _size_buckets(d_box), _size_buckets(g_box)
+    d_box, g_box = _boxes(dets), _boxes(gts)
+    d_area, g_area = _box_areas(dets, d_box)[rank], _box_areas(gts, g_box)
+    d_box, d_bucket, g_bucket = d_box[:, rank], _size_buckets(d_area), _size_buckets(g_area)
     n_img, n_gt = len(images), len(g_cls)
 
     # A pair below every threshold never matches, so it is dropped.

@@ -470,6 +470,27 @@ class TestInputLimits:
         assert out == "" and err.startswith(f"error: {array} of shape (") and err.count("\n") == 1
         assert "than NumPy can address" in err and os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("argv, dilation", [
+        (["forward", "--dilations", "1,2,100000000000", "--report", "r.json"], "100000000000"),
+        (["forward", "--dilations", "1,2,100000000000", "--atrous-mode", "atrous", "--report", "r.json"],
+         "100000000000"),
+        (["forward", "--dilations", "1,2," + HUGE, "--report", "r.json"], HUGE),
+        (["params", "init", *SMALL, "--dilations", "1,2,100000000000", "--out", "p.bin"], "100000000000"),
+    ], ids=["forward", "forward-atrous", "forward-dimension", "params-init"])
+    def test_unaddressable_padding_exits_2_naming_the_dilation(self, tmp_path, monkeypatch, capsys, argv, dilation):
+        """The map ``conv2d`` pads by the largest dilation is refused with the other arrays."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: map padded for dilation {dilation} of shape (")
+        assert err.count("\n") == 1 and os.listdir(tmp_path) == []
+
+    def test_standard_arm_runs_any_dilation(self, tmp_path):
+        """The ``standard`` arm runs no dilated conv, so a huge dilation pads nothing."""
+        code, report = run_forward(tmp_path, "r.json", extra=["--dilations", "1,2,100000000000",
+                                                               "--atrous-mode", "standard"])
+        assert code == EXIT_OK and report.exists()
+
 
 class TestVerify:
     def test_scoped_grad_run_passes(self, capsys):
@@ -588,6 +609,19 @@ class TestEval:
         code = main(["eval", "--detections", str(det), "--ground-truth", str(gt)])
         assert code == EXIT_INPUT
         assert ":2:" in capsys.readouterr().err
+
+    def test_box_area_that_could_overflow_a_union_exits_2(self, tmp_path):
+        """The true IoU is 0.25, but the areas overflow: refused with one error line and no NumPy warning."""
+        (tmp_path / "det.txt").write_text("img 0 0 0 1e308 1e308 0.9\n")
+        (tmp_path / "gt.txt").write_text("img 0 -1e308 -1e308 1e308 1e308\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fusionneck", "eval", "--detections", "det.txt", "--ground-truth", "gt.txt",
+             "--report", "r.json"],
+            cwd=tmp_path, env=module_env(False), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == EXIT_INPUT and proc.stdout == ""
+        assert proc.stderr.startswith("error: box area of Detection(") and proc.stderr.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
 
     def test_non_finite_coordinate_exits_2_with_line(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"

@@ -3,6 +3,7 @@
 import pickle
 import re
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -85,6 +86,41 @@ class TestIou:
     def test_float_max_corners_accepted(self):
         top = sys.float_info.max
         assert Box(-top, -top, top, top).x_max == top
+
+
+# far-apart boxes of zero area: their gap overflows to -inf, which reads as no overlap
+FAR_APART = ([Detection("img", 0, Box(-1e308, 0, -1e308, 1), 0.9)], [GroundTruth("img", 0, Box(1e308, 0, 1e308, 1))])
+
+
+class TestBoxAreaRule:
+    """Every AP entry point refuses a box whose area exceeds half the largest float, or is NaN, with no warning."""
+
+    @pytest.mark.parametrize("score", [
+        lambda dets, gts: evaluate_records(dets, gts),
+        lambda dets, gts: average_precision(dets, gts, 0.5),
+        lambda dets, gts: brute_force_ap(dets, gts, 0.5),
+    ], ids=["evaluate_records", "average_precision", "brute_force_ap"])
+    @pytest.mark.parametrize("det_box, gt_box, refused", [
+        ((0, 0, 1e308, 1e308), (-1e308, -1e308, 1e308, 1e308), "det"),  # true IoU 0.25; the areas overflow
+        ((0, 0, 1, 1), (-1e308, 0, 1e308, 0), "gt"),  # an infinite width times a zero height is NaN
+    ], ids=["overflow", "nan"])
+    def test_refused_naming_the_record(self, score, det_box, gt_box, refused):
+        det, gt = Detection("img", 0, Box(*det_box), 0.9), GroundTruth("img", 0, Box(*gt_box))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match=re.escape(f"box area of {det if refused == 'det' else gt}")):
+                score([det], [gt])
+
+    def test_largest_areas_score_their_true_iou(self):
+        side = 4e153  # the ground truth's area, (2 * side) ** 2, is just below the limit
+        dets = [Detection("img", 0, Box(0, 0, side, side), 0.9)]
+        gts = [GroundTruth("img", 0, Box(-side, -side, side, side))]
+        assert iou(dets[0].box, gts[0].box) == pytest.approx(0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert average_precision(dets, gts, 0.2) == brute_force_ap(dets, gts, 0.2) == 1.0
+            assert evaluate_records(dets, gts, (0.2, 0.3)).per_class[0]["ap"] == 0.5
+            assert evaluate_records(*FAR_APART, (0.5,)).mean == average_precision(*FAR_APART, 0.5) == 0.0
 
 
 class TestAveragePrecision:

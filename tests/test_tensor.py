@@ -1,18 +1,22 @@
 """Tensor, RNG, and primitive-op tests with gradient checks."""
 
+import ast
 import dataclasses
+import inspect
 import math
 import os
 import signal
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fusionneck import neck, tensor, verify
-from fusionneck.attention import MhsaParams, _attention_block, mhsa_forward
+from fusionneck import attention, convkit, neck, tensor, verify
+from fusionneck.attention import MhsaParams, ScseParams, _attention_block, mhsa_forward, scse_recalibrate
+from fusionneck.convkit import ConvKernel, DeconvKernel, conv2d, deconv2x, pointwise_conv
 from fusionneck.errors import ContractError, EvaluationError, ShapeError
 from fusionneck.tensor import (
     Rng,
@@ -327,6 +331,157 @@ class TestReplay:
         with pytest.raises(ContractError, match="a tape replays once"):
             tape.backward()
         assert np.array_equal(x.grad, first)
+
+
+def _t4(rng, *shape) -> Tensor4:
+    return Tensor4(rng.standard_normal(shape))
+
+
+def _kernel(rng, o: int, c: int, k: int, d: int = 1) -> ConvKernel:
+    return ConvKernel(rng.standard_normal((o, c, k, k)), rng.standard_normal(o), d)
+
+
+def _binary_case(op):
+    def case(rng):
+        a, b = _t4(rng, 2, 3, 4, 4), _t4(rng, 2, 3, 1, 1)
+        return [a, b], lambda tape: op(a, b, tape)
+    return case
+
+
+def _unary_case(op, *args):
+    def case(rng):
+        x = _t4(rng, 2, 3, 4, 4)
+        return [x], lambda tape: op(x, *args, tape)
+    return case
+
+
+def _concat_case(rng):
+    parts = [_t4(rng, 2, c, 3, 3) for c in (1, 2, 3)]
+    return parts, lambda tape: concat_channels(parts, tape)
+
+
+def _conv_case(op, k: int, d: int = 1):
+    def case(rng):
+        x, kernel = _t4(rng, 2, 3, 5, 5), _kernel(rng, 4, 3, k, d)
+        return [x, *kernel.values()], lambda tape: op(x, kernel, tape)
+    return case
+
+
+def _deconv_case(rng):
+    x, kernel = _t4(rng, 2, 4, 3, 3), DeconvKernel(rng.standard_normal((4, 3, 2, 2)), rng.standard_normal(3))
+    return [x, *kernel.values()], lambda tape: deconv2x(x, kernel, tape)
+
+
+def _mhsa_case(registers: bool):
+    def case(rng):
+        x = _t4(rng, 2, 4, 3, 3)
+        regs = (rng.standard_normal((2, 9, 9)), rng.standard_normal((2, 2, 9))) if registers else ()
+        p = MhsaParams(rng.standard_normal((3, 4, 4)), 2, *regs)
+        return [x, *p.values()], lambda tape: mhsa_forward(x, p, tape, block_rows=4)
+    return case
+
+
+def _scse_case(rng):
+    x = _t4(rng, 2, 4, 3, 3)
+    p = ScseParams(_kernel(rng, 2, 4, 1), _kernel(rng, 4, 2, 1), _kernel(rng, 1, 4, 1))
+    return [x, *p.values()], lambda tape: scse_recalibrate(x, p, tape)
+
+
+# id -> case: the id's part before "-" names the function; a case returns the
+# fresh input Values and a call that runs the function on them with a tape or None
+RECORDING_CASES = {
+    "add": _binary_case(add),
+    "mul": _binary_case(mul),
+    "logistic": _unary_case(logistic),
+    "global_avg_pool": _unary_case(global_avg_pool),
+    "concat_channels": _concat_case,
+    "sum_all": _unary_case(sum_all),
+    "weighted_sum": _unary_case(weighted_sum, np.linspace(-1.0, 1.0, 96).reshape(2, 3, 4, 4)),
+    "conv2d": _conv_case(conv2d, 3, 2),
+    "pointwise_conv": _conv_case(pointwise_conv, 1),
+    "deconv2x": _deconv_case,
+    "mhsa_forward": _mhsa_case(False),
+    "mhsa_forward-registers": _mhsa_case(True),
+    "scse_recalibrate": _scse_case,
+}
+
+# functions that take a tape but record no rule of their own
+NOT_RECORDING = {"fork_join", "_record"}
+
+
+def _taped_functions() -> list[str]:
+    """Every function of tensor, convkit and attention that takes a ``tape``, but those of ``NOT_RECORDING``."""
+    return sorted(
+        name
+        for module in (tensor, convkit, attention)
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if fn.__module__ == module.__name__ and "tape" in inspect.signature(fn).parameters
+        and name not in NOT_RECORDING
+    )
+
+
+def _values_reached(fn) -> list[Value]:
+    """The Values a closure reaches through its cells and defaults, walking functions, lists and tuples."""
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Value):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif inspect.isfunction(obj):
+            todo.extend(obj.__defaults__ or ())
+            for cell in obj.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:  # a cell not yet bound
+                    pass
+    return found
+
+
+def _scoped_nodes(node: ast.AST, scope: str = ""):
+    """Every node below ``node``, with the dotted name of the function or class it lies in."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped_nodes(child, f"{scope}.{child.name}" if scope else child.name)
+        else:
+            yield from _scoped_nodes(child, scope)
+
+
+class TestRecording:
+    """The recording rule every taped primitive keeps, and the one place that records."""
+
+    @pytest.mark.parametrize("name", _taped_functions())
+    def test_recording_invariants(self, name):
+        """Tape-less: no cell.  Taped: no closure reaches a Value.  No output gradient: no input gradient."""
+        cases = [case for case in RECORDING_CASES if case.split("-")[0] == name]
+        assert cases, f"{name} takes a tape but has no case in RECORDING_CASES"
+        for case in cases:
+            inputs, call = RECORDING_CASES[case](np.random.default_rng(0))
+            call(None)
+            assert all(v._cell is None for v in inputs), case
+            tape = Tape()
+            call(tape)
+            assert len(tape) >= 1, case
+            assert [v for fn in tape._records for v in _values_reached(fn)] == [], case
+            tape.backward()
+            assert all(v.grad is None for v in inputs), case
+
+    def test_only_record_calls_tape_record(self):
+        """``tensor._record`` alone calls ``.record(``; outside ``Tape``, ``fork_join`` alone appends to a tape."""
+        calls, appends = set(), set()
+        for path in sorted(Path(tensor.__file__).parent.glob("*.py")):
+            for scope, node in _scoped_nodes(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "record":
+                    calls.add((path.name, scope))
+                elif isinstance(node, ast.Attribute) and node.attr == "_records" and not scope.startswith("Tape."):
+                    appends.add((path.name, scope))
+        assert calls == {("tensor.py", "_record")}
+        assert appends == {("tensor.py", "fork_join")}
 
 
 class TestFiniteness:
