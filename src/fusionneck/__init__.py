@@ -34,7 +34,7 @@ from .detmetrics import (
     iou,
     mean_ap,
 )
-from .diagnostics import ArtifactReport, LevelStats, artifact_report, gini_index, level_stats
+from .diagnostics import artifact_report, gini_index, level_stats
 from .errors import (
     ConfigError,
     ContractError,

@@ -9,9 +9,14 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 input or config error,
 3 runtime shape error, 141 output pipe closed by its reader (128 + SIGPIPE,
-as a shell reports it).  Reports are JSON with sorted keys so identical
-configs and seeds produce byte-identical files; every report embeds its
-format version, the full config echo, and the seed it can be reproduced from.
+as a shell reports it).  Exits 2 and 3 print one ``error:`` or ``shape
+error:`` line to stderr.  A command line the parser refuses is a
+``ConfigError`` like any other bad input, so ``main(argv)`` returns 2 for it
+and raises ``SystemExit`` only for ``--help``.  Reports are JSON with sorted
+keys so identical configs and seeds produce byte-identical files; every
+report embeds its format version, the full config echo, and the seed it can
+be reproduced from.  The ``levels`` and ``attention`` entries are the records
+``diagnostics.level_stats`` and ``diagnostics.artifact_report`` return.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import verify
 from .diagnostics import artifact_report, level_stats
-from .detmetrics import evaluate_records, load_detections, load_ground_truths
+from .detmetrics import DEFAULT_THRESHOLDS, evaluate_records, load_detections, load_ground_truths
 from .errors import ConfigError, EvaluationError, FusionNeckError, ShapeError
 from .neck import (
     LEVELS,
@@ -67,6 +72,13 @@ CONFIG_FLAGS = {
     "use_mhsa": ("--use-mhsa", "enable the attention gate on the top-down path"),
     "use_registers": ("--use-registers", "enable register biases inside the attention gate"),
 }
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises a ``ConfigError`` where argparse would print usage and exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _int_list(text: str) -> list[int]:
@@ -176,11 +188,11 @@ def cmd_forward(cfg: RunConfig) -> dict:
         name, level = f"p{n}", out.level(n)
         if not np.isfinite(level.data).all():  # NaN or inf would make the report invalid JSON
             raise EvaluationError(f"forward output {name} is not finite")
-        report["levels"][name] = level_stats(level, level=name).to_dict()
+        report["levels"][name] = level_stats(level, level=name)
         report["checksums"][name] = _checksum(level.data)
     if trace:  # empty when the params hold no attention gate
         report["attention"] = {
-            step: artifact_report(entry["mass"], entry["mhsa_output"]).to_dict()
+            step: artifact_report(entry["mass"], entry["mhsa_output"])
             for step, entry in sorted(trace.items())
         }
     return report
@@ -220,7 +232,7 @@ def _verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_thresholds(text: str) -> tuple[float, ...]:
+def _thresholds(text: str) -> tuple[float, ...]:
     """Comma-separated IoU thresholds, each a finite number in (0, 1]."""
     thresholds = []
     for token in text.split(","):
@@ -229,18 +241,15 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
         except ValueError:
             value = float("nan")
         if not 0.0 < value <= 1.0:  # false for nan, so this also rejects non-numbers
-            raise ConfigError(f"IoU threshold {token!r} is not a number in (0, 1]")
+            raise argparse.ArgumentTypeError(f"IoU threshold {token!r} is not a number in (0, 1]")
         thresholds.append(value)
     return tuple(thresholds)
 
 
 def _eval(args: argparse.Namespace) -> int:
-    thresholds = None if args.thresholds is None else _parse_thresholds(args.thresholds)
     dets = load_detections(args.detections)
     gts = load_ground_truths(args.ground_truth)
-    result = (
-        evaluate_records(dets, gts, thresholds) if thresholds else evaluate_records(dets, gts)
-    )
+    result = evaluate_records(dets, gts, args.thresholds)
     doc = {"format_version": REPORT_FORMAT_VERSION, "result": result.to_dict()}
     _write_report(doc, args.report)
     print(f"mAP {result.mean:.4f}  AP50 {result.ap50:.4f}  AP75 {result.ap75:.4f}")
@@ -267,7 +276,7 @@ def _params(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fusionneck", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="fusionneck", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fwd = sub.add_parser("forward", help="run the neck on a seeded synthetic pyramid")
@@ -287,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate detection metrics from interchange files")
     p_eval.add_argument("--detections", required=True)
     p_eval.add_argument("--ground-truth", required=True)
-    p_eval.add_argument("--thresholds", help="comma-separated IoU thresholds for headline AP")
+    p_eval.add_argument("--thresholds", type=_thresholds, default=DEFAULT_THRESHOLDS,
+                        help="comma-separated IoU thresholds for headline AP")
     p_eval.add_argument("--report", help="result file (stdout when omitted)")
     p_eval.set_defaults(func=_eval)
 
@@ -306,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
         return code

@@ -1,9 +1,13 @@
 """Numeric diagnostics: per-level feature statistics and attention-artifact
-measurements (high-norm token fractions, attention-mass concentration)."""
+measurements (high-norm token fractions, attention-mass concentration).
+
+``level_stats`` and ``artifact_report`` return the JSON records that the
+forward report holds under ``levels`` and ``attention``: plain dicts of
+floats, strings and nested lists, so ``json.dumps`` writes them as they are.
+Their docstrings list the keys.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,63 +15,24 @@ from .errors import ContractError, ShapeError
 from .tensor import Tensor4
 
 
-@dataclass
-class LevelStats:
-    """Summary statistics for one pyramid level."""
+def level_stats(x: Tensor4, level: str = "") -> dict:
+    """Exact sample statistics of a feature map, as one report record.
 
-    level: str
-    channel_mean: np.ndarray  # (C,)
-    channel_std: np.ndarray  # (C,) population std
-    energy: np.ndarray  # (H, W) per-pixel L2 norm over channels, batch-averaged
-    minimum: float
-    maximum: float
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "channel_mean": self.channel_mean.tolist(),
-            "channel_std": self.channel_std.tolist(),
-            "energy": self.energy.tolist(),
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
-
-def level_stats(x: Tensor4, level: str = "") -> LevelStats:
-    """Exact sample statistics of a feature map.
-
-    Per-channel mean/std pool over batch and spatial positions; the energy
-    map is sqrt(sum_c x²) per pixel, averaged over the batch.
+    Keys: ``level`` (the name given), ``channel_mean`` and ``channel_std``
+    (C values each, pooled over batch and spatial positions; the std is the
+    population std), ``energy`` (an H×W nested list: sqrt(sum_c x²) per
+    pixel, averaged over the batch), and ``min`` and ``max`` (over every
+    element of the map).
     """
     data = x.data
-    return LevelStats(
-        level=level,
-        channel_mean=data.mean(axis=(0, 2, 3)),
-        channel_std=data.std(axis=(0, 2, 3)),
-        energy=np.sqrt((data ** 2).sum(axis=1)).mean(axis=0),
-        minimum=float(data.min()),
-        maximum=float(data.max()),
-    )
-
-
-@dataclass
-class ArtifactReport:
-    """Token-level attention diagnostics for one attention site."""
-
-    token_norms: np.ndarray  # (B·HW,) L2 over channels, batch-major token order
-    high_norm_fraction: float  # share of tokens with norm > mean + k·std
-    norm_threshold: float
-    attention_mass: np.ndarray  # (HW,) incoming mass per token: column sums averaged over (item, head)
-    gini: float
-
-    def to_dict(self) -> dict:
-        return {
-            "token_norms": self.token_norms.tolist(),
-            "high_norm_fraction": self.high_norm_fraction,
-            "norm_threshold": self.norm_threshold,
-            "attention_mass": self.attention_mass.tolist(),
-            "gini": self.gini,
-        }
+    return {
+        "level": level,
+        "channel_mean": data.mean(axis=(0, 2, 3)).tolist(),
+        "channel_std": data.std(axis=(0, 2, 3)).tolist(),
+        "energy": np.sqrt((data ** 2).sum(axis=1)).mean(axis=0).tolist(),
+        "min": float(data.min()),
+        "max": float(data.max()),
+    }
 
 
 def gini_index(values) -> float:
@@ -85,17 +50,20 @@ def gini_index(values) -> float:
     return float(((2 * idx - n - 1) * v).sum() / (n * total))
 
 
-def artifact_report(mass: np.ndarray, output: Tensor4, k: float = 3.0) -> ArtifactReport:
-    """Quantify attention artifacts at one site.
+def artifact_report(mass: np.ndarray, output: Tensor4, k: float = 3.0) -> dict:
+    """Quantify attention artifacts at one site, as one report record.
 
     ``mass`` is the (B, heads, HW) attention mass that ``mhsa_forward``
     traces: per (batch item, head), the column means of the row-stochastic
     attention, so each sums to 1.  ``output`` is the per-token attention
-    output map.  A token is flagged high-norm when its channel L2 norm
-    strictly exceeds mean + k·std over all tokens.  The report's mass vector
-    is the incoming mass per token, a column sum averaged over (item, head)
-    pairs (HW times the mean of ``mass``), and gini measures its
-    concentration.
+    output map.
+
+    Keys: ``token_norms`` (the B·HW channel L2 norms of ``output``'s tokens,
+    batch-major), ``norm_threshold`` (their mean + k·std),
+    ``high_norm_fraction`` (the share of tokens whose norm strictly exceeds
+    the threshold), ``attention_mass`` (the HW incoming mass per token: a
+    column sum averaged over (item, head) pairs, HW times the mean of
+    ``mass``) and ``gini`` (the ``gini_index`` of that mass).
     """
     if k <= 0:
         raise ContractError(f"artifact_report: k must be positive, got {k}")
@@ -107,12 +75,11 @@ def artifact_report(mass: np.ndarray, output: Tensor4, k: float = 3.0) -> Artifa
         raise ContractError("artifact_report: the mass of an (item, head) does not sum to 1 within 1e-9")
     norms = np.sqrt((output.data ** 2).sum(axis=1)).reshape(b * h * w)
     threshold = float(norms.mean() + k * norms.std())
-    fraction = float((norms > threshold).mean())
     incoming = mass.mean(axis=(0, 1)) * (h * w)
-    return ArtifactReport(
-        token_norms=norms,
-        high_norm_fraction=fraction,
-        norm_threshold=threshold,
-        attention_mass=incoming,
-        gini=gini_index(incoming),
-    )
+    return {
+        "token_norms": norms.tolist(),
+        "high_norm_fraction": float((norms > threshold).mean()),
+        "norm_threshold": threshold,
+        "attention_mass": incoming.tolist(),
+        "gini": gini_index(incoming),
+    }

@@ -379,9 +379,7 @@ class TestParams:
         assert err.startswith("error: ") and err.count("\n") == 1 and "level3.scse.reduce.weight" in err
 
     def test_registers_flag_removed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["forward", *SMALL, "--registers", "2"])
-        assert exc.value.code == EXIT_INPUT
+        assert main(["forward", *SMALL, "--registers", "2"]) == EXIT_INPUT
 
     def test_non_finite_tensor_exits_2_naming_it(self, tmp_path, capsys):
         pfile = tmp_path / "p.bin"
@@ -490,6 +488,49 @@ class TestInputLimits:
         code, report = run_forward(tmp_path, "r.json", extra=["--dilations", "1,2,100000000000",
                                                                "--atrous-mode", "standard"])
         assert code == EXIT_OK and report.exists()
+
+
+DETS, GTS = str(DATA / "dets_4class.txt"), str(DATA / "gts_4class.txt")
+
+
+class TestRefusedCommandLine:
+    """A command line the parser refuses is a config error: exit 2, one ``error:`` line, no ``SystemExit``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["forward", "--seed", "abc"],
+        ["forward", "--dilations", "1,x"],
+        ["forward", "--registers", "2"],
+        ["forward", "--gating"],
+        ["params", "init"],
+        ["params"],
+        [],
+        ["verify", "--scope", "x"],
+        ["eval", "--detections", DETS],
+        ["eval", "--detections", DETS, "--ground-truth", GTS, "--thresholds", "0.5,x"],
+    ], ids=["seed-not-int", "dilations-not-ints", "unknown-flag", "flag-without-value", "params-init-without-out",
+            "params-without-action", "no-subcommand", "scope-not-a-choice", "eval-without-ground-truth",
+            "threshold-not-a-number"])
+    def test_one_error_line_and_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_module_entry_point_exits_2_with_one_line(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fusionneck", "forward", "--seed", "abc"],
+            env=module_env(False), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == EXIT_INPUT and proc.stdout == ""
+        assert proc.stderr == "error: fusionneck forward: argument --seed: invalid int value: 'abc'\n"
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["forward", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: fusionneck forward") and "--dilations" in out and err == ""
 
 
 class TestVerify:
