@@ -23,12 +23,19 @@ cutoff at a time.  Every entry point takes an IoU threshold in
 computes the same values with array operations.  It ranks all detections
 once (a stable sort), computes the IoU of every same-class, same-image
 (detection, ground truth) pair once, with ``iou``'s operations in ``iou``'s
-order, and drops the pairs below the smallest threshold, which never match.
-It then runs the greedy matching for all thresholds together.  Matching
-never crosses a (class, image) group, so step k matches the k-th ranked
-detection of every group at once.  Size buckets reuse the IoU values but
-match again on the same-bucket pairs, because dropping ground truths changes
-what greedy matching picks.  Its results equal the reference's bit for bit.
+order, and drops the pairs below the smallest threshold, which never match;
+the pairs are built a bounded number at a time (``_PAIR_BUDGET``), so one
+crowded image cannot exhaust memory.  It then runs the greedy matching for
+all thresholds together.  Matching never crosses a (class, image) group, so
+step k matches the k-th ranked detection of every group at once.  Size
+buckets reuse the IoU values but match again on the same-bucket pairs,
+because dropping ground truths changes what greedy matching picks.  The APs
+come from one pass: the detections are ranked once by (subset, rank), a
+subset being a whole class or one of its size buckets, and each subset's APs
+are computed for every threshold row at once.  Recall is tp / n_gt and rises
+with tp, so each recall-grid lookup is a count of true positives, found for
+every row by one ``searchsorted``.  Its results equal the reference's bit
+for bit.
 
 Interchange files are line-oriented text, one box per line:
 
@@ -43,7 +50,11 @@ pair that every function here takes: each carries its image id, class id and
 box, and a detection its score.  ``Box``, ``Detection`` and ``GroundTruth``
 are immutable named tuples, checked on every construction, ``_make`` and
 ``_replace`` included (a record's box must be a ``Box``); like any tuple, a
-``Box`` equals the plain 4-tuple of its corners.  ``evaluate_records`` reads
+``Box`` equals the plain 4-tuple of its corners.  The box rule and the score
+rule are each defined once (``_box_ok``, ``_score_ok``).  The loaders check
+each row once by those rules and then build its records without checking
+again; a row that breaks a rule goes through the checking constructors,
+whose message the error names.  ``evaluate_records`` reads
 only the ``image_id``, ``class_id``, ``box`` and ``score`` attributes, and a
 box as its four corners in order.  It, ``average_precision`` and
 ``brute_force_ap`` refuse a box whose area exceeds half the largest float.
@@ -74,8 +85,19 @@ SIZE_BUCKETS = {
     "medium": (SMALL_AREA, LARGE_AREA),
     "large": (LARGE_AREA, _INF),
 }
-_PAIR_BLOCK = 512  # detections whose pairs evaluate_records builds at once
+_PAIR_BUDGET = 2048  # candidate pairs whose IoUs evaluate_records computes at once
 _box, _class_id, _image_id, _score = map(attrgetter, ("box", "class_id", "image_id", "score"))
+
+
+def _box_ok(x_min: float, y_min: float, x_max: float, y_max: float) -> bool:
+    """The box rule: finite corners, min <= max.  One chained comparison, false
+    for NaN, infinities, ints beyond the float range and inverted corners."""
+    return -_MAX <= x_min <= x_max <= _MAX and -_MAX <= y_min <= y_max <= _MAX
+
+
+def _score_ok(score: float) -> bool:
+    """The score rule: it lies in [0, 1]; false for NaN."""
+    return 0.0 <= score <= 1.0
 
 
 class _Checked:
@@ -96,9 +118,7 @@ class Box(_Checked, namedtuple("Box", "x_min y_min x_max y_max")):
 
     def __new__(cls, x_min: float, y_min: float, x_max: float, y_max: float) -> Box:
         self = tuple.__new__(cls, (x_min, y_min, x_max, y_max))
-        # one chained comparison: false for NaN, infinities, ints beyond the
-        # float range and inverted corners
-        if not (-_MAX <= x_min <= x_max <= _MAX and -_MAX <= y_min <= y_max <= _MAX):
+        if not _box_ok(x_min, y_min, x_max, y_max):
             raise ContractError(f"box needs finite coordinates with min <= max: {self}")
         return self
 
@@ -114,7 +134,7 @@ class Detection(_Checked, namedtuple("Detection", "image_id class_id box score")
     def __new__(cls, image_id: str, class_id: int, box: Box, score: float) -> Detection:
         if not isinstance(box, Box):
             raise ContractError(f"box must be a Box, got {box!r}")
-        if not 0.0 <= score <= 1.0:  # false for NaN too
+        if not _score_ok(score):
             raise ContractError(f"score {score} outside [0, 1]")
         return tuple.__new__(cls, (image_id, class_id, box, score))
 
@@ -346,13 +366,16 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _pair_iou(a: np.ndarray, b: np.ndarray, area_a: np.ndarray, area_b: np.ndarray) -> np.ndarray:
-    """``iou`` of the columns of two (4, n) box arrays, with its operations in its order."""
+def _pair_iou(
+    det: np.ndarray, gt: np.ndarray, det_box: np.ndarray, gt_box: np.ndarray, det_area: np.ndarray, gt_area: np.ndarray,
+) -> np.ndarray:
+    """``iou`` of each (``det``, ``gt``) column pair of two (4, n) box arrays, with its operations in its order."""
     with np.errstate(over="ignore"):  # only a gap between far-apart boxes overflows, to -inf, read as 0
-        ix = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
-        iy = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
+        ix = np.minimum(det_box[2, det], gt_box[2, gt]) - np.maximum(det_box[0, det], gt_box[0, gt])
+        iy = np.minimum(det_box[3, det], gt_box[3, gt]) - np.maximum(det_box[1, det], gt_box[1, gt])
     inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    union = area_a + area_b - inter
+    del ix, iy
+    union = det_area[det] + gt_area[gt] - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 
@@ -368,22 +391,26 @@ def _matchable_pairs(
     """Same-group (detection, ground truth) index pairs with IoU >= ``min_iou``, and that IoU.
 
     Sorted by detection, then by descending IoU, then by ground truth, which
-    numbers a group's ground truths in input order.  Pairs are built for
-    ``_PAIR_BLOCK`` detections at a time, which bounds the temporaries.
+    numbers a group's ground truths in input order.  Pairs are built for as
+    many detections at a time as fit ``_PAIR_BUDGET`` candidate pairs, at
+    least one, which bounds the temporaries.
     """
     gt_order = np.argsort(gt_group, kind="stable")
     sorted_group = gt_group[gt_order]
+    lo = np.searchsorted(sorted_group, det_group, side="left")
+    count = np.searchsorted(sorted_group, det_group, side="right") - lo
+    pairs_before = np.concatenate([[0], np.cumsum(count)])
     blocks = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
-    for start in range(0, len(det_group), _PAIR_BLOCK):
-        group = det_group[start:start + _PAIR_BLOCK]
-        lo = np.searchsorted(sorted_group, group, side="left")
-        count = np.searchsorted(sorted_group, group, side="right") - lo
-        det = np.repeat(np.arange(start, start + len(group)), count)
-        gt = gt_order[_ranges(lo, count)]
-        iou_k = _pair_iou(det_box[:, det], gt_box[:, gt], det_area[det], gt_area[gt])
+    start = 0
+    while start < len(det_group):
+        stop = max(start + 1, int(np.searchsorted(pairs_before, pairs_before[start] + _PAIR_BUDGET, side="right")) - 1)
+        det = np.repeat(np.arange(start, stop), count[start:stop])
+        gt = gt_order[_ranges(lo[start:stop], count[start:stop])]
+        iou_k = _pair_iou(det, gt, det_box, gt_box, det_area, gt_area)
         keep = np.flatnonzero(iou_k >= min_iou)
         keep = keep[np.lexsort((-iou_k[keep], det[keep]))]  # stable: IoU ties stay in ground-truth order
         blocks.append((det[keep], gt[keep], iou_k[keep]))
+        start = stop
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
@@ -436,26 +463,35 @@ def _greedy_hits(
     return hits
 
 
-def _ranked_aps(scores: np.ndarray, hits: np.ndarray, n_gt: int) -> list[float]:
+def _ranked_aps(scores: np.ndarray, hits: np.ndarray, n_gt: int) -> np.ndarray:
     """``_interpolated_ap`` of the PR points of each hits row, for detections in rank order."""
+    n_rows = len(hits)
     if not len(scores) or not n_gt:
-        return [0.0] * len(hits)
+        return np.zeros(n_rows)
     last = np.flatnonzero(np.diff(scores, append=np.nan))  # end of each tie group
-    # recall never falls along the ranking, so the points above a grid value
-    # are a suffix, whose best precision is a suffix maximum
-    best = np.zeros(len(last) + 1)
-    aps = []
-    for row in hits:
-        tp = np.cumsum(row)[last]
-        recall = tp / n_gt
-        best[:-1] = np.maximum.accumulate((tp / (last + 1))[::-1])[::-1]
-        above = np.searchsorted(recall, RECALL_GRID, side="right")
-        at = np.searchsorted(recall, RECALL_GRID, side="left")
-        total = 0.0
-        for value in best[np.where(above < len(last), above, at)].tolist():
-            total += value  # left to right, as _interpolated_ap sums
-        aps.append(total / len(RECALL_GRID))
-    return aps
+    n_points = len(last)
+    tp = np.cumsum(hits.view(np.int8), axis=1, dtype=np.int32)[:, last]  # int8: a cast from bool is slow
+    # Recall tp / n_gt rises with tp, so the points with recall <= r are those
+    # with tp <= k, k the largest count with k / n_gt <= r (the same division);
+    # likewise for recall < r.  Rows are shifted apart, as tp lies in [0, n_gt],
+    # so that one search serves them all.
+    counts = np.arange(n_gt + 1) / n_gt
+    k = np.concatenate([np.searchsorted(counts, RECALL_GRID, side="right"),
+                        np.searchsorted(counts, RECALL_GRID, side="left")]) - 1
+    row = np.arange(n_rows)[:, None]
+    found = np.searchsorted((tp + row * (n_gt + 1)).ravel(), k + row * (n_gt + 1), side="right") - row * n_points
+    above, at = np.split(found, 2, axis=1)
+    # A grid value takes the best precision from its first point on: the first
+    # above it, else the first at it, else none (the zero past the last point).
+    # Those first points never fall along the grid, so the maxima between
+    # consecutive ones, taken from the last back, give every suffix maximum.
+    first = np.where(above < n_points, above, at)
+    precision = np.zeros((n_rows, n_points + 1))
+    np.divide(tp, last + 1, out=precision[:, :-1])
+    starts = np.concatenate([np.zeros((n_rows, 1), np.intp), first], axis=1) + row * (n_points + 1)
+    between = np.maximum.reduceat(precision.ravel(), starts.ravel()).reshape(n_rows, -1)
+    best = np.maximum.accumulate(between[:, :0:-1], axis=1)[:, ::-1]
+    return np.cumsum(best, axis=1)[:, -1] / len(RECALL_GRID)  # left to right, as _interpolated_ap sums
 
 
 def evaluate_records(
@@ -490,33 +526,45 @@ def evaluate_records(
     d_area, g_area = _box_areas(dets, d_box)[rank], _box_areas(gts, g_box)
     d_box, d_bucket, g_bucket = d_box[:, rank], _size_buckets(d_area), _size_buckets(g_area)
     n_img, n_gt = len(images), len(g_cls)
+    group, g_group = d_cls * n_img + d_img, g_cls * n_img + g_img
+    del rank, d_img, g_img
 
     # A pair below every threshold never matches, so it is dropped.
     matched = sorted(set(thresholds) | {0.50, 0.75})
-    group = d_cls * n_img + d_img
-    pair_det, pair_gt, pair_iou = _matchable_pairs(
-        group, g_cls * n_img + g_img, d_box, g_box, d_area, g_area, matched[0])
+    pair_det, pair_gt, pair_iou = _matchable_pairs(group, g_group, d_box, g_box, d_area, g_area, matched[0])
     del d_box, g_box, d_area, g_area
     hits = _greedy_hits(group, pair_det, pair_gt, pair_iou, n_gt, np.array(matched))
     # Buckets reuse the IoU values, but match again: dropping ground truths
     # changes what greedy matching picks.
     same = (d_bucket[pair_det] == g_bucket[pair_gt]) & (d_bucket[pair_det] >= 0)
     bucket_hits = _greedy_hits(group, pair_det[same], pair_gt[same], pair_iou[same], n_gt, np.array(matched))
+    del group, pair_det, pair_gt, pair_iou, same
 
+    # Every AP in one pass: subset 4c is class c, 4c + 1 + b its size bucket b.
+    # Ranked by (subset, rank), the detections of each subset are one slice.
+    d_in, g_in = np.flatnonzero(d_bucket >= 0), np.flatnonzero(g_bucket >= 0)
+    d_subset = np.concatenate([4 * d_cls, 4 * d_cls[d_in] + 1 + d_bucket[d_in]])
+    member = np.concatenate([np.arange(len(d_cls)), d_in])[np.argsort(d_subset, kind="stable")]
+    n_subsets = 4 * len(classes)
+    ends = np.cumsum(np.bincount(d_subset, minlength=n_subsets)).tolist()
+    subset_gts = np.bincount(np.concatenate([4 * g_cls, 4 * g_cls[g_in] + 1 + g_bucket[g_in]]),
+                             minlength=n_subsets).tolist()
+    del d_subset
+    aps = [_ranked_aps(d_score[member[a:b]], (bucket_hits if s % 4 else hits)[:, member[a:b]], n).tolist()
+           for s, (a, b, n) in enumerate(zip([0] + ends[:-1], ends, subset_gts))]
+
+    column = {t: i for i, t in enumerate(matched)}
     per_class: dict[int, dict] = {}
     for cid in classes:
-        d_in, g_in = d_cls == class_ids[cid], g_cls == class_ids[cid]
-        ap_by_thresh = dict(zip(matched, _ranked_aps(d_score[d_in], hits[:, d_in], int(g_in.sum()))))
+        whole, *buckets = aps[4 * class_ids[cid]:4 * class_ids[cid] + 4]
         entry = {
-            "ap": sum(ap_by_thresh[t] for t in thresholds) / len(thresholds),
-            "ap50": ap_by_thresh[0.50],
-            "ap75": ap_by_thresh[0.75],
-            "defined": bool(d_in.any() or g_in.any()),
+            "ap": sum(whole[column[t]] for t in thresholds) / len(thresholds),
+            "ap50": whole[column[0.50]],
+            "ap75": whole[column[0.75]],
+            "defined": True,
         }
-        for b, name in enumerate(SIZE_BUCKETS):
-            d_b, g_b = d_in & (d_bucket == b), g_in & (g_bucket == b)
-            bucket_aps = dict(zip(matched, _ranked_aps(d_score[d_b], bucket_hits[:, d_b], int(g_b.sum()))))
-            entry[f"ap_{name}"] = sum(bucket_aps[t] for t in thresholds) / len(thresholds)
+        for name, bucket_aps in zip(SIZE_BUCKETS, buckets):
+            entry[f"ap_{name}"] = sum(bucket_aps[column[t]] for t in thresholds) / len(thresholds)
         per_class[cid] = entry
     keys = ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large")  # ApResult's field order
     return ApResult(per_class, *(mean_ap([per_class[c][key] for c in classes]) for key in keys))
@@ -536,21 +584,28 @@ def _load(path: str, with_score: bool) -> list:
         raise FileFormatError(f"{path}:{lineno}: byte {exc.start} is not UTF-8 text") from None
     expected = 7 if with_score else 6
     records = []
+    new = tuple.__new__  # builds the records of a row that passed the rules, without checking again
     for lineno, line in enumerate(text.split("\n"), start=1):
         fields = line.split("#", 1)[0].split()
         if not fields:
             continue
         if len(fields) != expected:
             raise FileFormatError(f"{path}:{lineno}: expected {expected} fields, got {len(fields)}")
-        try:  # all fields parse before Box checks the coordinates and Detection the score
+        try:  # all fields parse before the box rule and the score rule are checked
             class_id = int(fields[1])
             corners = float(fields[2]), float(fields[3]), float(fields[4]), float(fields[5])
             score = float(fields[6]) if with_score else None
-            box = Box(*corners)
-            records.append(Detection(fields[0], class_id, box, score) if with_score
-                           else GroundTruth(fields[0], class_id, box))
+            # a row that breaks a rule goes through the checking constructor, which refuses it
+            box = new(Box, corners) if _box_ok(*corners) else Box(*corners)
+            if not with_score:
+                record = new(GroundTruth, (fields[0], class_id, box))
+            elif _score_ok(score):
+                record = new(Detection, (fields[0], class_id, box, score))
+            else:
+                record = Detection(fields[0], class_id, box, score)
         except (ValueError, ContractError) as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+        records.append(record)
     return records
 
 

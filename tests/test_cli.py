@@ -1,5 +1,7 @@
 """CLI surface: exit codes, report determinism, eval, and params tools."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -50,6 +52,20 @@ PLAUSIBLE = [0, 1, 2, 3, 4, 8, 64, 0.5, "raw", "logistic", "standard", "atrous",
 @pytest.fixture(scope="module")
 def config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("resolver") / "cfg.json"
+
+
+@pytest.fixture(scope="module")
+def eval_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("eval")
+
+
+# A byte edit of an interchange file: (position, byte, kind); the bytes lean
+# towards those that change how a line parses.
+_BYTE_EDIT = st.tuples(
+    st.integers(0, 10**6),
+    st.sampled_from(b"0123456789.-+ \t\n\r\x0c#einaf_x\x00\xff") | st.integers(0, 255),
+    st.sampled_from(["replace", "insert", "delete"]),
+)
 
 
 def run_forward(tmp_path, name, extra=()):
@@ -705,6 +721,37 @@ class TestEval:
         ])
         assert code == EXIT_OK
         assert abs(json.loads(report.read_text())["result"]["map"] - 0.6966) < 5e-4
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["dets_4class.txt", "gts_4class.txt"]), st.lists(_BYTE_EDIT, min_size=1, max_size=4))
+    def test_mutated_interchange_files_exit_0_or_2(self, eval_dir, target, edits):
+        """Byte edits of either fixture end in a result, or in exit 2 with one
+        ``error:`` line, nothing on stdout and no report; never a traceback."""
+        data = bytearray((DATA / target).read_bytes())
+        for position, byte, kind in edits:
+            position %= len(data) + (kind == "insert")
+            if kind == "insert":
+                data.insert(position, byte)
+            elif kind == "delete":
+                del data[position]
+            else:
+                data[position] = byte
+        files = {name: eval_dir / name for name in ("dets_4class.txt", "gts_4class.txt")}
+        for name, path in files.items():
+            path.write_bytes(data if name == target else (DATA / name).read_bytes())
+        report = eval_dir / "report.json"
+        report.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", "--detections", str(files["dets_4class.txt"]),
+                         "--ground-truth", str(files["gts_4class.txt"]), "--report", str(report)])
+        if code == EXIT_OK:
+            assert err.getvalue() == "" and out.getvalue().startswith("mAP ") and report.exists()
+        else:
+            assert code == EXIT_INPUT
+            assert out.getvalue() == "" and not report.exists()
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
     @pytest.mark.parametrize("thresholds", ["0.5,x", "0.5,", "", "nan", "0.5,inf", "0", "1.5", "-0.5"])
     def test_bad_thresholds_exit_2_naming_the_token(self, thresholds, capsys):

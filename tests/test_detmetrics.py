@@ -3,6 +3,7 @@
 import pickle
 import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -494,7 +495,16 @@ class TestInterchangeFiles:
                 load(str(lines_path))
             assert str(info.value).startswith(f"{lines_path}:{first_bad}: "), str(info.value)
             return
-        assert load(str(lines_path)) == records
+        loaded = load(str(lines_path))
+        assert loaded == records
+        for r in loaded:  # exactly the checked types, equal to what the checking constructors build
+            assert type(r) is (Detection if with_score else GroundTruth) and type(r.box) is Box
+            checked = type(r)(r.image_id, r.class_id, Box(*r.box), *([r.score] if with_score else []))
+            assert r == checked and repr(r) == repr(checked)
+            with pytest.raises(ContractError, match="min <= max"):
+                r.box._replace(x_min=2 * abs(r.box.x_max) + 1)
+            with pytest.raises(ContractError, match="must be a Box"):
+                r._replace(box=tuple(r.box))
         lines_path.write_text("".join(_as_line(r) + "\n" for r in records))
         assert load(str(lines_path)) == records
 
@@ -587,6 +597,28 @@ class TestEvaluateRecordsMatchesScalarReference:
         gts=[GroundTruth("a", 0, Box(0, 0, 16, 16)), GroundTruth("a", 0, Box(8, 0, 24, 16))],
         thresholds=[0.3],
     )
+    @example(
+        # ten ground truths, so every recall lands on a grid value; tied scores
+        dets=[Detection("a", 0, Box(20 * i, 0, 20 * i + 16, 16), s)
+              for i, s in enumerate([1.0, 0.9, 0.9, 0.75, 0.5, 0.5, 0.25])]
+        + [Detection("a", 0, Box(300, 300, 316, 316), s) for s in (0.9, 0.3)],
+        gts=[GroundTruth("a", 0, Box(20 * i, 0, 20 * i + 16, 16)) for i in range(10)],
+        thresholds=[0.5, 0.3],
+    )
+    @example(
+        # every ground truth is medium, while detections fall in all three buckets
+        dets=[Detection("a", 0, Box(0, 0, 48, 48), 0.9), Detection("a", 0, Box(0, 0, 8, 8), 0.8),
+              Detection("a", 0, Box(0, 0, 128, 128), 0.7), Detection("a", 0, Box(64, 0, 112, 48), 0.6)],
+        gts=[GroundTruth("a", 0, Box(0, 0, 48, 48)), GroundTruth("a", 0, Box(64, 0, 112, 48)),
+             GroundTruth("b", 0, Box(0, 0, 40, 40))],
+        thresholds=[0.5],
+    )
+    @example(
+        # more ground truths than detections: recall stops at 1/3, short of most of the grid
+        dets=[Detection("a", 0, Box(0, 0, 16, 16), 0.5), Detection("b", 0, Box(0, 0, 16, 16), 0.5)],
+        gts=[GroundTruth(img, 0, Box(x, 0, x + 16, 16)) for img in "abc" for x in (0, 32)],
+        thresholds=[0.75, 0.5],
+    )
     def test_equal_to_scalar_class_ap(self, dets, gts, thresholds):
         if not dets and not gts:
             return
@@ -603,3 +635,42 @@ class TestEvaluateRecordsMatchesScalarReference:
         for scene in ((dets, gts), fixture):
             for thresholds in ((0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95), (0.9, 0.3, 0.3)):
                 assert evaluate_records(*scene, thresholds) == scalar_evaluate(*scene, thresholds)
+
+
+def _crowded_image(n_dets: int, columns: int, rows: int, spacing: float, side: float, seed: int):
+    """Detections scattered over a grid of ground truths, all of one image and class."""
+    rng = np.random.default_rng(seed)
+    gts = [GroundTruth("a", 0, Box(spacing * i, spacing * j, spacing * i + side, spacing * j + side))
+           for i in range(columns) for j in range(rows)]
+    x, y = (rng.uniform(0.0, spacing * n, n_dets).tolist() for n in (columns, rows))
+    scores = rng.choice([0.25, 0.5, 0.75, 0.9], n_dets).tolist()  # ties
+    dets = [Detection("a", 0, Box(x0, y0, x0 + side, y0 + side), s) for x0, y0, s in zip(x, y, scores)]
+    return dets, gts
+
+
+class TestCrowdedImage:
+    """One image and class whose candidate pairs outnumber what one block of pairs holds."""
+
+    def test_equal_to_scalar_reference(self):
+        # 30 detections on 80 overlapping ground truths (2400 candidate pairs),
+        # and one more class whose 3 detections each pair with 2100
+        dets, gts = _crowded_image(30, 10, 8, 4.0, 8.0, seed=0)
+        more_dets, more_gts = _crowded_image(3, 50, 42, 2.0, 4.0, seed=1)
+        dets += [d._replace(class_id=1) for d in more_dets]
+        gts += [g._replace(class_id=1) for g in more_gts]
+        result = evaluate_records(dets, gts, (0.5, 0.3))
+        assert result == scalar_evaluate(dets, gts, (0.5, 0.3))
+        assert result.per_class[0]["ap"] > 0.0 and result.per_class[1]["ap"] > 0.0
+
+    def test_memory_bounded_by_candidate_pairs(self):
+        """512 detections against 8000 ground truths: 4.1M candidate pairs,
+        built a bounded number at a time, not all at once."""
+        dets, gts = _crowded_image(512, 80, 100, 10.0, 8.0, seed=2)
+        tracemalloc.start()
+        try:
+            result = evaluate_records(dets, gts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.ap50 > 0.0
+        assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
